@@ -20,10 +20,8 @@ from .bipartite import (
     classify_shape,
     coefficients_from_recurrence,
     compose_outer,
-    condition_aux,
+    conditions,
     continuation,
-    discriminant,
-    eval_f1,
     fk_table,
     identity_residual,
     ode_residual,

@@ -54,11 +54,12 @@ class Branch(str, Enum):
 class ConditionsNotMet(ValueError):
     """Raised when F_1 or the auxiliary condition is nonzero."""
 
-    def __init__(self, s: int, f1: Fraction, aux: Fraction):
-        self.s, self.f1, self.aux = s, f1, aux
-        failed = [name for name, v in (("F_1", f1), ("aux", aux)) if v != 0]
+    def __init__(self, s: int, cond: Conditions):
+        self.s, self.f1, self.aux = s, cond.f1, cond.aux
+        failed = [name for name, v in (("F_1", cond.f1), ("aux", cond.aux)) if v != 0]
         super().__init__(
-            f"s={s}: condition(s) {', '.join(failed)} nonzero (F_1={f1}, aux={aux})"
+            f"s={s}: condition(s) {', '.join(failed)} nonzero "
+            f"(F_1={cond.f1}, aux={cond.aux})"
         )
 
 
@@ -141,16 +142,34 @@ def _recurrence(s: int, cvals: Sequence):
     return a[: s + 1], f1
 
 
-def eval_f1(s: int, c: QuarticCoeffs) -> Fraction:
-    return coefficients_from_recurrence(s, c)[1]
+@dataclass(frozen=True)
+class Conditions:
+    """One run of the recurrence for a divisor s and the values it decides.
+
+    a holds the inner coefficients a_0..a_s (a_s = 1, a_1 = 0); f1 and aux
+    must both vanish for a solution to exist, and the sign of the
+    discriminant d selects its branch.
+    """
+
+    a: tuple
+    f1: Fraction
+    aux: Fraction
+    d: Fraction
+
+    @property
+    def met(self) -> bool:
+        return self.f1 == 0 and self.aux == 0
 
 
-def condition_aux(s: int, c: QuarticCoeffs) -> Fraction:
-    """Cleared x^-1 Laurent matching: c3*F_2 + 3*c4*F_3 (F_3 = 0 when s=2)."""
-    a, _ = coefficients_from_recurrence(s, c)
-    f2 = a[2]
-    f3 = a[3] if s >= 3 else Fraction(0)
-    return c.c3 * f2 + 3 * c.c4 * f3
+def conditions(s: int, c: QuarticCoeffs) -> Conditions:
+    """Run the recurrence once and evaluate the conditions on it.
+
+    aux = c3*F_2 + 3*c4*F_3 (F_3 = 0 when s = 2) and d = s^2 F_0^2 - 4 c4 F_2^2.
+    """
+    a, f1 = coefficients_from_recurrence(s, c)
+    aux = c.c3 * a[2] + 3 * c.c4 * (a[3] if s >= 3 else Fraction(0))
+    d = s * s * a[0] * a[0] - 4 * c.c4 * a[2] * a[2]
+    return Conditions(tuple(a), f1, aux, d)
 
 
 def ode_residual(s: int, c: QuarticCoeffs, u: Poly) -> LaurentPoly:
@@ -161,12 +180,6 @@ def ode_residual(s: int, c: QuarticCoeffs, u: Poly) -> LaurentPoly:
     -2 (s^2 - 1) F_1 when u comes from the recurrence.
     """
     return _divided_ode_residual(c.ptilde(), s, u)
-
-
-def discriminant(s: int, c: QuarticCoeffs) -> Fraction:
-    """s^2 F_0^2 - 4 c4 F_2^2; its sign selects the antiderivative branch."""
-    a, _ = coefficients_from_recurrence(s, c)
-    return s * s * a[0] * a[0] - 4 * c.c4 * a[2] * a[2]
 
 
 def branch_of(d) -> Branch:
@@ -202,10 +215,6 @@ class BipartiteSolution:
     def u(self) -> Poly:
         return Poly(self.a)
 
-    def m(self) -> Scalar:
-        """Exact m = sqrt(m2); a Fraction when m2 is a rational square."""
-        return exact_sqrt(Fraction(self.m2))
-
     def residual(self) -> Poly:
         """s^2 x^2 (u^2 -+ m^2) - p u'^2; the zero polynomial for valid data."""
         return identity_residual(self.u, "g", self.c.poly(), self.s, self.m2, self.branch)
@@ -233,20 +242,19 @@ def build_solution(
     tolerance; IdentityResidualNonzero is unreachable when the
     preconditions hold and exists as an internal consistency guard.
     """
-    a, f1 = coefficients_from_recurrence(s, c)
-    aux = c.c3 * a[2] + 3 * c.c4 * (a[3] if s >= 3 else Fraction(0))
-    if f1 != 0 or aux != 0:
-        raise ConditionsNotMet(s, f1, aux)
-    d = s * s * a[0] * a[0] - 4 * c.c4 * a[2] * a[2]
+    cond = conditions(s, c)
+    if not cond.met:
+        raise ConditionsNotMet(s, cond)
+    d = cond.d
     branch = branch_of(d)
     if normalization == UNIT_LEADING:
         m2 = abs(d) / Fraction(s * s)
-        coeffs: tuple[Scalar, ...] = tuple(a)
+        coeffs: tuple[Scalar, ...] = cond.a
     elif normalization == UNIT_AMPLITUDE:
         if d == 0:
             raise ValueError("unit-amplitude normalization undefined when d = 0")
         a_s = s / exact_sqrt(abs(d))
-        coeffs = tuple(ak * a_s for ak in a)
+        coeffs = tuple(ak * a_s for ak in cond.a)
         m2 = Fraction(1)
     else:
         raise ValueError(f"unknown normalization {normalization!r}")
@@ -259,13 +267,14 @@ def build_solution(
 
 
 def identity_residual(
-    G: Poly, convention: str, p: Poly, n: int, m2, branch: Branch
+    G: Poly, convention: str, p: Poly, n: int, m2, branch: Branch, q: Poly = Poly.x()
 ) -> Poly:
-    """Residual n^2 x^2 (G^2 -+ M) - p G'^2 with M = m^2 or 1 per convention.
+    """Residual n^2 q^2 (G^2 -+ M) - p G'^2 with M = m^2 or 1 per convention.
 
     convention "g": G is the composed polynomial itself (odd outer degree),
     M = m2.  convention "g-over-m": G = g/m (even outer degree), M = 1.
-    The sign is + for the hyperbolic branch, - otherwise.
+    The sign is + for the hyperbolic branch, - otherwise.  q = x is the
+    quartic case; a general monic q gives the multipartite identity.
     """
     if convention == "g":
         M = m2
@@ -276,26 +285,22 @@ def identity_residual(
     gsq = G * G
     inner = gsq + M if branch is Branch.HYPERBOLIC else gsq - M
     dG = G.derivative()
-    return inner.scale(n * n).shift_up(2) - p * dG * dG
+    return q * q * inner.scale(n * n) - p * dG * dG
 
 
-# alias: "verify" reads better at call sites that only test for zero
-verify_identity = identity_residual
-
-
-def compose_outer(sol: BipartiteSolution, N: int) -> tuple[Poly, str]:
-    """Parity-exact outer composition of degree N on a built solution.
+def compose_outer(u: Poly, m2, N: int, branch: Branch) -> tuple[Poly, str]:
+    """Parity-exact outer composition of degree N on an inner polynomial u.
 
     Returns (G, convention): G = g = m*T_N(u/m) when N is odd (rational
     coefficients even for irrational m), or G = g/m = T_N(u/m) when N is
-    even.  Hyperbolic solutions use the sinh analogue and demand odd N;
-    logarithmic ones use g = u^N.
+    even.  The hyperbolic branch uses the sinh analogue and demands odd N;
+    the logarithmic one uses g = u^N.
     """
     if N < 1:
         raise ValueError("outer degree must be positive")
-    if sol.branch is Branch.LOGARITHMIC:
-        return sol.u ** N, "g"
-    if sol.branch is Branch.HYPERBOLIC:
+    if branch is Branch.LOGARITHMIC:
+        return u ** N, "g"
+    if branch is Branch.HYPERBOLIC:
         if N % 2 == 0:
             raise EvenOuterOnHyperbolic(
                 f"outer degree {N} is even; the hyperbolic family needs n/s odd"
@@ -304,7 +309,7 @@ def compose_outer(sol: BipartiteSolution, N: int) -> tuple[Poly, str]:
     else:
         outer = chebyshev_t(N)
     convention = "g" if N % 2 == 1 else "g-over-m"
-    return _parity_compose(outer, sol.u, sol.m2, convention), convention
+    return _parity_compose(outer, u, m2, convention), convention
 
 
 def _parity_compose(outer: Poly, u: Poly, m2, convention: str) -> Poly:
@@ -400,6 +405,8 @@ def _vanishes_on(w: Poly, r: IsolatedRoot) -> bool:
 
 def solve_c1(s: int, c2, c3, c4, width=None) -> list[IsolatedRoot]:
     """All real roots of F_1 viewed as a univariate polynomial in c1."""
+    if s < 2:
+        raise ValueError("inner degree s must be at least 2")
     fixed = {2: Fraction(c2), 3: Fraction(c3), 4: Fraction(c4)}
     coeffs = fk_table(s).fk_as_poly_in(1, 1, fixed)
     f1 = Poly(coeffs)
@@ -495,37 +502,24 @@ def _divided_ode_residual(pt: LaurentPoly, s: int, u: Poly) -> LaurentPoly:
     return lhs - rhs
 
 
-def _f1_float_coeffs(s: int, c2: float, c3: float, c4: float) -> list:
-    return [float(v) for v in fk_table(s).fk_as_poly_in(1, 1, {2: c2, 3: c3, 4: c4})]
+def _f1_float(s: int, c2: float, c3: float, c4: float) -> Poly:
+    """F_1 as a polynomial in c1 with float coefficients, for the tracker."""
+    return Poly(map(float, fk_table(s).fk_as_poly_in(1, 1, {2: c2, 3: c3, 4: c4})))
 
 
-def _horner(coeffs, x: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _horner_deriv(coeffs, x: float) -> float:
-    acc = 0.0
-    for k in range(len(coeffs) - 1, 0, -1):
-        acc = acc * x + k * coeffs[k]
-    return acc
-
-
-def _newton(coeffs, x0: float, tol: float, max_iter: int = 60):
-    scale = max(1.0, max(abs(c) for c in coeffs))
+def _newton(f: Poly, x0: float, tol: float, max_iter: int = 60):
+    scale = max(1.0, max(abs(c) for c in f.coeffs))
+    df = f.derivative()
     x = x0
     for _ in range(max_iter):
-        f = _horner(coeffs, x)
-        if abs(f) <= tol * scale:
+        fx = f.eval(x)
+        if abs(fx) <= tol * scale:
             return x, True
-        df = _horner_deriv(coeffs, x)
-        if df == 0 or x != x or abs(x) > 1e12:
+        dfx = df.eval(x)
+        if dfx == 0 or x != x or abs(x) > 1e12:
             return x, False
-        x = x - f / df
-    f = _horner(coeffs, x)
-    return x, abs(f) <= 10 * tol * scale
+        x = x - fx / dfx
+    return x, abs(f.eval(x)) <= 10 * tol * scale
 
 
 def continuation(
@@ -570,16 +564,17 @@ def continuation(
     while tau < 1.0:
         step = min(h, 1.0 - tau)
         tau_next = tau + step
-        coeffs_next = _f1_float_coeffs(s, f2, tau_next * f3, tau_next * f4)
-        coeffs_cur = _f1_float_coeffs(s, f2, tau * f3, tau * f4)
+        f_next = _f1_float(s, f2, tau_next * f3, tau_next * f4)
+        f_cur = _f1_float(s, f2, tau * f3, tau * f4)
+        df_cur = f_cur.derivative()
         new_roots = []
         ok = True
         for r in roots:
-            df = _horner_deriv(coeffs_cur, r)
+            df = df_cur.eval(r)
             pred = r
             if df != 0:
-                pred = r - (_horner(coeffs_next, r) - _horner(coeffs_cur, r)) / df
-            x, good = _newton(coeffs_next, pred, newton_tol)
+                pred = r - (f_next.eval(r) - f_cur.eval(r)) / df
+            x, good = _newton(f_next, pred, newton_tol)
             if not good:
                 ok = False
                 break
@@ -605,9 +600,9 @@ def continuation(
         h = min(max(h * 2, initial_step / 8), initial_step)
 
     c1f = roots[sel]
-    coeffs_now = _f1_float_coeffs(s, f2, tau * f3, tau * f4)
-    c1f, _ = _newton(coeffs_now, c1f, 1e-15)
-    f1_res = abs(_horner(coeffs_now, c1f))
+    f_now = _f1_float(s, f2, tau * f3, tau * f4)
+    c1f, _ = _newton(f_now, c1f, 1e-15)
+    f1_res = abs(f_now.eval(c1f))
 
     c1_exact = None
     f1_exact_zero = False
@@ -617,10 +612,11 @@ def continuation(
         cand = reconstruct_rational(c1f)
         if cand is not None:
             c_full = QuarticCoeffs(cand, c2, t3, t4)
-            if eval_f1(s, c_full) == 0:
+            cond = conditions(s, c_full)
+            if cond.f1 == 0:
                 c1_exact = cand
                 f1_exact_zero = True
-                aux_val = condition_aux(s, c_full)
+                aux_val = cond.aux
                 if aux_val == 0:
                     sol = build_solution(s, c_full)
                     message = "exact solution verified at tau = 1"

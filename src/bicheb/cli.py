@@ -14,13 +14,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
 from . import elliptic, multipartite
 from .bipartite import (
-    ConditionsNotMet,
     QuarticCoeffs,
     UNIT_AMPLITUDE,
     UNIT_LEADING,
@@ -56,6 +54,14 @@ def _parse_coeff_list(text: str, rationalize: bool) -> list[Fraction]:
     return [_parse_value(t, rationalize) for t in text.split(",") if t.strip()]
 
 
+def _parse_coeff_name(text: str, flag: str) -> int:
+    """The index k of a quartic coefficient named exactly c1, c2, c3 or c4."""
+    name = text.strip().lower()
+    if name not in ("c1", "c2", "c3", "c4"):
+        raise ValueError(f"{flag} expects one of c1..c4, got {text!r}")
+    return int(name[1])
+
+
 def _print_decision_text(out, verbose: bool) -> None:
     if isinstance(out, Refusal):
         print(render_refusal(out, "text"))
@@ -70,17 +76,16 @@ def _print_decision_text(out, verbose: bool) -> None:
     if verbose:
         print("divisor diagnostics:")
         for dv in out.divisors:
-            print(f"  s={dv.s}: F_1={dv.f1}, aux={dv.aux}, d={dv.d} [{dv.note}]")
+            print(f"  {dv.line()}")
 
 
 def cmd_decide(args) -> int:
     c = _parse_quartic(args.p, args.rationalize)
     out = decide(args.n, c)
-    verbose = args.verbose or bool(os.environ.get("BICHEB_VERBOSE"))
     if args.json:
         print(json.dumps(out.as_dict(), indent=2))
     else:
-        _print_decision_text(out, verbose)
+        _print_decision_text(out, args.verbose)
     return EXIT_YES if isinstance(out, ClosedForm) else EXIT_NO
 
 
@@ -118,13 +123,17 @@ def _emit_samples(cf: ClosedForm, path: str, count: int = 200) -> None:
 
 def cmd_verify(args) -> int:
     c = _parse_quartic(args.p, args.rationalize)
+    try:
+        lo_s, hi_s = args.interval.split(",")
+        interval = (float(lo_s), float(hi_s))
+    except ValueError:
+        raise ValueError(f"--interval expects a,b, got {args.interval!r}") from None
     out = decide(args.n, c)
     if isinstance(out, Refusal):
         print(render_refusal(out, "text"))
         return EXIT_NO
-    lo_s, hi_s = args.interval.split(",")
     try:
-        err = numeric_check(out, (float(lo_s), float(hi_s)), args.tol)
+        err = numeric_check(out, interval, args.tol)
     except IntervalNotValid as exc:
         print(f"interval not valid: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -150,9 +159,6 @@ def cmd_construct(args) -> int:
         c = QuarticCoeffs(r.lo, c2, c3, c4)
         try:
             sol = build_solution(args.s, c, normalization)
-        except ConditionsNotMet as exc:
-            skipped.append({"c1": str(r.lo), "note": str(exc)})
-            continue
         except ValueError as exc:
             skipped.append({"c1": str(r.lo), "note": str(exc)})
             continue
@@ -226,23 +232,16 @@ def cmd_complete(args) -> int:
     fixed = {}
     for item in args.fix.split(","):
         key, _, val = item.partition("=")
-        key = key.strip().lower()
-        if not key.startswith("c") or key[1:] not in "1234":
-            raise ValueError(f"bad --fix entry {item!r}")
-        fixed[int(key[1])] = _parse_value(val, args.rationalize)
-    target = args.solve.strip().lower()
-    if not target.startswith("c") or target[1:] not in "1234":
-        raise ValueError("--solve expects one of c1..c4")
-    result = elliptic.complete_coefficient(
-        args.n, fixed, int(target[1]), force_s=args.force_s
-    )
+        fixed[_parse_coeff_name(key, "--fix")] = _parse_value(val, args.rationalize)
+    target = _parse_coeff_name(args.solve, "--solve")
+    result = elliptic.complete_coefficient(args.n, fixed, target, force_s=args.force_s)
     if args.json:
         print(json.dumps(result.as_dict(), indent=2))
     else:
-        print(f"n={args.n}, s={result.s}, solving F_1 = 0 for {target}")
+        print(f"n={args.n}, s={result.s}, solving F_1 = 0 for c{target}")
         for e in result.entries:
             root = str(e.root.lo) if e.root.exact else f"({e.root.lo}, {e.root.hi})"
-            print(f"  {target} = {root}: {e.note}")
+            print(f"  c{target} = {root}: {e.note}")
     return EXIT_YES if result.entries else EXIT_NO
 
 

@@ -37,7 +37,7 @@ from .bipartite import (
     QuarticCoeffs,
     build_solution,
     compose_outer,
-    coefficients_from_recurrence,
+    conditions,
     fk_table,
     identity_residual,
 )
@@ -78,6 +78,9 @@ class DivisorDiagnostics:
     aux: Fraction
     d: Fraction
     note: str
+
+    def line(self) -> str:
+        return f"s={self.s}: F_1={self.f1}, aux={self.aux}, d={self.d} [{self.note}]"
 
     def as_dict(self) -> dict:
         return {
@@ -169,7 +172,6 @@ class ClosedForm:
     G: Poly
     convention: str
     solution: BipartiteSolution
-    validity: list[tuple[Optional[IsolatedRoot], Optional[IsolatedRoot]]]
     pieces: list[Piece]
     divisors: tuple[DivisorDiagnostics, ...] = field(default_factory=tuple)
 
@@ -198,13 +200,6 @@ class ClosedForm:
             return self.G
         m = exact_sqrt(self.m2)
         return Poly([cf / m for cf in self.G.coeffs])
-
-    def g_exact(self) -> Poly:
-        """Exact g; requires m rational when the convention is 'g-over-m'."""
-        if self.convention == "g":
-            return self.G
-        m = exact_sqrt(self.m2)
-        return Poly([cf * m for cf in self.G.coeffs])
 
     # -- numeric evaluation -------------------------------------------------
 
@@ -282,16 +277,13 @@ def decide(n: int, c: QuarticCoeffs) -> ClosedForm | Refusal:
     hit: int | None = None
     fatal: str | None = None
     for s in divisors_from_two(n):
-        a, f1 = coefficients_from_recurrence(s, c)
-        aux = c.c3 * a[2] + 3 * c.c4 * (a[3] if s >= 3 else Fraction(0))
-        d = s * s * a[0] * a[0] - 4 * c.c4 * a[2] * a[2]
-        ok = f1 == 0 and aux == 0
-        note = "conditions-satisfied" if ok else "conditions-failed"
-        if ok and hit is None and fatal is None:
+        cond = conditions(s, c)
+        note = "conditions-satisfied" if cond.met else "conditions-failed"
+        if cond.met and hit is None and fatal is None:
             # the decision is fixed by the first conditions-satisfying
             # divisor; later divisors are reported but never selected
             N = n // s
-            if d < 0 and N % 2 == 0:
+            if cond.d < 0 and N % 2 == 0:
                 note = "rejected-even-outer-on-hyperbolic"
                 fatal = (
                     f"first divisor satisfying the coefficient conditions (s={s}) "
@@ -300,7 +292,7 @@ def decide(n: int, c: QuarticCoeffs) -> ClosedForm | Refusal:
             else:
                 note = "selected"
                 hit = s
-        diags.append(DivisorDiagnostics(s, f1, aux, d, note))
+        diags.append(DivisorDiagnostics(s, cond.f1, cond.aux, cond.d, note))
     if hit is None:
         reason = fatal or "no divisor s of n satisfies F_1 = 0 and aux = 0"
         return Refusal(n, c, reason, tuple(diags))
@@ -323,11 +315,7 @@ def _closed_form(
     n: int, s: int, c: QuarticCoeffs, diags: tuple[DivisorDiagnostics, ...]
 ) -> ClosedForm:
     sol = build_solution(s, c)
-    N = n // s
-    G, convention = compose_outer(sol, N)
-    residual = identity_residual(G, convention, c.poly(), n, sol.m2, sol.branch)
-    if residual:
-        raise AssertionError("internal error: composed identity residual nonzero")
+    G, convention = compose_outer(sol.u, sol.m2, n // s, sol.branch)
     p = c.poly()
     if sol.branch is Branch.CIRCULAR:
         neg = sign_regions(p, -1)
@@ -349,10 +337,11 @@ def _closed_form(
         G=G,
         convention=convention,
         solution=sol,
-        validity=regions,
         pieces=[],
         divisors=diags,
     )
+    if cf.residual():
+        raise AssertionError("internal error: composed identity residual nonzero")
     cf.pieces = _build_pieces(cf, regions)
     return cf
 
@@ -558,10 +547,7 @@ def render_refusal(r: Refusal, fmt: str = "text") -> str:
 
         return json.dumps(r.as_dict(), indent=2)
     lines = [f"no elementary form of degree n={r.n}: {r.reason}"]
-    for dv in r.divisors:
-        lines.append(
-            f"  s={dv.s}: F_1={dv.f1}, aux={dv.aux}, d={dv.d} [{dv.note}]"
-        )
+    lines += [f"  {dv.line()}" for dv in r.divisors]
     return "\n".join(lines)
 
 
@@ -601,9 +587,6 @@ class CompletionResult:
     target: int
     fixed: dict[int, Fraction]
     entries: list[CompletionEntry]
-
-    def roots(self) -> list[IsolatedRoot]:
-        return [e.root for e in self.entries]
 
     def as_dict(self) -> dict:
         return {

@@ -32,9 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bipartite import _parity_compose
+from .bipartite import Branch, identity_residual
 from .partitions import distinct_perms, partitions_bounded
-from .poly import Poly, chebyshev_t
+from .poly import Poly
 
 
 class NoConsistentConstants(ValueError):
@@ -148,8 +148,8 @@ class EWeights:
 class MultipartiteSystem:
     """Solved coefficient system for one (s, p, q) triple.
 
-    a holds a_0..a_s with a_s = 1.  f_values[j] = F_j = a_j for the
-    recurrence route.  neg_residuals[j-1] is the cleared condition at
+    a holds a_0..a_s with a_s = 1, so a_j = F_j on the recurrence
+    route.  neg_residuals[j-1] is the cleared condition at
     index -j (j = 1..3 ell); all zero iff the divided ODE has a
     polynomial solution of degree s.  When q(0) = 0 the original
     (undivided) identity additionally pins a_1 = 0; origin_residual then
@@ -168,10 +168,6 @@ class MultipartiteSystem:
     @property
     def u(self) -> Poly:
         return Poly(self.a)
-
-    @property
-    def f_values(self) -> list[Fraction]:
-        return list(self.a)
 
     @property
     def tdq(self) -> list[Fraction]:
@@ -327,31 +323,7 @@ def integration_constant(s: int, p: Poly, q: Poly, u: Poly):
             Fraction(s * s) * dq0 * dq0
         )
     c = c0 - s * s * m2
-    residual = (q * q * (u * u - Poly((m2,)))).scale(Fraction(s * s)) - p * du * du - (
-        q * q
-    ).scale(c)
+    residual = identity_residual(u, "g", p, s, m2, Branch.CIRCULAR, q) - (q * q).scale(c)
     if residual:
         raise NoConsistentConstants("no exact (c, m^2) pair satisfies the identity")
     return c, m2
-
-
-def compose_outer(u: Poly, m2: Fraction, N: int) -> tuple[Poly, str]:
-    """Degree-N circular composition in the parity-exact convention.
-
-    Returns (G, convention) with G = m T_N(u/m) for odd N ("g") and
-    G = T_N(u/m) for even N ("g-over-m"); both have coefficients in the
-    field generated by m^2.
-    """
-    if N < 1:
-        raise ValueError("outer degree must be positive")
-    convention = "g" if N % 2 == 1 else "g-over-m"
-    return _parity_compose(chebyshev_t(N), u, Fraction(m2), convention), convention
-
-
-def general_identity_residual(
-    G: Poly, convention: str, p: Poly, q: Poly, n: int, m2
-) -> Poly:
-    """Residual n^2 q^2 (G^2 - M) - p G'^2, M = m^2 or 1 per the convention."""
-    M = m2 if convention == "g" else Fraction(1)
-    dG = G.derivative()
-    return (q * q * (G * G - Poly((M,)))).scale(Fraction(n * n)) - p * dG * dG

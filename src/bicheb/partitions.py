@@ -172,15 +172,12 @@ class FkTable:
             out.append(acc)
         return out
 
-    def f1_as_poly_in(self, index: int, fixed: dict[int, Fraction]):
-        """F_1 as a dense univariate polynomial in c_<index>.
+    def fk_as_poly_in(self, k: int, index: int, fixed: dict[int, Fraction]):
+        """F_k as a dense univariate polynomial in c_<index>.
 
         fixed maps the other three indices (1-based) to their values.
         Returns the coefficient list, ascending powers.
         """
-        return self.fk_as_poly_in(1, index, fixed)
-
-    def fk_as_poly_in(self, k: int, index: int, fixed: dict[int, Fraction]):
         coeffs: dict[int, Fraction] = {}
         for lam, coeff in self.entries[k].items():
             power = sum(1 for p in lam.parts if p == index)

@@ -50,10 +50,6 @@ class Poly:
         return Poly((Fraction(0), Fraction(1)))
 
     @staticmethod
-    def monomial(power: int, coeff=Fraction(1)) -> "Poly":
-        return Poly([Fraction(0)] * power + [coeff])
-
-    @staticmethod
     def from_roots(roots: Sequence) -> "Poly":
         """Monic polynomial with the given roots."""
         out = Poly.one()
@@ -280,12 +276,6 @@ class LaurentPoly:
     def coeff(self, k: int):
         """Coefficient of x^k (k may be negative)."""
         return self.poly[k + self.shift]
-
-    def low_degree(self) -> int:
-        for i, c in enumerate(self.poly.coeffs):
-            if c:
-                return i - self.shift
-        return 0
 
     def __add__(self, other):
         other = _as_laurent(other)

@@ -94,19 +94,6 @@ def variations_at(chain: list[Poly], x: Fraction) -> int:
     return _variations([sign_at(q, x) for q in chain])
 
 
-def variations_at_infinity(chain: list[Poly], positive: bool) -> int:
-    signs = []
-    for q in chain:
-        if not q:
-            signs.append(0)
-            continue
-        s = 1 if q.leading() > 0 else -1
-        if not positive and q.degree % 2 == 1:
-            s = -s
-        signs.append(s)
-    return _variations(signs)
-
-
 def count_roots_halfopen(chain: list[Poly], lo: Fraction, hi: Fraction) -> int:
     """Distinct real roots of the chain's base polynomial in (lo, hi]."""
     return variations_at(chain, lo) - variations_at(chain, hi)
@@ -338,12 +325,3 @@ def _multiplicity_of(r: IsolatedRoot, factors: list[tuple[Poly, int]]) -> int:
             if sign_at(f, r.lo) * sign_at(f, r.hi) < 0:
                 return m
     raise AssertionError("isolated root does not belong to any square-free factor")
-
-
-def refine_root(p: Poly, r: IsolatedRoot, width: Fraction) -> IsolatedRoot:
-    """Further refine an isolating interval (p must be square-free there)."""
-    if r.exact or r.hi - r.lo <= width:
-        return r
-    f = squarefree_part(p)
-    lo, hi = _refine(f, r.lo, r.hi, width)
-    return IsolatedRoot(lo, hi, r.multiplicity)

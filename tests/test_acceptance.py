@@ -12,7 +12,7 @@ from fractions import Fraction as F
 from bicheb.bipartite import (
     QuarticCoeffs,
     coefficients_from_recurrence,
-    condition_aux,
+    conditions,
     continuation,
     identity_residual,
     solve_c1,
@@ -169,7 +169,7 @@ def test_criterion_09_cross_framework_consistency():
             sys_ = coefficients_general(s, c.poly(), x)
             assert sys_.a == a
             assert sys_.origin_residual == 2 * (s * s - 1) * f1
-            assert sys_.neg_residuals[0] == 2 * condition_aux(s, c)
+            assert sys_.neg_residuals[0] == 2 * conditions(s, c).aux
             assert sys_.neg_residuals[1] == 0 and sys_.neg_residuals[2] == 0
     _announce(9, "general q=x machinery matches the quartic module exactly, s in 2..6")
 

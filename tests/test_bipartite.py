@@ -14,10 +14,8 @@ from bicheb.bipartite import (
     classify_shape,
     coefficients_from_recurrence,
     compose_outer,
-    condition_aux,
+    conditions,
     continuation,
-    discriminant,
-    eval_f1,
     identity_residual,
     ode_residual,
     solve_c1,
@@ -67,13 +65,13 @@ def test_recurrence_requires_s_at_least_two():
 
 
 def test_condition_aux_values():
-    assert condition_aux(3, WORKED) == 0  # 2*(-3) + 3*2*1
-    assert condition_aux(2, AUX_FAIL) == 1  # c3 * F_2
+    assert conditions(3, WORKED).aux == 0  # 2*(-3) + 3*2*1
+    assert conditions(2, AUX_FAIL).aux == 1  # c3 * F_2
     rng = random.Random(3)
     for s in (2, 3, 4, 5):
         c = rand_quartic(rng)
         c = QuarticCoeffs(c.c1, c.c2, F(0), F(0))
-        assert condition_aux(s, c) == 0  # both summands carry c3 or c4
+        assert conditions(s, c).aux == 0  # both summands carry c3 or c4
 
 
 def test_aux_x3_coefficient_oracle():
@@ -91,7 +89,7 @@ def test_laurent_residual_carries_both_conditions():
         for _ in range(4):
             c = rand_quartic(rng)
             a, f1 = coefficients_from_recurrence(s, c)
-            aux = condition_aux(s, c)
+            aux = conditions(s, c).aux
             res = ode_residual(s, c, Poly(a))
             assert res.coeff(-1) == -2 * aux
             assert res.coeff(1) == -2 * (s * s - 1) * f1
@@ -105,9 +103,9 @@ def test_laurent_residual_carries_both_conditions():
 
 
 def test_discriminant_values():
-    assert discriminant(3, WORKED) == 9
-    assert discriminant(2, HYPER) == -4
-    assert discriminant(2, LOG) == 0
+    assert conditions(3, WORKED).d == 9
+    assert conditions(2, HYPER).d == -4
+    assert conditions(2, LOG).d == 0
 
 
 # -- construction ------------------------------------------------------------
@@ -148,7 +146,7 @@ def test_build_unit_amplitude_surd():
     assert sol.m2 == 1 and sol.a[-1] == 1
     # |d| = 3 is not a square: hyperbolic x^4 - x^2 + 1, a_s = 2/sqrt(3)
     c = QuarticCoeffs.of(0, -1, 0, 1)
-    assert discriminant(2, c) == -3
+    assert conditions(2, c).d == -3
     sol2 = build_solution(2, c, UNIT_AMPLITUDE)
     assert isinstance(sol2.a[-1], Surd) and not sol2.a[-1].is_rational
     assert sol2.m2 == 1
@@ -178,7 +176,7 @@ def test_scaling_covariance():
 
 def test_compose_even_outer_g_over_m():
     sol = build_solution(2, SYMMETRIC)
-    G, conv = compose_outer(sol, 2)
+    G, conv = compose_outer(sol.u, sol.m2, 2, sol.branch)
     assert conv == "g-over-m"
     u = Poly((F(-5, 2), F(0), F(1)))
     assert G == (u * u).scale(F(8, 9)) - Poly.one()
@@ -187,17 +185,17 @@ def test_compose_even_outer_g_over_m():
 
 def test_compose_identity_outer():
     sol = build_solution(3, WORKED)
-    G, conv = compose_outer(sol, 1)
+    G, conv = compose_outer(sol.u, sol.m2, 1, sol.branch)
     assert conv == "g" and G == sol.u
 
 
 def test_compose_hyperbolic_triple():
     sol = build_solution(2, HYPER)
-    G, conv = compose_outer(sol, 3)
+    G, conv = compose_outer(sol.u, sol.m2, 3, sol.branch)
     u = sol.u
     assert conv == "g" and G == (u * u * u).scale(4) + u.scale(3)
     with pytest.raises(EvenOuterOnHyperbolic):
-        compose_outer(sol, 2)
+        compose_outer(sol.u, sol.m2, 2, sol.branch)
 
 
 def test_compose_degree_multiplicative():
@@ -209,13 +207,13 @@ def test_compose_degree_multiplicative():
     ]
     for sol, outers in cases:
         for N in outers:
-            G, _ = compose_outer(sol, N)
+            G, _ = compose_outer(sol.u, sol.m2, N, sol.branch)
             assert G.degree == N * sol.s
 
 
 def test_compose_logarithmic_power():
     sol = build_solution(2, LOG)
-    G, conv = compose_outer(sol, 3)
+    G, conv = compose_outer(sol.u, sol.m2, 3, sol.branch)
     assert conv == "g" and G == sol.u ** 3
     assert not identity_residual(G, conv, LOG.poly(), 6, F(0), sol.branch)
 
@@ -313,8 +311,8 @@ def test_s3_family_is_valid_locus():
         c1 = F(rng.randint(-9, 9), rng.randint(1, 4))
         c3 = F(rng.randint(-9, 9), rng.randint(1, 4))
         c = s3_family(c1, c3)
-        assert eval_f1(3, c) == 0 and condition_aux(3, c) == 0
-        d = discriminant(3, c)
+        assert conditions(3, c).f1 == 0 and conditions(3, c).aux == 0
+        d = conditions(3, c).d
         assert d == F(9, 16) * (c1**3 + 2 * c3) ** 2
         assert d >= 0  # hyperbolic branch unreachable for odd s
         if d != 0:
@@ -334,9 +332,9 @@ def test_odd_s_nonexistence_composed_degree_nine():
         # the same quartic admits the degree-9 composed solution, still circular;
         # re-monicizing g = m T_3(u/m) (leading 4/m^2) scales the lines by
         # m^2/4, so d_9 = 81 (m^3/4)^2 = d_3^3 / 144
-        assert eval_f1(9, c) == 0 and condition_aux(9, c) == 0
-        d3 = discriminant(3, c)
-        d9 = discriminant(9, c)
+        assert conditions(9, c).f1 == 0 and conditions(9, c).aux == 0
+        d3 = conditions(3, c).d
+        d9 = conditions(9, c).d
         assert d9 == d3**3 / 144 and d9 > 0
         sol9 = build_solution(9, c)
         assert sol9.branch is Branch.CIRCULAR and not sol9.residual()
@@ -348,7 +346,7 @@ def test_odd_s_nonexistence_composed_degree_nine():
 
 def test_logarithmic_boundary_of_s3_family():
     c = s3_family(F(-2), F(4))  # c1^3 + 2 c3 = 0
-    assert discriminant(3, c) == 0
+    assert conditions(3, c).d == 0
     sol = build_solution(3, c)
     assert sol.branch is Branch.LOGARITHMIC and not sol.residual()
 

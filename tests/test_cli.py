@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from bicheb.cli import main
 
 
@@ -149,3 +151,21 @@ def test_emit_samples(tmp_path, capsys):
     lines = target.read_text().splitlines()
     assert lines[0] == "x,integrand,antiderivative"
     assert len(lines) > 100
+
+
+BAD_INPUTS = [
+    (("complete", "--n", "4", "--fix", "c=1,c3=0,c4=0", "--solve", "c1"), "c1..c4"),
+    (("complete", "--n", "4", "--fix", "c23=1,c3=0,c4=0", "--solve", "c1"), "c1..c4"),
+    (("complete", "--n", "4", "--fix", "c2=-2,c3=0,c4=0", "--solve", "c"), "c1..c4"),
+    (("complete", "--n", "4", "--fix", "c2=-2,c3=0,c4=0", "--solve", "c12"), "c1..c4"),
+    (("verify", "--n", "3", "--p=-2,-3,2,2", "--interval=1"), "--interval expects a,b"),
+    (("construct", "--s", "1", "--c2=-3", "--c3", "2", "--c4", "2"), "at least 2"),
+]
+
+
+@pytest.mark.parametrize("argv, message", BAD_INPUTS, ids=[" ".join(a) for a, _ in BAD_INPUTS])
+def test_bad_input_fails_fast(capsys, argv, message):
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err

@@ -4,18 +4,18 @@ from fractions import Fraction as F
 import pytest
 
 from bicheb.bipartite import (
+    Branch,
     QuarticCoeffs,
     coefficients_from_recurrence,
-    condition_aux,
-    eval_f1,
+    compose_outer,
+    conditions,
+    identity_residual,
 )
 from bicheb.multipartite import (
     NoConsistentConstants,
     OutsideData,
     coefficients_general,
-    compose_outer,
     fj_closed_form,
-    general_identity_residual,
     integration_constant,
     qcube,
     solvability_residuals,
@@ -87,7 +87,7 @@ def test_worked_instance_specializes():
 def test_aux_counterexample_specializes():
     c = QuarticCoeffs.of(0, -3, 1, 1)
     sys_ = coefficients_general(2, c.poly(), X)
-    assert sys_.neg_residuals[0] == 2 * condition_aux(2, c)
+    assert sys_.neg_residuals[0] == 2 * conditions(2, c).aux
     assert not sys_.solvable()
 
 
@@ -101,7 +101,7 @@ def test_random_specialization_cross_framework():
             assert sys_.pinned_origin
             assert sys_.a == a
             assert sys_.origin_residual == 2 * (s * s - 1) * f1
-            assert sys_.neg_residuals[0] == 2 * condition_aux(s, c)
+            assert sys_.neg_residuals[0] == 2 * conditions(s, c).aux
             assert sys_.neg_residuals[1] == 0 and sys_.neg_residuals[2] == 0
 
 
@@ -113,7 +113,7 @@ def test_unpinned_negative_residuals_track_f1():
         for _ in range(4):
             c = rand_quartic(rng)
             sys_ = coefficients_general(s, c.poly(), X, pin_origin=False)
-            f1 = eval_f1(s, c)
+            f1 = conditions(s, c).f1
             assert sys_.a[1] == f1
             assert sys_.neg_residuals[1] == -c.c3 * f1
             assert sys_.neg_residuals[2] == -2 * c.c4 * f1
@@ -220,8 +220,8 @@ def test_ell2_conditions_and_closure():
     sys_ = coefficients_general(3, p, q)
     assert sys_.u == v and sys_.solvable()
     for N in (2, 3):
-        G, conv = compose_outer(v, F(1), N)
-        assert not general_identity_residual(G, conv, p, q, 3 * N, F(1))
+        G, conv = compose_outer(v, F(1), N, Branch.CIRCULAR)
+        assert not identity_residual(G, conv, p, 3 * N, F(1), Branch.CIRCULAR, q)
         assert solvability_residuals(3 * N, p, q) == [F(0)] * 6
 
 
@@ -232,8 +232,8 @@ def test_composition_closure_quartic_family():
     p = QuarticCoeffs.of(0, -5, 0, 4).poly()
     assert solvability_residuals(2, p, X) == [F(0)] * 3
     for N in (2, 3):
-        G, conv = compose_outer(u, m2, N)
-        assert not general_identity_residual(G, conv, p, X, 2 * N, m2)
+        G, conv = compose_outer(u, m2, N, Branch.CIRCULAR)
+        assert not identity_residual(G, conv, p, 2 * N, m2, Branch.CIRCULAR, X)
         assert solvability_residuals(2 * N, p, X) == [F(0)] * 3
 
 
@@ -242,9 +242,9 @@ def test_compose_worked_inner_to_degree_six():
     # degree-6 polynomial sharing the outside data, q = x
     v = Poly((F(3), F(0), F(-3), F(1)))
     p = WORKED.poly()
-    G, conv = compose_outer(v, F(1), 2)
+    G, conv = compose_outer(v, F(1), 2, Branch.CIRCULAR)
     assert conv == "g-over-m" and G.degree == 6
-    assert not general_identity_residual(G, conv, p, X, 6, F(1))
+    assert not identity_residual(G, conv, p, 6, F(1), Branch.CIRCULAR, X)
     assert solvability_residuals(6, p, X) == [F(0)] * 3
     sys6 = coefficients_general(6, p, X)
     assert sys6.solvable()
@@ -261,10 +261,10 @@ def test_system_exposes_qcube_and_constants():
 
 def test_compose_outer_values():
     u = Poly((F(-5, 2), F(0), F(1)))
-    G, conv = compose_outer(u, F(9, 4), 2)
+    G, conv = compose_outer(u, F(9, 4), 2, Branch.CIRCULAR)
     assert conv == "g-over-m"
     assert G == (u * u).scale(F(8, 9)) - Poly.one()
-    G1, conv1 = compose_outer(u, F(9, 4), 1)
+    G1, conv1 = compose_outer(u, F(9, 4), 1, Branch.CIRCULAR)
     assert conv1 == "g" and G1 == u
 
 
