@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -39,7 +40,10 @@ EXIT_NO = 3
 
 def _parse_value(text: str, rationalize: bool) -> Fraction:
     if rationalize:
-        return Fraction(float(text))
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError(f"value {text!r} is not a finite number")
+        return Fraction(value)
     return parse_rational(text)
 
 
@@ -71,7 +75,7 @@ def _print_decision_text(out, verbose: bool) -> None:
         f"d={out.d}  m2={out.m2}"
     )
     print(f"G ({out.convention}) = {out.G.format()}")
-    print(f"residual_zero: {not out.residual()}")
+    print(f"residual_zero: {out.residual_zero}")
     print(render(out, "text"))
     if verbose:
         print("divisor diagnostics:")
@@ -426,7 +430,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

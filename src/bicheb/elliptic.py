@@ -19,9 +19,12 @@ unsound.
 Within one sign region of p, the circular antiderivative formula is only
 valid between consecutive stationary points of g: where |g| = m the
 arc-function hits its branch point and the correct sign sigma flips.
-Emitted forms are therefore piecewise, each piece carrying its own
-sigma (fixed by a midpoint derivative check) and, for arccosh, the sign
-of g on the piece.
+Emitted forms are therefore piecewise, each piece carrying its own sigma
+and, for arccosh, the sign of g on the piece.  Both come from exact signs
+at one rational interior point: the identity n^2 x^2 (G^2 -+ M) = p G'^2
+fixes the sign of d/dx f(G/m), so sigma = -sgn x sgn G' for arccos,
+sgn x sgn G' for arcsinh, and sgn x sgn G sgn G' for arccosh (inner sign
+sgn G) and log.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .bipartite import (
 )
 from .poly import Poly
 from .quadrature import Integrand, integrate_adaptive
-from .roots import IsolatedRoot, real_roots, root_bound
+from .roots import IsolatedRoot, noroot_point, real_roots, sign_at
 from .scalars import exact_sqrt, is_square
 
 BRANCH_ARCCOS = "CircularArccos"
@@ -174,6 +177,7 @@ class ClosedForm:
     solution: BipartiteSolution
     pieces: list[Piece]
     divisors: tuple[DivisorDiagnostics, ...] = field(default_factory=tuple)
+    residual_zero: bool = False  # outcome of the exact identity check
 
     @property
     def decided(self) -> bool:
@@ -203,21 +207,23 @@ class ClosedForm:
 
     # -- numeric evaluation -------------------------------------------------
 
-    def _arg_float(self, x: float) -> float:
-        y = self.G.to_float().eval(x)
-        if self.convention == "g" and self.branch != BRANCH_LOG:
-            return y / math.sqrt(float(self.m2))
-        return y
-
     def antiderivative(self, piece: Piece, x: float) -> float:
-        y = self._arg_float(x)
+        """(sigma/n) f(G/m) at x, evaluated through the inner u, never G.
+
+        With y = u/m, G/m is T_N(y) (S_N(y) for arcsinh, u^N for log), so
+        arccos(T_N(y)) = arccos(cos(N arccos y)), arccosh|T_N(y)| =
+        N arccosh|y|, arcsinh(S_N(y)) = N arcsinh y and log|u^N| = N log|u|.
+        """
+        u = self.solution.u.to_float().eval(x)
+        if piece.fn == "log":
+            return piece.sigma / self.n * self.N * math.log(abs(u))
+        y = u / math.sqrt(float(self.m2))
         if piece.fn == "arccos":
-            return piece.sigma / self.n * math.acos(max(-1.0, min(1.0, y)))
+            theta = self.N * math.acos(max(-1.0, min(1.0, y)))
+            return piece.sigma / self.n * math.acos(math.cos(theta))
         if piece.fn == "arccosh":
-            return piece.sigma / self.n * math.acosh(max(1.0, piece.inner_sign * y))
-        if piece.fn == "arcsinh":
-            return piece.sigma / self.n * math.asinh(y)
-        return piece.sigma / self.n * math.log(abs(y))
+            return piece.sigma / self.n * self.N * math.acosh(max(1.0, abs(y)))
+        return piece.sigma / self.n * self.N * math.asinh(y)
 
     def piece_for(self, a: float, b: float) -> Piece:
         for piece in self.pieces:
@@ -256,7 +262,7 @@ class ClosedForm:
                 "coeffs": [str(cf) for cf in self.G.coeffs],
             },
             "intervals": [p.as_dict() for p in self.pieces],
-            "residual_zero": not self.residual(),
+            "residual_zero": self.residual_zero,
             "numeric_error": numeric_error,
         }
 
@@ -340,7 +346,8 @@ def _closed_form(
         pieces=[],
         divisors=diags,
     )
-    if cf.residual():
+    cf.residual_zero = not cf.residual()
+    if not cf.residual_zero:
         raise AssertionError("internal error: composed identity residual nonzero")
     cf.pieces = _build_pieces(cf, regions)
     return cf
@@ -352,49 +359,48 @@ def sign_regions(p: Poly, sign: int):
     Endpoints are isolated roots (None for +-infinity); the sign between
     two roots is evaluated exactly at a rational point of the gap.
     """
-    roots = real_roots(p)
-    bounds: list[Optional[IsolatedRoot]] = [None] + list(roots) + [None]
-    out = []
-    for i in range(len(bounds) - 1):
-        lo, hi = bounds[i], bounds[i + 1]
-        sample = _gap_sample(p, lo, hi)
-        v = p.eval(sample)
-        if sign * v > 0:
-            out.append((lo, hi))
-    return out
+    bounds: list[Optional[IsolatedRoot]] = [None, *real_roots(p), None]
+    return [
+        (lo, hi)
+        for lo, hi in zip(bounds, bounds[1:])
+        if sign * sign_at(p, _interior_point(lo, hi, p)) > 0
+    ]
 
 
-def _gap_sample(p: Poly, lo: Optional[IsolatedRoot], hi: Optional[IsolatedRoot]) -> Fraction:
+def _interior_point(
+    lo: Optional[IsolatedRoot], hi: Optional[IsolatedRoot], *polys: Poly
+) -> Fraction:
+    """A rational point strictly between lo and hi where no poly vanishes."""
     if lo is None and hi is None:
-        return Fraction(0)
-    if lo is None:
-        return hi.lo - root_bound(p) - 1
-    if hi is None:
-        return lo.hi + root_bound(p) + 1
-    return (lo.hi + hi.lo) / 2
+        return noroot_point(Fraction(-1), Fraction(1), *polys)
+    a = hi.lo - 1 if lo is None else lo.hi
+    b = lo.hi + 1 if hi is None else hi.lo
+    return noroot_point(a, b, *polys)
 
 
 def _build_pieces(cf: ClosedForm, regions) -> list[Piece]:
     fn = _FN_FOR_TAG[cf.branch]
+    dG, x_poly = cf.G.derivative(), Poly.x()
     cuts: list[IsolatedRoot] = []
     if cf.branch in (BRANCH_ARCCOS, BRANCH_ARCCOSH):
-        dG = cf.G.derivative()
-        if dG.degree >= 1:
-            for r in real_roots(dG):
-                at_zero = r.exact and r.lo == 0
-                odd = r.multiplicity % 2 == 1
-                # |g| = m branch points: odd-multiplicity stationary points
-                # away from 0; at 0 the integrand flips too, so only an
-                # even-multiplicity stationary point leaves a kink there.
-                if (odd and not at_zero) or (at_zero and not odd):
-                    cuts.append(r)
+        for r in real_roots(dG):
+            at_zero = r.exact and r.lo == 0
+            odd = r.multiplicity % 2 == 1
+            # |g| = m branch points: odd-multiplicity stationary points
+            # away from 0; at 0 the integrand flips too, so only an
+            # even-multiplicity stationary point leaves a kink there.
+            if (odd and not at_zero) or (at_zero and not odd):
+                cuts.append(r)
     pieces: list[Piece] = []
     for lo, hi in regions:
         inner = [r for r in cuts if _strictly_inside(r, lo, hi)]
         ends: list[Optional[IsolatedRoot]] = [lo] + inner + [hi]
         for a, b in zip(ends, ends[1:]):
-            sigma, isign = _calibrate_piece(cf, fn, a, b)
-            pieces.append(Piece(a, b, sigma, fn, isign))
+            x = _interior_point(a, b, x_poly, cf.G, dG)
+            sg = sign_at(cf.G, x)
+            sxdg = (1 if x > 0 else -1) * sign_at(dG, x)  # sgn x * sgn G'
+            sigma = {"arccos": -sxdg, "arcsinh": sxdg}.get(fn, sxdg * sg)
+            pieces.append(Piece(a, b, sigma, fn, sg if fn == "arccosh" else 1))
     return pieces
 
 
@@ -402,62 +408,6 @@ def _strictly_inside(r: IsolatedRoot, lo, hi) -> bool:
     lo_ok = lo is None or r.lo > lo.hi
     hi_ok = hi is None or r.hi < hi.lo
     return lo_ok and hi_ok
-
-
-def _calibrate_piece(cf: ClosedForm, fn: str, lo, hi) -> tuple[int, int]:
-    """Fix sigma (and arccosh inner sign) by a derivative match at a sample."""
-    a = _endpoint_float(lo, True)
-    b = _endpoint_float(hi, False)
-    if math.isinf(a) and math.isinf(b):
-        a2, b2 = -1.0, 1.0
-    elif math.isinf(b):
-        a2, b2 = a, a + 2.0
-    elif math.isinf(a):
-        a2, b2 = b - 2.0, b
-    else:
-        a2, b2 = a, b
-    pf = cf.c.poly().to_float()
-    gf = cf.G.to_float()
-    dgf = gf.derivative()
-    mf = math.sqrt(float(cf.m2)) if cf.m2 else 0.0
-    rad_sign = -1 if fn == "arccos" else 1
-    for t in (0.5, 0.37, 0.61, 0.29, 0.73, 0.45):
-        x = a2 + (b2 - a2) * t
-        if not (a < x < b):
-            continue
-        y = gf.eval(x)
-        dy = dgf.eval(x)
-        if cf.convention == "g" and cf.branch != BRANCH_LOG:
-            y, dy = y / mf, dy / mf
-        radicand = rad_sign * pf.eval(x)
-        if radicand <= 0 or x == 0:
-            continue
-        integrand = x / math.sqrt(radicand)
-        if fn == "arccos":
-            den = 1 - y * y
-            if den <= 0:
-                continue
-            deriv = -dy / (cf.n * math.sqrt(den))
-            isign = 1
-        elif fn == "arccosh":
-            isign = 1 if y >= 0 else -1
-            den = y * y - 1
-            if den <= 0:
-                continue
-            deriv = isign * dy / (cf.n * math.sqrt(den))
-        elif fn == "arcsinh":
-            deriv = dy / (cf.n * math.sqrt(1 + y * y))
-            isign = 1
-        else:
-            if y == 0:
-                continue
-            deriv = dy / (cf.n * y)
-            isign = 1
-        if deriv == 0 or integrand == 0:
-            continue
-        sigma = 1 if integrand * deriv > 0 else -1
-        return sigma, isign
-    return 1, 1
 
 
 def validity_intervals(p: Poly, branch: str):

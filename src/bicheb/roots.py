@@ -14,6 +14,7 @@ with denominator q.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -169,19 +170,14 @@ class IsolatedRoot:
         return f"Root(({self.lo}, {self.hi}), mult={self.multiplicity})"
 
 
-def _noroot_point(p: Poly, lo: Fraction, hi: Fraction) -> Fraction:
-    """A point in (lo, hi) that is not a root of p (p has finitely many)."""
+def noroot_point(lo: Fraction, hi: Fraction, *polys: Poly) -> Fraction:
+    """A point in (lo, hi) that is a root of none of the (nonzero) polys."""
     span = hi - lo
-    for den in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29):
-        x = lo + span / den
-        if sign_at(p, x) != 0:
+    probes = (lo + span / den for den in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29))
+    grid = (lo + span * Fraction(j, 1009) for j in itertools.count(1))
+    for x in itertools.chain(probes, grid):
+        if all(sign_at(p, x) != 0 for p in polys):
             return x
-    j = 1
-    while True:
-        x = lo + span * Fraction(j, 1009)
-        if sign_at(p, x) != 0:
-            return x
-        j += 1
 
 
 def _refine(p: Poly, lo: Fraction, hi: Fraction, width: Fraction):
@@ -279,7 +275,7 @@ def isolate_squarefree(
             rlo, rhi = _refine(p, x, y, width)
             out.append(IsolatedRoot(rlo, rhi))
             continue
-        m = _noroot_point(p, x, y)
+        m = noroot_point(x, y, p)
         nl = count_roots_halfopen(chain, x, m)
         stack.append((x, m, nl))
         stack.append((m, y, n - nl))

@@ -160,6 +160,9 @@ BAD_INPUTS = [
     (("complete", "--n", "4", "--fix", "c2=-2,c3=0,c4=0", "--solve", "c12"), "c1..c4"),
     (("verify", "--n", "3", "--p=-2,-3,2,2", "--interval=1"), "--interval expects a,b"),
     (("construct", "--s", "1", "--c2=-3", "--c3", "2", "--c4", "2"), "at least 2"),
+    (("integrate", "--n", "3", "--p=-2,-3,2,2", "--emit-samples", "/nonexistent/x.csv"),
+     "No such file or directory"),
+    (("decide", "--n", "3", "--p=1e400,0,0,0", "--rationalize"), "not a finite number"),
 ]
 
 

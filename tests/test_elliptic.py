@@ -362,3 +362,41 @@ def test_higher_degree_compositions():
     cf10 = decide(10, HYPER)
     assert cf10.s == 2 and cf10.G.degree == 10 and not cf10.residual()
     assert numeric_check(cf10, (-2.0, 2.0), 1e-10) <= 1e-8
+
+
+# -- exact piece signs and stable numerics at high degree ---------------------------
+
+
+def _horner(coeffs, x):
+    acc = F(0)
+    for cf in reversed(coeffs):
+        acc = acc * x + cf
+    return acc
+
+
+def _sgn(v):
+    return (v > 0) - (v < 0)
+
+
+@pytest.mark.parametrize("n", range(3, 46, 3))
+def test_worked_piece_signs_follow_the_exact_rule(n):
+    # n^2 x^2 (G^2 - M) = p G'^2 fixes the sign of d/dx f(G/m) on each piece:
+    # arccos -sgn x sgn G', arcsinh sgn x sgn G', arccosh (inner sign sgn G)
+    # and log sgn x sgn G sgn G'
+    cf = decide(n, WORKED)
+    G = list(cf.G.coeffs)
+    dG = [k * G[k] for k in range(1, len(G))]
+    for piece in cf.pieces:
+        a = piece.hi.lo - 1 if piece.lo is None else piece.lo.hi
+        b = piece.lo.hi + 1 if piece.hi is None else piece.hi.lo
+        x = next(
+            x for x in (a + (b - a) * F(k, 17) for k in range(1, 17))
+            if x and _horner(G, x) and _horner(dG, x)
+        )
+        sx, sg, sdg = _sgn(x), _sgn(_horner(G, x)), _sgn(_horner(dG, x))
+        want = {"arccos": -sx * sdg, "arcsinh": sx * sdg}.get(piece.fn, sx * sg * sdg)
+        assert piece.sigma == want, (n, piece)
+        assert piece.fn != "arccosh" or piece.inner_sign == sg, (n, piece)
+        lo, hi = max(piece.lo_float(), -8.0), min(piece.hi_float(), 8.0)
+        third = (hi - lo) / 3
+        assert numeric_check(cf, (lo + third, hi - third), 1e-12) <= 1e-10, (n, piece)

