@@ -31,6 +31,7 @@ from .bipartite import (
 from .elliptic import ClosedForm, IntervalNotValid, Refusal, decide, numeric_check, render, render_refusal
 from .partitions import format_fk
 from .poly import Poly
+from .quadrature import ToleranceNotReached
 from .scalars import parse_rational
 
 EXIT_YES = 0
@@ -132,6 +133,8 @@ def cmd_verify(args) -> int:
         interval = (float(lo_s), float(hi_s))
     except ValueError:
         raise ValueError(f"--interval expects a,b, got {args.interval!r}") from None
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ValueError(f"--tol must be a positive finite number, got {args.tol}")
     out = decide(args.n, c)
     if isinstance(out, Refusal):
         print(render_refusal(out, "text"))
@@ -430,7 +433,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ValueError, ZeroDivisionError, OSError) as exc:
+    except (ValueError, ZeroDivisionError, OSError, ToleranceNotReached) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

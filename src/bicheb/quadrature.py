@@ -59,7 +59,9 @@ def integrate_adaptive(f, a: float, b: float, tol: float = 1e-10):
         return 0.0, 0.0
     value, err = _quad_checked(f, a, b, tol)
     if err > max(tol, 1e-13 * max(1.0, abs(value))):
-        raise ToleranceNotReached(f"estimate {err:.3g} exceeds tolerance {tol:.3g}")
+        raise ToleranceNotReached(
+            f"quadrature error estimate {err:.3g} exceeds tolerance {tol:.3g}"
+        )
     return value, err
 
 

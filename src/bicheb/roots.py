@@ -2,14 +2,20 @@
 
 Sturm's theorem over exact arithmetic: the number of distinct real roots
 in (a, b] equals V(a) - V(b), where V counts sign changes along the
-Sturm chain.  Multiplicities come from Yun's square-free decomposition.
-Chain elements are kept as primitive integer polynomials (content
-stripped, sign preserved) to hold coefficient growth down.
+Sturm chain.  The chain is built from integer pseudo-remainders, each
+scaled by a positive factor and made primitive, so every element is a
+positive multiple of the classical one; it is evaluated by integer
+Horner on the homogenised form.  Multiplicities come from Yun's
+square-free decomposition, which is skipped when the chain's last
+element, gcd(p, p'), is constant.
 
-Rational roots are recovered exactly: while an isolating interval is
-refined, the smallest-denominator rational inside it is probed; once the
-interval is narrower than 1/q^2 the probe provably hits a rational root
-with denominator q.
+Isolating intervals are refined by bisection on integer numerators over
+one common denominator.  Rational roots come out exactly by the
+rational-root theorem: a rational root of a primitive integer polynomial
+has a denominator dividing the leading coefficient, so it is k/lead for
+an integer k.  Once lead * (hi - lo) < 1 the interval holds at most one
+such point, which is tested once; if it is not a root, the root is
+irrational.
 """
 
 from __future__ import annotations
@@ -20,26 +26,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly import Poly
-from .scalars import simplest_in_interval
 
 DEFAULT_WIDTH = Fraction(1, 2**48)
 
-# identity-keyed memo (the stored strong reference pins the id); hashing
-# Poly coefficient tuples per sign query would dominate the isolation cost
-_INT_MEMO: dict[int, tuple[Poly, tuple[int, ...]]] = {}
-
-
-def _int_coeffs(p: Poly) -> tuple[int, ...]:
-    """Primitive integer coefficients, sign preserved (rational p only)."""
-    key = id(p)
-    hit = _INT_MEMO.get(key)
-    if hit is not None and hit[0] is p:
-        return hit[1]
-    ints = tuple(int(c) for c in primitive(p).coeffs)
-    if len(_INT_MEMO) > 8192:
-        _INT_MEMO.clear()
-    _INT_MEMO[key] = (p, ints)
-    return ints
+# coprime integer coefficients, ascending powers, of a positive multiple of a poly
+Ints = tuple[int, ...]
 
 
 def _require_rational(p: Poly) -> None:
@@ -47,64 +38,96 @@ def _require_rational(p: Poly) -> None:
         raise ValueError("root isolation requires rational coefficients")
 
 
-def primitive(p: Poly) -> Poly:
-    """Scale by a positive rational so coefficients are coprime integers."""
-    if not p:
-        return p
-    den = math.lcm(*(Fraction(c).denominator for c in p.coeffs))
-    ints = [int(Fraction(c) * den) for c in p.coeffs]
-    content = math.gcd(*(abs(v) for v in ints))
-    return Poly([Fraction(v, content) for v in ints])
+def _primitive(ints: list[int]) -> Ints:
+    content = math.gcd(*ints) or 1
+    return tuple(v // content for v in ints)
 
 
-def sturm_chain(p: Poly) -> list[Poly]:
-    chain = [primitive(p), primitive(p.derivative())]
-    while chain[-1]:
-        rem = chain[-2] % chain[-1]
-        if not rem:
-            break
-        chain.append(primitive(-rem))
-    return chain
+def _ints(p: Poly) -> Ints:
+    """Coprime integer coefficients of a positive rational multiple of p."""
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    return _primitive([c.numerator * (den // c.denominator) for c in p.coeffs])
 
 
-def sign_at(p: Poly, x: Fraction) -> int:
-    """Exact sign of p(x) via integer Horner on the homogenized form.
+def _powers(den: int, n: int) -> list[int]:
+    """den^1 .. den^n."""
+    out = [den]
+    for _ in range(n - 1):
+        out.append(out[-1] * den)
+    return out
 
-    sign(p(a/b)) = sign(sum_k c_k a^k b^(deg-k)) for b > 0, which stays in
-    (fast) integer arithmetic instead of Fraction normalization.
-    """
-    if not p:
-        return 0
-    coeffs = _int_coeffs(p)
-    x = Fraction(x)
-    num, den = x.numerator, x.denominator
-    acc = coeffs[-1]
-    dp = 1
-    for c in reversed(coeffs[:-1]):
-        dp *= den
-        acc = acc * num + c * dp
+
+def _sign_pw(p: Ints, num: int, pw: list[int]) -> int:
+    """Sign of p(num/den) for den > 0 and pw = _powers(den, >= deg p): the
+    sign of den^deg * p(num/den), which homogenised Horner computes in
+    integers."""
+    acc = p[-1]
+    for c, w in zip(p[-2::-1], pw):
+        acc = acc * num + c * w
     return (acc > 0) - (acc < 0)
 
 
-def _variations(signs: list[int]) -> int:
-    nz = [s for s in signs if s]
-    return sum(1 for a, b in zip(nz, nz[1:]) if a != b)
+def _sign(p: Ints, x: Fraction) -> int:
+    return _sign_pw(p, x.numerator, _powers(x.denominator, len(p) - 1))
 
 
-def variations_at(chain: list[Poly], x: Fraction) -> int:
-    return _variations([sign_at(q, x) for q in chain])
+def sign_at(p: Poly, x: Fraction) -> int:
+    """Exact sign of p(x)."""
+    if not p:
+        return 0
+    return _sign(_ints(p), Fraction(x))
 
 
-def count_roots_halfopen(chain: list[Poly], lo: Fraction, hi: Fraction) -> int:
+def _pseudo_remainder(a: Ints, b: Ints) -> list[int]:
+    """|lc b|^(deg a - deg b + 1) * (a mod b): a positive multiple of the
+    remainder, in integers."""
+    a = list(a)
+    lc = b[-1]
+    scale, sgn = abs(lc), (1 if lc > 0 else -1)
+    for top in range(len(a) - 1, len(b) - 2, -1):
+        t = sgn * a[top]
+        shift = top - len(b) + 1
+        a = [scale * c for c in a]
+        for i, c in enumerate(b):
+            a[shift + i] -= t * c
+        a.pop()
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def sturm_chain(p: Poly) -> list[Ints]:
+    """p, p' and the negated remainders, as primitive integer polynomials.
+
+    Each element is a positive multiple of the classical chain's, so the
+    signs and the root counts are the same; the last element is
+    gcd(p, p') up to a constant.
+    """
+    a = _ints(p)
+    chain = [a, _primitive([k * c for k, c in enumerate(a)][1:])]
+    while len(chain[-1]) > 1:
+        rem = _pseudo_remainder(chain[-2], chain[-1])
+        if not rem:
+            break
+        chain.append(_primitive([-c for c in rem]))
+    return chain
+
+
+def variations_at(chain: list[Ints], x: Fraction) -> int:
+    x = Fraction(x)
+    num, pw = x.numerator, _powers(x.denominator, len(chain[0]) - 1)
+    count, prev = 0, 0
+    for q in chain:
+        s = _sign_pw(q, num, pw)
+        if s:
+            count += prev == -s
+            prev = s
+    return count
+
+
+def count_roots_halfopen(chain: list[Ints], lo: Fraction, hi: Fraction) -> int:
     """Distinct real roots of the chain's base polynomial in (lo, hi]."""
     return variations_at(chain, lo) - variations_at(chain, hi)
-
-
-def root_bound(p: Poly) -> Fraction:
-    """Cauchy bound: all real roots lie in [-B, B]."""
-    lead = abs(Fraction(p.leading()))
-    m = max((abs(Fraction(c)) for c in p.coeffs[:-1]), default=Fraction(0))
-    return Fraction(1) + m / lead
 
 
 def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
@@ -172,44 +195,69 @@ class IsolatedRoot:
 
 def noroot_point(lo: Fraction, hi: Fraction, *polys: Poly) -> Fraction:
     """A point in (lo, hi) that is a root of none of the (nonzero) polys."""
+    return _noroot_point(lo, hi, [_ints(p) for p in polys])
+
+
+def _noroot_point(lo: Fraction, hi: Fraction, polys: list[Ints]) -> Fraction:
     span = hi - lo
     probes = (lo + span / den for den in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29))
     grid = (lo + span * Fraction(j, 1009) for j in itertools.count(1))
     for x in itertools.chain(probes, grid):
-        if all(sign_at(p, x) != 0 for p in polys):
+        if all(_sign(p, x) for p in polys):
             return x
 
 
-def _refine(p: Poly, lo: Fraction, hi: Fraction, width: Fraction):
+def _sign_dyadic(q: Ints, num: int, j: int) -> int:
+    """Sign of q(num / 2^j): homogenised Horner with shifts for the powers."""
+    acc, shift = q[-1], 0
+    for c in q[-2::-1]:
+        shift += j
+        acc = acc * num + (c << shift)
+    return (acc > 0) - (acc < 0)
+
+
+def _refine(p: Ints, lo: Fraction, hi: Fraction, width: Fraction):
     """Shrink an isolating interval of a simple root; may land exactly.
 
-    Requires sign(p(lo)) != sign(p(hi)), both nonzero.  Every few rounds
-    the smallest-denominator rational inside the interval is probed, which
-    recovers rational roots exactly once the interval is tight enough.
+    Requires p(lo) and p(hi) nonzero of opposite signs.  Bisection keeps
+    lo = a/(den 2^j) and hi = b/(den 2^j) on one denominator.  The result
+    is the first interval no wider than width, or the exact root once the
+    rational-root test finds it; when the width comes first, bisection
+    goes on past it only to settle that test.
     """
-    slo = sign_at(p, lo)
-    round_ = 0
-    while hi - lo > width:
-        if round_ % 4 == 0:
-            cand = simplest_in_interval(lo, hi)
-            if sign_at(p, cand) == 0:
+    lead = abs(p[-1])
+    den = math.lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (den // lo.denominator)
+    b = hi.numerator * (den // hi.denominator)
+    # p(t / (den 2^j)) has the sign of q(t / 2^j), q_k = p_k den^(deg - k)
+    q = [c * w for c, w in zip(p, reversed(_powers(den, len(p) - 1)))] + [p[-1]]
+    s_lo = _sign_dyadic(q, a, 0)
+    tested, settled = False, None
+    j = 0
+    while True:
+        d = den << j
+        if not tested and lead * (b - a) < d:
+            # at most one k/lead lies in (lo, hi): the least one above lo
+            tested = True
+            cand = Fraction(lead * a // d + 1, lead)
+            if cand < Fraction(b, d) and not _sign(p, cand):
                 return cand, cand
-        round_ += 1
-        mid = (lo + hi) / 2
-        sm = sign_at(p, mid)
-        if sm == 0:
-            return mid, mid
-        if sm == slo:
-            lo = mid
+        if settled is None and (b - a) * width.denominator <= width.numerator * d:
+            settled = Fraction(a, d), Fraction(b, d)
+        if tested and settled:
+            return settled
+        mid = a + b
+        a, b, j = 2 * a, 2 * b, j + 1
+        s_mid = _sign_dyadic(q, mid, j)
+        if not s_mid:
+            return Fraction(mid, den << j), Fraction(mid, den << j)
+        if s_mid == s_lo:
+            a = mid
         else:
-            hi = mid
-    cand = simplest_in_interval(lo, hi)
-    if sign_at(p, cand) == 0:
-        return cand, cand
-    return lo, hi
+            b = mid
 
 
-def _past_endpoint(chain: list[Poly], a: Fraction, b: Fraction) -> Fraction:
+def _past_endpoint(chain: list[Ints], a: Fraction, b: Fraction) -> Fraction:
     """a' in (a, b) such that (a, a'] contains no root."""
     eps = (b - a) / 4
     while True:
@@ -219,13 +267,13 @@ def _past_endpoint(chain: list[Poly], a: Fraction, b: Fraction) -> Fraction:
         eps /= 2
 
 
-def _before_endpoint(chain: list[Poly], a: Fraction, b: Fraction) -> Fraction:
+def _before_endpoint(chain: list[Ints], a: Fraction, b: Fraction) -> Fraction:
     """Non-root b' in (a, b) such that (b', b] contains only the root at b."""
     p = chain[0]
     eps = (b - a) / 4
     while True:
         b2 = b - eps
-        if b2 > a and sign_at(p, b2) != 0 and count_roots_halfopen(chain, b2, b) == 1:
+        if b2 > a and _sign(p, b2) and count_roots_halfopen(chain, b2, b) == 1:
             return b2
         eps /= 2
 
@@ -247,38 +295,40 @@ def isolate_squarefree(
         raise ValueError("zero polynomial")
     if p.degree == 0:
         return []
-    p = primitive(p)
-    bound = root_bound(p)
+    return _isolate(sturm_chain(p), lo, hi, width)
+
+
+def _isolate(
+    chain: list[Ints], lo: Fraction | None, hi: Fraction | None, width: Fraction
+) -> list[IsolatedRoot]:
+    """isolate_squarefree on the Sturm chain of a square-free polynomial."""
+    p = chain[0]
+    bound = 1 + Fraction(max(abs(c) for c in p[:-1]), abs(p[-1]))  # Cauchy
     a = -bound if lo is None else Fraction(lo)
     b = bound if hi is None else Fraction(hi)
     if a > b:
         raise ValueError("empty search interval")
-    out: list[IsolatedRoot] = []
-    if sign_at(p, a) == 0:
-        out.append(IsolatedRoot(a, a))
-    if b != a and sign_at(p, b) == 0:
-        out.append(IsolatedRoot(b, b))
+    a_root = not _sign(p, a)
+    b_root = b != a and not _sign(p, b)
+    out = [IsolatedRoot(x, x) for x, hit in ((a, a_root), (b, b_root)) if hit]
     if a == b:
         return out
-    chain = sturm_chain(p)
-    if sign_at(p, a) == 0:
+    if a_root:
         a = _past_endpoint(chain, a, b)
-    if sign_at(p, b) == 0:
+    if b_root:
         b = _before_endpoint(chain, a, b)
         # (b, old_b] held only the endpoint root, so (a, b] misses nothing else
-    stack = [(a, b, count_roots_halfopen(chain, a, b))]
+    # (x, y, V(x), V(y)): (x, y] holds V(x) - V(y) roots
+    stack = [(a, b, variations_at(chain, a), variations_at(chain, b))]
     while stack:
-        x, y, n = stack.pop()
-        if n == 0:
-            continue
-        if n == 1:
-            rlo, rhi = _refine(p, x, y, width)
-            out.append(IsolatedRoot(rlo, rhi))
-            continue
-        m = noroot_point(x, y, p)
-        nl = count_roots_halfopen(chain, x, m)
-        stack.append((x, m, nl))
-        stack.append((m, y, n - nl))
+        x, y, vx, vy = stack.pop()
+        if vx - vy == 1:
+            out.append(IsolatedRoot(*_refine(p, x, y, width)))
+        elif vx - vy > 1:
+            m = _noroot_point(x, y, [p])
+            vm = variations_at(chain, m)
+            stack.append((x, m, vx, vm))
+            stack.append((m, y, vm, vy))
     out.sort(key=lambda r: (r.lo, r.hi))
     return out
 
@@ -290,7 +340,8 @@ def real_roots(
 ) -> list[IsolatedRoot]:
     """All distinct real roots of p in a closed interval, with multiplicity.
 
-    The square-free part is isolated once (so intervals are disjoint by
+    A square-free p is isolated on its own Sturm chain.  Otherwise the
+    square-free part is isolated once (so intervals are disjoint by
     construction) and each root's multiplicity is read off from the Yun
     factor it belongs to.
     """
@@ -300,15 +351,15 @@ def real_roots(
     if p.degree == 0:
         return []
     lo, hi = (None, None) if interval is None else interval
+    chain = sturm_chain(p)
+    if len(chain[-1]) == 1:
+        return _isolate(chain, lo, hi, width)
     factors = squarefree_decomposition(p)
     base = Poly.one()
     for f, _ in factors:
         base = base * f
     plain = isolate_squarefree(base, lo, hi, width)
-    out = []
-    for r in plain:
-        out.append(IsolatedRoot(r.lo, r.hi, _multiplicity_of(r, factors)))
-    return out
+    return [IsolatedRoot(r.lo, r.hi, _multiplicity_of(r, factors)) for r in plain]
 
 
 def _multiplicity_of(r: IsolatedRoot, factors: list[tuple[Poly, int]]) -> int:

@@ -225,8 +225,7 @@ class Surd:
 def simplest_in_interval(lo: Fraction, hi: Fraction) -> Fraction:
     """The rational with the smallest denominator in the open interval (lo, hi).
 
-    Continued-fraction descent; used to recover exact rational roots from
-    isolating intervals.
+    Continued-fraction descent.
     """
     if not lo < hi:
         raise ValueError("empty interval")

@@ -163,6 +163,14 @@ BAD_INPUTS = [
     (("integrate", "--n", "3", "--p=-2,-3,2,2", "--emit-samples", "/nonexistent/x.csv"),
      "No such file or directory"),
     (("decide", "--n", "3", "--p=1e400,0,0,0", "--rationalize"), "not a finite number"),
+    (("verify", "--n", "2", "--p=0,-2,0,1", "--interval=0.99,0.999999"),
+     "exceeds tolerance 1e-08"),
+    (("verify", "--n", "3", "--p=-2,-3,2,2", "--interval=-0.95,-0.75", "--tol", "0"),
+     "--tol must be a positive finite number"),
+    (("verify", "--n", "3", "--p=-2,-3,2,2", "--interval=-0.95,-0.75", "--tol=-1e-8"),
+     "--tol must be a positive finite number"),
+    (("verify", "--n", "3", "--p=-2,-3,2,2", "--interval=-0.95,-0.75", "--tol", "nan"),
+     "--tol must be a positive finite number"),
 ]
 
 

@@ -1,8 +1,18 @@
+import json
+import math
 import random
+from collections import Counter
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_golden import FAMILIES
 
+from bicheb.bipartite import QuarticCoeffs, fk_table
+from bicheb.elliptic import ClosedForm, decide
 from bicheb.poly import Poly
 from bicheb.roots import (
     count_roots_halfopen,
@@ -106,6 +116,31 @@ def test_variation_count_interval_query():
     assert variations_at(chain, F(0)) - variations_at(chain, F(4)) == 3
 
 
+def _fraction_chain_variations(p, x):
+    """V(x) on the classical Sturm chain, remainders in Fraction arithmetic."""
+    chain = [p, p.derivative()]
+    while chain[-1].degree > 0:
+        rem = chain[-2] % chain[-1]
+        if not rem:
+            break
+        chain.append(-rem)
+    signs = [v > 0 for v in (q.eval(x) for q in chain) if v]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def test_sturm_chain_variations_match_the_fraction_chain():
+    # sparse polynomials too: their remainders skip degrees, so the
+    # pseudo-remainder scale |lc|^(deg a - deg b + 1) has odd exponents
+    rng = random.Random(5)
+    points = [F(k, 2) for k in range(-8, 9)]
+    for _ in range(200):
+        low = [F(rng.choice([0, 0, rng.randint(-5, 5)])) for _ in range(rng.randint(3, 7))]
+        p = Poly(low + [F(rng.choice([1, -1, 2, -3]))])
+        chain = sturm_chain(p)
+        for x in points:
+            assert variations_at(chain, x) == _fraction_chain_variations(p, x), (p, x)
+
+
 def test_isolate_respects_width():
     p = Poly((F(-2), F(0), F(1)))  # sqrt2
     wide = isolate_squarefree(p, width=F(1, 8))
@@ -128,3 +163,131 @@ def test_squarefree_decomposition():
     decomp = squarefree_decomposition(p)
     assert (Poly.from_roots([F(2)]), 1) in decomp
     assert (Poly.from_roots([F(1)]), 2) in decomp
+
+
+# -- rational roots the isolation must recover exactly -----------------------------
+
+
+def _linear_times_sqrt2(lead):
+    return Poly((F(-1), F(lead))) * Poly((F(-2), F(0), F(1)))
+
+
+def test_rational_root_with_large_denominator_is_exact():
+    q = 2**30 + 1
+    found = real_roots(_linear_times_sqrt2(q))
+    assert [r.exact for r in found] == [False, True, False]
+    assert found[1].lo == F(1, q)
+
+
+def test_rational_root_settles_past_the_width():
+    # lead * 2^-48 >= 1: the root is still not alone among the multiples of
+    # 1/lead when the interval reaches the width, so refinement goes on
+    q = 2**60 + 1
+    found = real_roots(_linear_times_sqrt2(q))
+    assert [r.exact for r in found] == [False, True, False]
+    assert found[1].lo == F(1, q)
+    assert all(r.hi - r.lo <= F(1, 2**48) for r in (found[0], found[2]))
+
+
+# -- interval snapshot ---------------------------------------------------------------
+#
+# ``tests/data/roots_snapshot.json`` holds the exact (lo, hi, multiplicity) of
+# real_roots on G' of the CLI snapshot's known-solvable quartics and on F_1 of
+# criterion-11 completions.  It guards every emitted interval against
+# unintended change; it is not an oracle.  Regenerate after an intended change
+# of intervals with
+#
+#     PYTHONPATH=src python tests/test_roots.py
+
+SNAPSHOT = Path(__file__).parent / "data" / "roots_snapshot.json"
+SNAPSHOT_TRIPLES = 12
+
+
+def snapshot_polys() -> dict[str, Poly]:
+    polys = {}
+    for name, (p, s, _) in FAMILIES.items():
+        c = QuarticCoeffs.of(*(F(v) for v in p.split(",")))
+        for n in range(s, 34, s):
+            out = decide(n, c)
+            if isinstance(out, ClosedForm):
+                polys[f"G' {name} n={n}"] = out.G.derivative()
+    rng = random.Random(411)  # the triples of acceptance criterion 11
+    for _ in range(SNAPSHOT_TRIPLES):
+        a, b, c = (F(rng.randint(-24, 24), 8) for _ in range(3))
+        # complete_coefficient picks s = n for these targets and n
+        for target, ns in ((1, range(2, 21, 2)), (2, (3, 7, 11))):
+            fixed = dict(zip([k for k in (1, 2, 3, 4) if k != target], (a, b, c)))
+            for n in ns:
+                key = f"F1 in c{target} n={n} fixed={a},{b},{c}"
+                polys[key] = Poly(fk_table(n).fk_as_poly_in(1, target, fixed))
+    return polys
+
+
+def snapshot_of(p: Poly) -> list[list[str]]:
+    return [[str(r.lo), str(r.hi), str(r.multiplicity)] for r in real_roots(p)]
+
+
+def test_intervals_match_the_snapshot():
+    want = json.loads(SNAPSHOT.read_text())
+    polys = snapshot_polys()
+    assert sorted(polys) == sorted(want)
+    for key, p in polys.items():
+        assert snapshot_of(p) == want[key], key
+
+
+# -- property test against sympy -------------------------------------------------------
+
+
+def _is_square(d: int) -> bool:
+    return d >= 0 and math.isqrt(d) ** 2 == d
+
+
+nonzero = st.integers(-6, 6).filter(bool)
+linear = st.tuples(st.integers(1, 9), st.integers(-9, 9)).map(
+    lambda ab: Poly((F(-ab[1]), F(ab[0])))
+)
+quadratic = (
+    st.tuples(nonzero, st.integers(-6, 6), nonzero)
+    .filter(lambda abc: not _is_square(abc[1] ** 2 - 4 * abc[0] * abc[2]))
+    .map(lambda abc: Poly((F(abc[2]), F(abc[1]), F(abc[0]))))
+)
+
+
+@st.composite
+def factored(draw):
+    """A product of rational linear factors and irreducible quadratics, some
+    repeated, of degree 1..8."""
+    p = Poly.one()
+    while p.degree < 1 or (p.degree < 8 and draw(st.booleans())):
+        f = draw(st.one_of(linear, quadratic))
+        for _ in range(draw(st.integers(1, 3))):
+            if p.degree + f.degree <= 8:
+                p = p * f
+    return p
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(factored())
+def test_real_roots_agree_with_sympy(p):
+    def sym(v):
+        return sympy.Rational(v.numerator, v.denominator)
+
+    sp = sympy.Poly([sym(c) for c in reversed(p.coeffs)], sympy.Symbol("x"))
+    want = Counter(sp.real_roots())  # ascending, each root repeated by multiplicity
+    found = real_roots(p)
+    assert len(found) == len(want)
+    for r, (root, mult) in zip(found, want.items()):
+        assert r.multiplicity == mult
+        assert r.exact == root.is_rational
+        if r.exact:
+            assert sym(r.lo) == root
+        else:
+            assert sp.count_roots(sym(r.lo), sym(r.hi)) == 1
+            assert r.hi - r.lo <= F(1, 2**48)
+    for a, b in zip(found, found[1:]):
+        assert a.hi < b.lo
+
+
+if __name__ == "__main__":
+    lines = [f"{json.dumps(k)}: {json.dumps(snapshot_of(p))}" for k, p in snapshot_polys().items()]
+    SNAPSHOT.write_text("{\n" + ",\n".join(lines) + "\n}\n")
