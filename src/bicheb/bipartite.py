@@ -35,13 +35,7 @@ from typing import Sequence
 
 from .partitions import FkTable, fk_table_by_recurrence
 from .poly import LaurentPoly, Poly, chebyshev_t, sinh_chebyshev
-from .roots import (
-    IsolatedRoot,
-    count_roots_halfopen,
-    real_roots,
-    squarefree_part,
-    sturm_chain,
-)
+from .roots import IsolatedRoot, count_roots_halfopen, polys_gcd, real_roots, sturm_chain
 from .scalars import Scalar, exact_sqrt, reconstruct_rational
 
 
@@ -367,9 +361,10 @@ def classify_shape(G: Poly, convention: str, m2) -> ShapeResult:
             False, reason=f"only {len(crits)} of {n - 1} critical points are real"
         )
     h = G * G - Poly((M,))
-    dg_sf = squarefree_part(dG)
-    w = dg_sf.gcd(h)
-    off_line = [r for r in crits if not _vanishes_on(w, r)]
+    # G' has n - 1 simple roots, so it is square-free and so is w
+    w = polys_gcd(dG, h)
+    chain = sturm_chain(w) if w.degree > 0 else None
+    off_line = [r for r in crits if not _vanishes_on(w, chain, r)]
     if len(off_line) != 1:
         return ShapeResult(
             False,
@@ -389,29 +384,27 @@ def classify_shape(G: Poly, convention: str, m2) -> ShapeResult:
     return ShapeResult(True, exceptional_at=Fraction(0), above=G.eval(Fraction(0)) > 0)
 
 
-def _vanishes_on(w: Poly, r: IsolatedRoot) -> bool:
-    """Does w vanish at the root isolated by r?
+def _vanishes_on(w: Poly, chain, r: IsolatedRoot) -> bool:
+    """Does w (with Sturm chain `chain`, None when w is constant) vanish at
+    the root of G' isolated by r?
 
-    w divides the square-free part of G', so it is square-free and the
-    isolating endpoints are never roots of w.
+    w divides the square-free G', so the isolating endpoints are never
+    roots of w.
     """
-    if w.degree < 1:
+    if chain is None:
         return False
     if r.exact:
         return w.eval(r.lo) == 0
-    chain = sturm_chain(w)
     return count_roots_halfopen(chain, r.lo, r.hi) > 0
 
 
-def solve_c1(s: int, c2, c3, c4, width=None) -> list[IsolatedRoot]:
+def solve_c1(s: int, c2, c3, c4) -> list[IsolatedRoot]:
     """All real roots of F_1 viewed as a univariate polynomial in c1."""
     if s < 2:
         raise ValueError("inner degree s must be at least 2")
     fixed = {2: Fraction(c2), 3: Fraction(c3), 4: Fraction(c4)}
     coeffs = fk_table(s).fk_as_poly_in(1, 1, fixed)
-    f1 = Poly(coeffs)
-    kwargs = {} if width is None else {"width": width}
-    return real_roots(f1, **kwargs)
+    return real_roots(Poly(coeffs))
 
 
 # ---------------------------------------------------------------------------

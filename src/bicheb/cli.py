@@ -239,7 +239,10 @@ def cmd_complete(args) -> int:
     fixed = {}
     for item in args.fix.split(","):
         key, _, val = item.partition("=")
-        fixed[_parse_coeff_name(key, "--fix")] = _parse_value(val, args.rationalize)
+        k = _parse_coeff_name(key, "--fix")
+        if k in fixed:
+            raise ValueError(f"--fix names c{k} twice")
+        fixed[k] = _parse_value(val, args.rationalize)
     target = _parse_coeff_name(args.solve, "--solve")
     result = elliptic.complete_coefficient(args.n, fixed, target, force_s=args.force_s)
     if args.json:

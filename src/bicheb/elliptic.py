@@ -569,7 +569,7 @@ def complete_coefficient(
         raise ValueError("fixed must carry exactly the other three coefficients")
     fixed = {k: Fraction(v) for k, v in fixed.items()}
     if force_s is not None:
-        if n % force_s or force_s < 2:
+        if force_s < 2 or n % force_s:
             raise ValueError("forced s must be a divisor of n, at least 2")
         s = force_s
     else:

@@ -196,23 +196,8 @@ class Poly:
                 rem[k + j] = rem[k + j] - f * oc
         return Poly(q), Poly(rem)
 
-    def __floordiv__(self, other):
-        return self.divmod(_as_poly(other))[0]
-
     def __mod__(self, other):
         return self.divmod(_as_poly(other))[1]
-
-    def monic(self) -> "Poly":
-        if not self:
-            return self
-        return self.scale(Fraction(1) / self.leading())
-
-    def gcd(self, other: "Poly") -> "Poly":
-        """Monic gcd over the rationals."""
-        a, b = self, other
-        while b:
-            a, b = b, a % b
-        return a.monic() if a else a
 
     def to_float(self) -> "Poly":
         return Poly([float(c) for c in self.coeffs])

@@ -5,9 +5,12 @@ in (a, b] equals V(a) - V(b), where V counts sign changes along the
 Sturm chain.  The chain is built from integer pseudo-remainders, each
 scaled by a positive factor and made primitive, so every element is a
 positive multiple of the classical one; it is evaluated by integer
-Horner on the homogenised form.  Multiplicities come from Yun's
-square-free decomposition, which is skipped when the chain's last
-element, gcd(p, p'), is constant.
+Horner on the homogenised form.  The chain's last element is
+gcd(p, p'); when it is not constant, Musser's algorithm splits p into
+square-free factors with gcds and exact divisions of primitive integer
+polynomials, the square-free part is isolated on its own chain and each
+root's multiplicity is read off the factor it belongs to.  The search
+runs over the whole line within the Cauchy bound, which no root reaches.
 
 Isolating intervals are refined by bisection on integer numerators over
 one common denominator.  Rational roots come out exactly by the
@@ -103,7 +106,10 @@ def sturm_chain(p: Poly) -> list[Ints]:
     signs and the root counts are the same; the last element is
     gcd(p, p') up to a constant.
     """
-    a = _ints(p)
+    return _sturm(_ints(p))
+
+
+def _sturm(a: Ints) -> list[Ints]:
     chain = [a, _primitive([k * c for k, c in enumerate(a)][1:])]
     while len(chain[-1]) > 1:
         rem = _pseudo_remainder(chain[-2], chain[-1])
@@ -130,42 +136,63 @@ def count_roots_halfopen(chain: list[Ints], lo: Fraction, hi: Fraction) -> int:
     return variations_at(chain, lo) - variations_at(chain, hi)
 
 
-def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
-    """Yun's algorithm: pairwise-coprime square-free factors with multiplicity."""
-    _require_rational(p)
-    if not p:
-        raise ValueError("zero polynomial")
-    p = p.monic()
-    if p.degree == 0:
-        return []
-    g = p.gcd(p.derivative())
-    if g.degree == 0:
-        return [(p, 1)]
+def _positive(a: Ints) -> Ints:
+    return a if a[-1] > 0 else tuple(-c for c in a)
+
+
+def _exact_quotient(a: Ints, b: Ints) -> Ints:
+    """a / b for primitive a and b with b | a: integral by Gauss's lemma."""
+    a = list(a)
+    q = [0] * (len(a) - len(b) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        t = q[k] = a[k + len(b) - 1] // b[-1]
+        for i, c in enumerate(b):
+            a[k + i] -= t * c
+    return tuple(q)
+
+
+def _gcd(a: Ints, b: Ints) -> Ints:
+    """gcd by the primitive remainder sequence, with a positive leading
+    coefficient."""
+    while b:
+        a, b = b, _primitive(_pseudo_remainder(a, b))
+    return _positive(a)
+
+
+def _squarefree(p: Ints, g: Ints) -> list[tuple[Ints, int]]:
+    """Musser's algorithm: the nonconstant factors f_i of p = prod f_i^i,
+    square-free and pairwise coprime, given g = gcd(p, p')."""
+    w = _exact_quotient(p, g)  # prod f_i
     out = []
-    w = (p // g).monic()
-    y = p.derivative() // g
-    z = y - w.derivative()
     i = 1
-    while w.degree > 0:
-        gi = w.gcd(z)
-        if gi.degree > 0:
-            out.append((gi.monic(), i))
-            w = (w // gi).monic()
-            y = z // gi
-        else:
-            y = z
-        z = y - w.derivative()
-        i += 1
+    while len(w) > 1:
+        y = _gcd(w, g)  # prod of f_j for j > i
+        f = _exact_quotient(w, y)
+        if len(f) > 1:
+            out.append((_positive(f), i))
+        g, w, i = _exact_quotient(g, y), y, i + 1
     return out
 
 
-def squarefree_part(p: Poly) -> Poly:
-    if p.degree <= 0:
-        return p.monic() if p else p
-    g = p.monic().gcd(p.derivative().monic())
-    if g.degree == 0:
-        return p.monic()
-    return (p // g).monic()
+def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
+    """Pairwise-coprime monic square-free factors of p with multiplicity."""
+    _require_rational(p)
+    if not p:
+        raise ValueError("zero polynomial")
+    if p.degree == 0:
+        return []
+    chain = sturm_chain(p)
+    return [
+        (Poly([Fraction(c, f[-1]) for c in f]), m)
+        for f, m in _squarefree(chain[0], chain[-1])
+    ]
+
+
+def polys_gcd(a: Poly, b: Poly) -> Poly:
+    """A gcd of nonzero rational a and b, with coprime integer coefficients."""
+    _require_rational(a)
+    _require_rational(b)
+    return Poly(Fraction(c) for c in _gcd(_ints(a), _ints(b)))
 
 
 @dataclass(frozen=True)
@@ -257,67 +284,27 @@ def _refine(p: Ints, lo: Fraction, hi: Fraction, width: Fraction):
             b = mid
 
 
-def _past_endpoint(chain: list[Ints], a: Fraction, b: Fraction) -> Fraction:
-    """a' in (a, b) such that (a, a'] contains no root."""
-    eps = (b - a) / 4
-    while True:
-        a2 = a + eps
-        if a2 < b and count_roots_halfopen(chain, a, a2) == 0:
-            return a2
-        eps /= 2
-
-
-def _before_endpoint(chain: list[Ints], a: Fraction, b: Fraction) -> Fraction:
-    """Non-root b' in (a, b) such that (b', b] contains only the root at b."""
-    p = chain[0]
-    eps = (b - a) / 4
-    while True:
-        b2 = b - eps
-        if b2 > a and _sign(p, b2) and count_roots_halfopen(chain, b2, b) == 1:
-            return b2
-        eps /= 2
-
-
-def isolate_squarefree(
-    p: Poly,
-    lo: Fraction | None = None,
-    hi: Fraction | None = None,
-    width: Fraction = DEFAULT_WIDTH,
-) -> list[IsolatedRoot]:
+def isolate_squarefree(p: Poly, width: Fraction = DEFAULT_WIDTH) -> list[IsolatedRoot]:
     """Isolating intervals for the distinct real roots of a square-free p.
 
-    Searches the closed interval [lo, hi] (defaults to a Cauchy root
-    bound).  Returned intervals are pairwise disjoint and each contains
-    exactly one root; exact rational roots come out as point intervals.
+    Returned intervals are pairwise disjoint and each contains exactly
+    one root; exact rational roots come out as point intervals.
     """
     _require_rational(p)
     if not p:
         raise ValueError("zero polynomial")
     if p.degree == 0:
         return []
-    return _isolate(sturm_chain(p), lo, hi, width)
+    return _isolate(sturm_chain(p), width)
 
 
-def _isolate(
-    chain: list[Ints], lo: Fraction | None, hi: Fraction | None, width: Fraction
-) -> list[IsolatedRoot]:
+def _isolate(chain: list[Ints], width: Fraction) -> list[IsolatedRoot]:
     """isolate_squarefree on the Sturm chain of a square-free polynomial."""
     p = chain[0]
-    bound = 1 + Fraction(max(abs(c) for c in p[:-1]), abs(p[-1]))  # Cauchy
-    a = -bound if lo is None else Fraction(lo)
-    b = bound if hi is None else Fraction(hi)
-    if a > b:
-        raise ValueError("empty search interval")
-    a_root = not _sign(p, a)
-    b_root = b != a and not _sign(p, b)
-    out = [IsolatedRoot(x, x) for x, hit in ((a, a_root), (b, b_root)) if hit]
-    if a == b:
-        return out
-    if a_root:
-        a = _past_endpoint(chain, a, b)
-    if b_root:
-        b = _before_endpoint(chain, a, b)
-        # (b, old_b] held only the endpoint root, so (a, b] misses nothing else
+    # Cauchy: every root is smaller in magnitude than the bound
+    b = 1 + Fraction(max(abs(c) for c in p[:-1]), abs(p[-1]))
+    a = -b
+    out = []
     # (x, y, V(x), V(y)): (x, y] holds V(x) - V(y) roots
     stack = [(a, b, variations_at(chain, a), variations_at(chain, b))]
     while stack:
@@ -333,42 +320,35 @@ def _isolate(
     return out
 
 
-def real_roots(
-    p: Poly,
-    interval: tuple[Fraction, Fraction] | None = None,
-    width: Fraction = DEFAULT_WIDTH,
-) -> list[IsolatedRoot]:
-    """All distinct real roots of p in a closed interval, with multiplicity.
+def real_roots(p: Poly, width: Fraction = DEFAULT_WIDTH) -> list[IsolatedRoot]:
+    """All distinct real roots of p, with multiplicity.
 
     A square-free p is isolated on its own Sturm chain.  Otherwise the
-    square-free part is isolated once (so intervals are disjoint by
-    construction) and each root's multiplicity is read off from the Yun
-    factor it belongs to.
+    square-free part p / gcd(p, p') is isolated once (so intervals are
+    disjoint by construction) and each root's multiplicity is read off
+    the square-free factor it belongs to.
     """
     _require_rational(p)
     if not p:
         raise ValueError("zero polynomial")
     if p.degree == 0:
         return []
-    lo, hi = (None, None) if interval is None else interval
     chain = sturm_chain(p)
-    if len(chain[-1]) == 1:
-        return _isolate(chain, lo, hi, width)
-    factors = squarefree_decomposition(p)
-    base = Poly.one()
-    for f, _ in factors:
-        base = base * f
-    plain = isolate_squarefree(base, lo, hi, width)
+    g = chain[-1]
+    if len(g) == 1:
+        return _isolate(chain, width)
+    factors = _squarefree(chain[0], g)
+    plain = _isolate(_sturm(_positive(_exact_quotient(chain[0], g))), width)
     return [IsolatedRoot(r.lo, r.hi, _multiplicity_of(r, factors)) for r in plain]
 
 
-def _multiplicity_of(r: IsolatedRoot, factors: list[tuple[Poly, int]]) -> int:
+def _multiplicity_of(r: IsolatedRoot, factors: list[tuple[Ints, int]]) -> int:
     if r.exact:
         for f, m in factors:
-            if sign_at(f, r.lo) == 0:
+            if not _sign(f, r.lo):
                 return m
     else:
         for f, m in factors:
-            if sign_at(f, r.lo) * sign_at(f, r.hi) < 0:
+            if _sign(f, r.lo) * _sign(f, r.hi) < 0:
                 return m
     raise AssertionError("isolated root does not belong to any square-free factor")

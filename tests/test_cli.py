@@ -158,6 +158,10 @@ BAD_INPUTS = [
     (("complete", "--n", "4", "--fix", "c23=1,c3=0,c4=0", "--solve", "c1"), "c1..c4"),
     (("complete", "--n", "4", "--fix", "c2=-2,c3=0,c4=0", "--solve", "c"), "c1..c4"),
     (("complete", "--n", "4", "--fix", "c2=-2,c3=0,c4=0", "--solve", "c12"), "c1..c4"),
+    (("complete", "--n", "4", "--fix", "c2=-2,c3=0,c4=0", "--solve", "c1", "--force-s", "0"),
+     "forced s must be a divisor"),
+    (("complete", "--n", "4", "--fix", "c2=-2,c3=0,c4=0,c2=5", "--solve", "c1"),
+     "--fix names c2 twice"),
     (("verify", "--n", "3", "--p=-2,-3,2,2", "--interval=1"), "--interval expects a,b"),
     (("construct", "--s", "1", "--c2=-3", "--c3", "2", "--c4", "2"), "at least 2"),
     (("integrate", "--n", "3", "--p=-2,-3,2,2", "--emit-samples", "/nonexistent/x.csv"),

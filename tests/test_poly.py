@@ -41,14 +41,12 @@ def test_ring_axioms_randomized():
         assert a - a == Poly.zero()
 
 
-def test_divmod_and_gcd():
+def test_divmod():
     a = Poly.from_roots([F(1), F(-1), F(2)])
     b = Poly.from_roots([F(1), F(2)])
     q, r = a.divmod(b)
     assert not r
     assert q == Poly.from_roots([F(-1)])
-    g = a.gcd(Poly.from_roots([F(2), F(5)]))
-    assert g == Poly.from_roots([F(2)])
 
 
 def test_zero_polynomial_degree():

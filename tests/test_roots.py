@@ -74,12 +74,6 @@ def test_zero_polynomial_rejected():
         real_roots(Poly(()))
 
 
-def test_interval_restriction_closed():
-    p = Poly.from_roots([F(-1), F(0), F(1), F(2)])
-    inside = roots_of(p, interval=(F(0), F(2)))
-    assert [r.lo for r in inside] == [0, 1, 2]  # closed interval keeps endpoints
-
-
 def test_known_random_rational_roots_roundtrip():
     rng = random.Random(99)
     for _ in range(15):
@@ -103,7 +97,7 @@ def test_sturm_count_matches_found_roots():
         chain = sturm_chain(base)
         lo, hi = F(-100), F(100)
         count = count_roots_halfopen(chain, lo, hi)
-        assert count == len(real_roots(p, interval=(lo, hi)))
+        assert count == len(real_roots(p))
 
 
 def test_variation_count_interval_query():
@@ -286,6 +280,11 @@ def test_real_roots_agree_with_sympy(p):
             assert r.hi - r.lo <= F(1, 2**48)
     for a, b in zip(found, found[1:]):
         assert a.hi < b.lo
+    _, want_sqf = sympy.Poly(sp, domain="QQ").sqf_list()
+    assert sorted((f.coeffs, m) for f, m in squarefree_decomposition(p)) == sorted(
+        (tuple(F(int(c.p), int(c.q)) for c in reversed(f.monic().all_coeffs())), m)
+        for f, m in want_sqf
+    )
 
 
 if __name__ == "__main__":
