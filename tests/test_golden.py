@@ -51,6 +51,12 @@ def cases() -> list[list[str]]:
          "--normalize", "unit-m", "--json"],
         ["complete", "--n", "3", "--fix", "c1=-2,c3=2,c4=2", "--solve", "c2"],
         ["multi", "--s", "2", "--p-roots", "1,-1,2,-2", "--q-roots", "0"],
+        # ell = 2 solvable; q(0) = 0 where the pinned and unpinned residuals
+        # differ; a generic refusal
+        ["multi", "--s", "3", "--p-coeffs", "1,0,-6,0,9,0,-1", "--q-coeffs", "1,0,-1",
+         "--json"],
+        ["multi", "--s", "4", "--p-roots", "1,-1,2,-3", "--q-roots", "0"],
+        ["multi", "--s", "4", "--p-roots", "1,-1,2,-3", "--q-roots", "1/2", "--json"],
         ["perturb", "--s", "4", "--c2=-2", "--target-c3", "0.01",
          "--target-c4", "0.01", "--branch", "2"],
         ["fk", "--s", "6", "--json"],
