@@ -45,7 +45,6 @@ from .multipartite import (
     NoConsistentConstants,
     OutsideData,
     coefficients_general,
-    fj_closed_form,
     integration_constant,
     qcube,
     solvability_residuals,

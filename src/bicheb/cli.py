@@ -257,7 +257,9 @@ def cmd_complete(args) -> int:
 
 def cmd_multi(args) -> int:
     rat = args.rationalize
-    if args.p_roots or args.q_roots:
+    if args.p_roots is not None or args.q_roots is not None:
+        if args.p_coeffs is not None or args.q_coeffs is not None:
+            raise ValueError("give --p-roots/--q-roots or --p-coeffs/--q-coeffs, not both")
         if not (args.p_roots and args.q_roots is not None):
             raise ValueError("give both --p-roots and --q-roots, or coefficient lists")
         alphas = _parse_coeff_list(args.p_roots, rat)

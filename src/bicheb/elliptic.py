@@ -567,6 +567,8 @@ def complete_coefficient(
         raise ValueError("target must identify one of c1..c4")
     if set(fixed) != {1, 2, 3, 4} - {target}:
         raise ValueError("fixed must carry exactly the other three coefficients")
+    if n < 1:
+        raise ValueError("n must be positive")
     fixed = {k: Fraction(v) for k, v in fixed.items()}
     if force_s is not None:
         if force_s < 2 or n % force_s:

@@ -22,9 +22,11 @@ denominator vanishes at j = -s (reachable when 3*ell >= s), so every
 negative-index condition is evaluated in the cleared form
 E_i^(j) = tc_ij - 2 s^2 td_i with the division deferred.
 
-Sums over distinct permutations of bounded partitions give closed forms
-for the same quantities; their exact agreement with the recurrence route
-is property-tested rather than assumed.
+Every coefficient and every condition comes from this one recurrence.
+Sums over the distinct permutations of bounded partitions give closed
+forms for the same quantities, but their cost grows exponentially in s;
+they live in the test suite as an oracle that the recurrence must equal
+exactly.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bipartite import Branch, identity_residual
-from .partitions import distinct_perms, partitions_bounded
 from .poly import Poly
 
 
@@ -118,32 +119,6 @@ def tc(i: int, j: int, p: Poly, q: Poly) -> Fraction:
     return (i + j) * total
 
 
-class EWeights:
-    """Cached cleared and divided recurrence weights for one (s, p, q)."""
-
-    def __init__(self, s: int, p: Poly, q: Poly):
-        self.s = s
-        self.p, self.q = p, q
-        self.r, self.ell = _check_pq(p, q)
-        self.td = qcube(q)
-        self._cleared: dict[tuple[int, int], Fraction] = {}
-
-    def cleared(self, i: int, j: int) -> Fraction:
-        """E_i^(j) = tc_ij - 2 s^2 td_i  (no division; valid for every j)."""
-        key = (i, j)
-        if key not in self._cleared:
-            tdi = self.td[i] if 0 <= i < len(self.td) else Fraction(0)
-            self._cleared[key] = tc(i, j, self.p, self.q) - 2 * self.s**2 * tdi
-        return self._cleared[key]
-
-    def divided(self, i: int, j: int) -> Fraction:
-        """e_i^(j); undefined (raises) at the singular indices j = +-s."""
-        den = 2 * (self.s**2 - j * j)
-        if den == 0:
-            raise ZeroDivisionError(f"e weight singular at j = {j}")
-        return self.cleared(i, j) / den
-
-
 @dataclass
 class MultipartiteSystem:
     """Solved coefficient system for one (s, p, q) triple.
@@ -192,102 +167,55 @@ def coefficients_general(
     pin_origin None chooses automatically: the pin applies exactly when
     q(0) = 0, where the undivided identity forces u'(0) = 0.  Pass False
     to get the plain divided-ODE recurrence (a_1 determined, not pinned),
-    which is what the closed-form route reproduces.
+    which is the run solvability_residuals reads.  Each step sums the
+    cleared weights E_i^(j) times a_(i+j); only the steps j >= 0 divide.
     """
     if s < 1:
         raise ValueError("s must be positive")
-    w = EWeights(s, p, q)
+    r, ell = _check_pq(p, q)
+    td = qcube(q)
+    top = r + ell
     if pin_origin is None:
         pin_origin = q.eval(Fraction(0)) == 0
-    top = w.r + w.ell
-    a = [Fraction(0)] * (s + top + 1)
+    a = [Fraction(0)] * (s + 1)
     a[s] = Fraction(1)
+
+    def step(j: int) -> Fraction:
+        acc = Fraction(0)
+        for i in range(max(1, -j), min(top, s - j) + 1):
+            tdi = td[i] if i < len(td) else Fraction(0)
+            acc += (tc(i, j, p, q) - 2 * s * s * tdi) * a[i + j]
+        return acc
+
     origin_res: Fraction | None = None
     for j in range(s - 1, -1, -1):
-        acc = Fraction(0)
-        for i in range(1, top + 1):
-            if i + j <= s:
-                acc += w.cleared(i, j) * a[i + j]
+        acc = step(j)
         if pin_origin and j == 1:
             origin_res = acc
             a[1] = Fraction(0)
         else:
             a[j] = acc / (2 * (s * s - j * j))
-    neg = []
-    for jj in range(1, 3 * w.ell + 1):
-        j = -jj
-        acc = Fraction(0)
-        for i in range(1, top + 1):
-            if 0 <= i + j <= s:
-                acc += w.cleared(i, j) * a[i + j]
-        neg.append(acc)
+    neg = [step(-j) for j in range(1, 3 * ell + 1)]
     return MultipartiteSystem(
         s=s,
         p=p,
         q=q,
-        a=a[: s + 1],
+        a=a,
         neg_residuals=neg,
         pinned_origin=pin_origin,
         origin_residual=origin_res,
     )
 
 
-def fj_closed_form(s: int, p: Poly, q: Poly, j: int) -> Fraction:
-    """F_j as a sum over permutations of partitions of s - j.
-
-    Each sequence (i_1..i_t..) contributes the product of divided weights
-    whose index is j plus the prefix sum excluding the current part; the
-    prefix indices stay strictly between -s and s, so no singular
-    denominators occur.  F_s = 1 by convention.
-    """
-    if not 0 <= j <= s:
-        raise ValueError("j must satisfy 0 <= j <= s")
-    if j == s:
-        return Fraction(1)
-    w = EWeights(s, p, q)
-    top = w.r + w.ell
-    total = Fraction(0)
-    for lam in partitions_bounded(s - j, top):
-        for seq in distinct_perms(lam, "S"):
-            prod = Fraction(1)
-            prefix = 0
-            for part in seq:
-                prod *= w.divided(part, j + prefix)
-                prefix += part
-            total += prod
-    return total
-
-
 def solvability_residuals(s: int, p: Poly, q: Poly) -> list[Fraction]:
     """The 3*ell cleared conditions for a degree-s polynomial solution.
 
-    Entry j-1 (j = 1..3*ell) sums, over partitions of s + j whose largest
-    part lies in [j, r + ell] and over their distinct permutations with
-    first entry >= j, the cleared first weight E_{i_1}^(-j) times the
-    divided weights at the shifted prefix indices.  All zero iff the
-    divided ODE admits a polynomial solution of degree s; agreement with
-    the recurrence-route residuals (up to nonzero rational factors) is
-    property-tested.
+    All zero iff the divided ODE admits a polynomial solution of degree s.
+    These are the negative-index residuals of the unpinned recurrence run;
+    they differ from coefficients_general(s, p, q).neg_residuals only when
+    q(0) = 0, because that run pins a_1 = 0.
     """
-    w = EWeights(s, p, q)
-    top = w.r + w.ell
-    out = []
-    for j in range(1, 3 * w.ell + 1):
-        total = Fraction(0)
-        for lam in partitions_bounded(s + j, top):
-            if lam.parts and lam.parts[0] < j:
-                continue
-            for seq in distinct_perms(lam, "T", threshold=j):
-                prod = w.cleared(seq[0], -j)
-                if prod == 0:
-                    continue
-                prefix = seq[0]
-                for part in seq[1:]:
-                    prod *= w.divided(part, prefix - j)
-                    prefix += part
-                total += prod
-        out.append(total)
-    return out
+    return coefficients_general(s, p, q, pin_origin=False).neg_residuals
 
 
 def integration_constant(s: int, p: Poly, q: Poly, u: Poly):

@@ -69,20 +69,9 @@ def partitions_bounded(k: int, pmax: int) -> list[Partition]:
     return [Partition(t) for t in gen(k, pmax)]
 
 
-def distinct_perms(
-    lam: Partition, variant: str = "S", threshold: int = 0
-) -> list[tuple[int, ...]]:
-    """Distinct permutations of the parts of lam, filtered by variant.
-
-    variant "S": all distinct permutations.
-    variant "Sprime": only those whose last entry is > 1.
-    variant "T": only those whose first entry is >= threshold.
-
-    Yields in descending lexicographic order.
-    """
-    if variant not in ("S", "Sprime", "T"):
-        raise ValueError(f"unknown variant {variant!r}")
-
+def distinct_perms(lam: Partition) -> list[tuple[int, ...]]:
+    """All distinct permutations of the parts of lam, in descending
+    lexicographic order."""
     counts: dict[int, int] = {}
     for p in lam.parts:
         counts[p] = counts.get(p, 0) + 1
@@ -99,12 +88,7 @@ def distinct_perms(
                 yield (v,) + tail
             remaining[v] += 1
 
-    seqs = gen(counts, lam.length)
-    if variant == "Sprime":
-        return [s for s in seqs if s and s[-1] > 1]
-    if variant == "T":
-        return [s for s in seqs if not s or s[0] >= threshold]
-    return list(seqs)
+    return list(gen(counts, lam.length))
 
 
 def part_factor(i: int, k: int, s: int) -> Fraction:
@@ -130,9 +114,10 @@ def partition_coeff(lam: Partition, s: int) -> Fraction:
         raise ValueError("partition weight exceeds s")
     if max(lam.parts, default=0) > 4:
         raise ValueError("parts must be at most 4")
-    variant = "Sprime" if w == s else "S"
     total = Fraction(0)
-    for seq in distinct_perms(lam, variant):
+    for seq in distinct_perms(lam):
+        if w == s and (not seq or seq[-1] == 1):
+            continue
         prod = Fraction(1)
         acc = 0
         for part in seq:

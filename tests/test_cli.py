@@ -162,6 +162,12 @@ BAD_INPUTS = [
      "forced s must be a divisor"),
     (("complete", "--n", "4", "--fix", "c2=-2,c3=0,c4=0,c2=5", "--solve", "c1"),
      "--fix names c2 twice"),
+    (("complete", "--n", "0", "--fix", "c2=-2,c3=0,c4=0", "--solve", "c1"),
+     "n must be positive"),
+    (("complete", "--n", "-4", "--fix", "c2=-2,c3=0,c4=0", "--solve", "c1"),
+     "n must be positive"),
+    (("multi", "--s", "2", "--p-roots", "1,-1,2,-2", "--q-roots", "0",
+      "--p-coeffs", "1,0,-6,0,9,0,-1"), "--p-roots/--q-roots or --p-coeffs/--q-coeffs"),
     (("verify", "--n", "3", "--p=-2,-3,2,2", "--interval=1"), "--interval expects a,b"),
     (("construct", "--s", "1", "--c2=-3", "--c3", "2", "--c4", "2"), "at least 2"),
     (("integrate", "--n", "3", "--p=-2,-3,2,2", "--emit-samples", "/nonexistent/x.csv"),

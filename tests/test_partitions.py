@@ -42,19 +42,23 @@ def test_partitions_bounded_counts():
 
 
 def test_distinct_perms_s_variant():
-    seqs = distinct_perms(P(2, 1, 1), "S")
-    assert sorted(seqs) == [(1, 1, 2), (1, 2, 1), (2, 1, 1)]
+    seqs = distinct_perms(P(2, 1, 1))
+    assert seqs == [(2, 1, 1), (1, 2, 1), (1, 1, 2)]  # descending lexicographic
     assert len(seqs) == 3  # multinomial 3!/2!
 
 
-def test_distinct_perms_sprime_variant():
-    assert distinct_perms(P(2, 1, 1), "Sprime") == [(1, 1, 2)]
-    assert distinct_perms(P(1, 1, 1), "Sprime") == []
-
-
-def test_distinct_perms_threshold_variant():
-    assert distinct_perms(P(2, 1), "T", threshold=2) == [(2, 1)]
-    assert sorted(distinct_perms(P(2, 1), "T", threshold=1)) == [(1, 2), (2, 1)]
+def test_partition_coeff_full_weight_keeps_only_trailing_parts_above_one():
+    # at weight = s only the permutations ending in a part > 1 contribute:
+    # of (2,1,1), (1,2,1), (1,1,2) that is (1,1,2) alone
+    assert partition_coeff(P(2, 1, 1), 4) == (
+        part_factor(1, 1, 4) * part_factor(1, 2, 4) * part_factor(2, 4, 4)
+    )
+    # below full weight every permutation contributes
+    assert partition_coeff(P(2, 1, 1), 5) == (
+        part_factor(2, 2, 5) * part_factor(1, 3, 5) * part_factor(1, 4, 5)
+        + part_factor(1, 1, 5) * part_factor(2, 3, 5) * part_factor(1, 4, 5)
+        + part_factor(1, 1, 5) * part_factor(1, 2, 5) * part_factor(2, 4, 5)
+    )
 
 
 def test_part_factor_values():
