@@ -42,6 +42,12 @@ def cases() -> list[list[str]]:
     for n, p in ((2, "0,-3,1,1"), (4, "0,-3,1,1"), (6, "0,-3,1,1"), (4, "0,-2,0,2")):
         out.append(["decide", "--n", str(n), f"--p={p}"])
         out.append(["decide", "--n", str(n), f"--p={p}", "--json"])
+    # refusals at highly composite n with long coefficients: denominators 2
+    # and 3 in the quartic, and a zero c3
+    for n, p, fmt in ((120, "1/3,-3/2,2,-1/6", []), (120, "1/2,-3,0,-1", ["--json"]),
+                      (360, "1/3,-3/2,2,-1/6", ["--json"]),
+                      (360, "1/2,-3,0,-1", ["--json"])):
+        out.append(["decide", "--n", str(n), f"--p={p}", *fmt])
     out += [
         ["decide", "--n", "6", "--p=-2,-3,2,2", "--verbose"],
         ["construct", "--s", "3", "--c2=-3", "--c3", "2", "--c4", "2", "--json"],
