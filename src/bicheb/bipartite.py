@@ -23,14 +23,22 @@ identity is re-verified exactly after every construction.
 The discriminant d = s^2 F_0^2 - 4 c4 F_2^2 selects the branch: d > 0
 circular (lines y = +-m with m^2 = d/s^2), d < 0 hyperbolic, d = 0
 logarithmic (m = 0).
+
+The decision runs the recurrence for every divisor of n, so it runs on
+integers: with D the lcm of the quartic's denominators, a_k = A_k / Q_k
+over the known denominators Q_k = D^(s-k) * prod_{j=k}^{s-1} 2 (s^2 - j^2),
+and the integer A_k need no division or gcd.  Only F_1, aux and d become
+Fractions; the coefficients a_k are built on demand, for the divisor a
+construction selects.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .partitions import FkTable, fk_table_by_recurrence
@@ -107,15 +115,15 @@ def fk_table(s: int) -> FkTable:
 def coefficients_from_recurrence(s: int, c: QuarticCoeffs):
     """Inner coefficients a_0..a_s (a_s = 1, a_1 = 0) plus the F_1 value.
 
-    Runs the descending recurrence numerically; works for Fraction or
-    float coefficient values.
+    Exact rational values, read from conditions(s, c).
     """
-    if s < 2:
-        raise ValueError("inner degree s must be at least 2")
-    return _recurrence(s, c.as_tuple())
+    cond = conditions(s, c)
+    return list(cond.a), cond.f1
 
 
 def _recurrence(s: int, cvals: Sequence):
+    """The recurrence on any field's values: the float tracker's route, and
+    the reference the integer route in conditions() is tested against."""
     zero = cvals[0] * 0
     a = [zero] * (s + 4)
     a[s] = zero + 1
@@ -140,30 +148,64 @@ def _recurrence(s: int, cvals: Sequence):
 class Conditions:
     """One run of the recurrence for a divisor s and the values it decides.
 
-    a holds the inner coefficients a_0..a_s (a_s = 1, a_1 = 0); f1 and aux
-    must both vanish for a solution to exist, and the sign of the
-    discriminant d selects its branch.
+    f1 and aux must both vanish for a solution to exist, and the sign of
+    the discriminant d selects its branch.  The run is kept as integers:
+    a_k = nums[k] / dens[k], where dens[k] = Q_k = D^(s-k) *
+    prod_{j=k}^{s-1} 2 (s^2 - j^2) and D is the lcm of the quartic's
+    denominators.  The inner coefficients a (a_0..a_s, a_s = 1, a_1 = 0)
+    are built from them on first access, which only the selected
+    divisor's construction does.
     """
 
-    a: tuple
     f1: Fraction
     aux: Fraction
     d: Fraction
+    nums: tuple[int, ...] = field(repr=False)
+    dens: tuple[int, ...] = field(repr=False)
 
     @property
     def met(self) -> bool:
         return self.f1 == 0 and self.aux == 0
+
+    @cached_property
+    def a(self) -> tuple[Fraction, ...]:
+        return tuple(map(Fraction, self.nums, self.dens))
 
 
 def conditions(s: int, c: QuarticCoeffs) -> Conditions:
     """Run the recurrence once and evaluate the conditions on it.
 
     aux = c3*F_2 + 3*c4*F_3 (F_3 = 0 when s = 2) and d = s^2 F_0^2 - 4 c4 F_2^2.
+    The recurrence runs on the cleared coefficients C_i = c_i * D and the
+    numerators A_k over the known denominators Q_k (see Conditions):
+
+        A_k = sum_i (k+i)(2k+i) C_i A_{k+i} D^(i-1) prod_{j=k+1}^{k+i-1} 2(s^2 - j^2),
+
+    so no step divides or reduces.  The k = 1 value is F_1's numerator over
+    Q_1 before A_1 is pinned to 0; F_1, aux and d are the only Fractions made.
     """
-    a, f1 = coefficients_from_recurrence(s, c)
-    aux = c.c3 * a[2] + 3 * c.c4 * (a[3] if s >= 3 else Fraction(0))
-    d = s * s * a[0] * a[0] - 4 * c.c4 * a[2] * a[2]
-    return Conditions(tuple(a), f1, aux, d)
+    if s < 2:
+        raise ValueError("inner degree s must be at least 2")
+    D = math.lcm(*(v.denominator for v in c.as_tuple()))
+    C1, C2, C3, C4 = (v.numerator * (D // v.denominator) for v in c.as_tuple())
+    A = [0] * (s + 4)
+    A[s] = 1
+    Q = [1] * (s + 1)
+    for k in range(s - 1, -1, -1):
+        # D * 2 (s^2 - j^2) for j = k+1..k+3, applied in Horner form
+        e1, e2, e3 = (D * 2 * (s * s - j * j) for j in (k + 1, k + 2, k + 3))
+        acc = (k + 4) * (2 * k + 4) * C4 * A[k + 4]
+        acc = (k + 3) * (2 * k + 3) * C3 * A[k + 3] + e3 * acc
+        acc = (k + 2) * (2 * k + 2) * C2 * A[k + 2] + e2 * acc
+        A[k] = (k + 1) * (2 * k + 1) * C1 * A[k + 1] + e1 * acc
+        Q[k] = Q[k + 1] * (D * 2 * (s * s - k * k))
+        if k == 1:
+            f1 = Fraction(A[1], Q[1])
+            A[1] = 0  # pinned: the inner polynomial has no linear term
+    r = D * D * 2 * (s * s - 1) * 2 * s * s  # Q_0 / Q_2
+    aux = Fraction(C3 * A[2] + 3 * C4 * A[3] * D * 2 * (s * s - 4), D * Q[2])
+    d = Fraction(s * s * D * A[0] ** 2 - 4 * C4 * (A[2] * r) ** 2, D * Q[0] ** 2)
+    return Conditions(f1, aux, d, tuple(A[: s + 1]), tuple(Q))
 
 
 def ode_residual(s: int, c: QuarticCoeffs, u: Poly) -> LaurentPoly:

@@ -273,7 +273,12 @@ def cmd_multi(args) -> int:
         qc = _parse_coeff_list(args.q_coeffs, rat) if args.q_coeffs else [Fraction(1)]
         p, q = Poly(list(reversed(pc))), Poly(list(reversed(qc)))
     sys_ = multipartite.coefficients_general(args.s, p, q)
-    lem = multipartite.solvability_residuals(args.s, p, q)
+    # unpinned, the run already holds the conditions; rerun only when q(0) = 0
+    lem = (
+        multipartite.solvability_residuals(args.s, p, q)
+        if sys_.pinned_origin
+        else sys_.neg_residuals
+    )
     payload = {
         "s": args.s,
         "p": [str(v) for v in p.coeffs],

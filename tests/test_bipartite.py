@@ -10,6 +10,7 @@ from bicheb.bipartite import (
     InvalidBranchIndex,
     QuarticCoeffs,
     UNIT_AMPLITUDE,
+    _recurrence,
     build_solution,
     classify_shape,
     coefficients_from_recurrence,
@@ -59,6 +60,41 @@ def test_recurrence_f1_nonzero():
 def test_recurrence_requires_s_at_least_two():
     with pytest.raises(ValueError):
         coefficients_from_recurrence(1, WORKED)
+
+
+def _fraction_route(s, c):
+    """(a, f1, aux, d) from the Fraction recurrence and the defining formulas."""
+    a, f1 = _recurrence(s, c.as_tuple())
+    aux = c.c3 * a[2] + 3 * c.c4 * (a[3] if s >= 3 else 0)
+    d = s * s * a[0] ** 2 - 4 * c.c4 * a[2] ** 2
+    return a, f1, aux, d
+
+
+def test_integer_route_matches_fraction_recurrence():
+    rng = random.Random(7)
+    draws = []
+    for i in range(18):
+        c = [F(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(4)]
+        if i % 3 == 1:
+            c[3] = F(0)  # only c4 = 0
+        elif i % 3 == 2:
+            c[2] = c[3] = F(0)  # c3 = c4 = 0
+        draws.append(QuarticCoeffs.of(*c))
+    cases = [(s, c) for k, c in enumerate(draws) for s in range(2 + k // 3 % 3, 41, 3)]
+    cases.append((120, QuarticCoeffs.of(F(1, 3), F(-3, 2), 2, F(-1, 6))))
+    for s, c in cases:
+        a, f1, aux, d = _fraction_route(s, c)
+        cond = conditions(s, c)
+        assert (cond.f1, cond.aux, cond.d) == (f1, aux, d), (s, c)
+        assert list(cond.a) == a, (s, c)
+    assert {s for s, _ in cases} >= set(range(2, 41)) | {120}
+
+
+def test_condition_coefficients_are_built_on_demand():
+    cond = conditions(3, WORKED)
+    assert "a" not in vars(cond)
+    assert cond.a == (F(3), F(0), F(-3), F(1))
+    assert vars(cond)["a"] is cond.a
 
 
 # -- auxiliary condition -----------------------------------------------------

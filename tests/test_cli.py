@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from bicheb import multipartite
 from bicheb.cli import main
 
 
@@ -126,6 +127,25 @@ def test_multi_coeff_input(capsys):
     )
     assert code == 3
     assert "solvable: False" in out
+
+
+@pytest.mark.parametrize("q_root, runs", [("1/2", 1), ("0", 2)])
+def test_multi_runs_the_recurrence_again_only_when_q_vanishes_at_0(
+    monkeypatch, capsys, q_root, runs
+):
+    calls = []
+    general = multipartite.coefficients_general
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return general(*args, **kwargs)
+
+    monkeypatch.setattr(multipartite, "coefficients_general", counted)
+    code, out, _ = run(
+        capsys, "multi", "--s", "4", "--p-roots", "1,-1,2,-3", "--q-roots", q_root
+    )
+    assert code == 3 and "condition residuals" in out
+    assert len(calls) == runs
 
 
 def test_perturb(capsys):
