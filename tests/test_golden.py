@@ -55,6 +55,11 @@ def cases() -> list[list[str]]:
          "--normalize", "unit-m", "--json"],
         ["construct", "--s", "2", "--c2=-1", "--c3", "0", "--c4", "1",
          "--normalize", "unit-m", "--json"],
+        # unit-amplitude as text: hyperbolic d = -3, circular d = 5
+        ["construct", "--s", "2", "--c2=-1", "--c3", "0", "--c4", "1",
+         "--normalize", "unit-m"],
+        ["construct", "--s", "2", "--c2=-3", "--c3", "0", "--c4", "1",
+         "--normalize", "unit-m"],
         ["complete", "--n", "3", "--fix", "c1=-2,c3=2,c4=2", "--solve", "c2"],
         ["multi", "--s", "2", "--p-roots", "1,-1,2,-2", "--q-roots", "0"],
         # ell = 2 solvable; q(0) = 0 where the pinned and unpinned residuals
