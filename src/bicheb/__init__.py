@@ -2,9 +2,9 @@
 elementary closed forms for elliptic integrals int x/sqrt(+-p(x)) dx with
 monic quartic p.
 
-Everything decision-relevant runs in exact rational arithmetic (optionally
-extended by one square root); floating point appears only in the
-continuation tracker and the independent quadrature oracle.
+Everything decision-relevant runs in exact rational arithmetic over Q;
+floating point appears only in the continuation tracker and the
+independent quadrature oracle.
 """
 
 from .bipartite import (
@@ -63,7 +63,7 @@ from .partitions import (
 from .poly import LaurentPoly, Poly, chebyshev_t, sinh_chebyshev
 from .quadrature import Integrand, RegionViolation, ToleranceNotReached, integrate_adaptive
 from .roots import IsolatedRoot, real_roots, squarefree_decomposition
-from .scalars import Surd, exact_sqrt, parse_rational
+from .scalars import parse_rational
 
 __version__ = "0.1.0"
 

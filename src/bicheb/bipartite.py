@@ -44,7 +44,7 @@ from typing import Sequence
 from .partitions import FkTable, fk_table_by_recurrence
 from .poly import LaurentPoly, Poly, chebyshev_t, sinh_chebyshev
 from .roots import IsolatedRoot, count_roots_halfopen, polys_gcd, real_roots, sturm_chain
-from .scalars import Scalar, exact_sqrt, reconstruct_rational
+from .scalars import is_square, rational_sqrt, reconstruct_rational
 
 
 class Branch(str, Enum):
@@ -234,15 +234,15 @@ UNIT_AMPLITUDE = "unit-amplitude"
 class BipartiteSolution:
     """A verified inner polynomial with its branch data.
 
-    unit-leading: a_s = 1, every a_k rational, m^2 = |d| / s^2.
-    unit-amplitude: m = 1, a_s = s / sqrt(|d|) (positive root), so the
-    a_k live in Q(sqrt(|d|)) when |d| is not a square.
+    The data is always unit-leading: a_s = 1, every a_k rational and
+    m^2 = |d| / s^2.  Unit-amplitude (m = 1) is a way of printing it: the
+    same u scaled by lambda = s / sqrt(|d|) > 0 (see ``shown_a``).
     """
 
     s: int
     c: QuarticCoeffs
-    a: tuple[Scalar, ...]
-    m2: Scalar
+    a: tuple[Fraction, ...]
+    m2: Fraction
     d: Fraction
     branch: Branch
     normalization: str
@@ -255,17 +255,54 @@ class BipartiteSolution:
         """s^2 x^2 (u^2 -+ m^2) - p u'^2; the zero polynomial for valid data."""
         return identity_residual(self.u, "g", self.c.poly(), self.s, self.m2, self.branch)
 
+    def shown_a(self) -> tuple:
+        """The printed coefficients: a_k, or amplitude_coeff(a_k) under unit-amplitude."""
+        if self.normalization == UNIT_LEADING:
+            return self.a
+        return tuple(amplitude_coeff(ak, self.s, self.d) for ak in self.a)
+
+    def shown_m2(self) -> Fraction:
+        return self.m2 if self.normalization == UNIT_LEADING else Fraction(1)
+
+    def u_text(self) -> str:
+        """u as ``construct`` prints it: shown_a in the layout of Poly.format."""
+        shown = self.shown_a()
+        if all(isinstance(v, Fraction) for v in shown):
+            return Poly(shown).format()
+        parts = []
+        for k in range(self.s, -1, -1):
+            ak = self.a[k]
+            if ak:
+                body = amplitude_coeff(abs(ak), self.s, self.d)
+                body += "" if k == 0 else "*x" if k == 1 else f"*x^{k}"
+                sign = ("- " if ak < 0 else "+ ") if parts else ("-" if ak < 0 else "")
+                parts.append(sign + body)
+        return " ".join(parts)
+
     def as_dict(self) -> dict:
         return {
             "s": self.s,
             "c": [str(v) for v in self.c.as_tuple()],
-            "a": [str(v) for v in self.a],
-            "m2": str(self.m2),
+            "a": [str(v) for v in self.shown_a()],
+            "m2": str(self.shown_m2()),
             "d": str(self.d),
             "branch": self.branch.value,
             "normalization": self.normalization,
             "residual_zero": not self.residual(),
         }
+
+
+def amplitude_coeff(ak: Fraction, s: int, d: Fraction) -> Fraction | str:
+    """lambda * a_k with lambda = s / sqrt(|d|), exact, for printing.
+
+    A Fraction when |d| is a rational square; otherwise
+    lambda * a_k = (a_k s / |d|) sqrt(|d|), written "(0 + b*sqrt(|d|))",
+    or "0" when a_k = 0.
+    """
+    rad = abs(d)
+    if is_square(rad):
+        return ak * s / rational_sqrt(rad)
+    return f"(0 + {ak * s / rad}*sqrt({rad}))" if ak else "0"
 
 
 def build_solution(
@@ -277,24 +314,24 @@ def build_solution(
     otherwise.  The defining identity is then re-checked with zero
     tolerance; IdentityResidualNonzero is unreachable when the
     preconditions hold and exists as an internal consistency guard.
+
+    The check always runs on the rational unit-leading data (u, |d|/s^2),
+    also under unit-amplitude.  That loses nothing: the identity
+    s^2 x^2 (u^2 -+ m^2) - p u'^2 is homogeneous of degree 2 in (u, m), so
+    residual(lambda u, 1) = lambda^2 residual(u, |d|/s^2) with
+    lambda^2 = s^2/|d| a nonzero rational, and one vanishes exactly iff
+    the other does.
     """
     cond = conditions(s, c)
     if not cond.met:
         raise ConditionsNotMet(s, cond)
     d = cond.d
-    branch = branch_of(d)
-    if normalization == UNIT_LEADING:
-        m2 = abs(d) / Fraction(s * s)
-        coeffs: tuple[Scalar, ...] = cond.a
-    elif normalization == UNIT_AMPLITUDE:
-        if d == 0:
-            raise ValueError("unit-amplitude normalization undefined when d = 0")
-        a_s = s / exact_sqrt(abs(d))
-        coeffs = tuple(ak * a_s for ak in cond.a)
-        m2 = Fraction(1)
-    else:
+    if normalization not in (UNIT_LEADING, UNIT_AMPLITUDE):
         raise ValueError(f"unknown normalization {normalization!r}")
-    sol = BipartiteSolution(s, c, coeffs, m2, d, branch, normalization)
+    if normalization == UNIT_AMPLITUDE and d == 0:
+        raise ValueError("unit-amplitude normalization undefined when d = 0")
+    m2 = abs(d) / Fraction(s * s)
+    sol = BipartiteSolution(s, c, cond.a, m2, d, branch_of(d), normalization)
     if sol.residual():
         raise IdentityResidualNonzero(
             f"internal error: nonzero residual for s={s}, c={c}"
@@ -352,7 +389,7 @@ def _parity_compose(outer: Poly, u: Poly, m2, convention: str) -> Poly:
     """Sum t_k u^k m^(1-k) (odd outer) or t_k u^k m^(-k) (even outer).
 
     Only the parity-matching t_k are nonzero, so every exponent of m is
-    even and the result is exact over the base field of u and m2.
+    even and the result is rational, like u and m2.
     """
     acc = Poly.zero()
     upow = Poly.one()

@@ -185,7 +185,7 @@ def cmd_construct(args) -> int:
         print(f"s={args.s}: {len(roots)} real F_1 root(s) in c1")
         for sol in built:
             print(
-                f"  c1={sol.c.c1}: u = {sol.u.format()}  m2={sol.m2}  d={sol.d}  "
+                f"  c1={sol.c.c1}: u = {sol.u_text()}  m2={sol.shown_m2()}  d={sol.d}  "
                 f"branch={sol.branch.value}  residual_zero={not sol.residual()}"
             )
         for sk in skipped:

@@ -47,7 +47,7 @@ from .bipartite import (
 from .poly import Poly
 from .quadrature import Integrand, integrate_adaptive
 from .roots import IsolatedRoot, noroot_point, real_roots, sign_at
-from .scalars import exact_sqrt, is_square
+from .scalars import is_square, rational_sqrt
 
 BRANCH_ARCCOS = "CircularArccos"
 BRANCH_ARCCOSH = "CircularArccosh"
@@ -199,10 +199,10 @@ class ClosedForm:
         )
 
     def g_over_m(self) -> Poly:
-        """Exact g/m; requires m rational when the convention is 'g'."""
+        """Exact g/m; under convention 'g' a ValueError unless m is rational."""
         if self.convention == "g-over-m":
             return self.G
-        m = exact_sqrt(self.m2)
+        m = rational_sqrt(self.m2)
         return Poly([cf / m for cf in self.G.coeffs])
 
     # -- numeric evaluation -------------------------------------------------
@@ -446,8 +446,7 @@ def numeric_check(
 
 def _m_string(m2: Fraction, latex: bool) -> str:
     if is_square(m2):
-        m = exact_sqrt(m2)
-        return str(m)
+        return str(rational_sqrt(m2))
     return (rf"\sqrt{{{m2}}}" if latex else f"sqrt({m2})")
 
 

@@ -1,7 +1,7 @@
 """Dense univariate polynomials with exact ring arithmetic.
 
-Coefficients are duck-typed: Fraction for exact work, Surd when a square
-root sneaks in, plain float for the continuation numerics.  ``Poly`` is
+Coefficients are duck-typed: int or Fraction for exact work (the exact
+ring is Q), plain float for the continuation numerics.  ``Poly`` is
 immutable; the zero polynomial has degree -1.
 
 ``LaurentPoly`` is the minimal negative-power companion needed for the
@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-from .scalars import Surd
 
 
 def _trim(coeffs: list) -> tuple:
@@ -240,7 +238,7 @@ def _fmt_coeff(c, latex: bool) -> str:
 def _as_poly(v):
     if isinstance(v, Poly):
         return v
-    if isinstance(v, (int, Fraction, float, Surd)):
+    if isinstance(v, (int, Fraction, float)):
         return Poly((v,))
     return NotImplemented
 

@@ -35,7 +35,7 @@ from bicheb.partitions import (
     partitions_bounded,
 )
 from bicheb.poly import Poly
-from bicheb.scalars import exact_sqrt
+from bicheb.scalars import rational_sqrt
 
 WORKED = QuarticCoeffs.of(-2, -3, 2, 2)
 SYMMETRIC = QuarticCoeffs.of(0, -5, 0, 4)
@@ -52,7 +52,7 @@ def test_criterion_01_symmetric_quartic_reproduction():
     elapsed = time.perf_counter() - t0
     assert isinstance(cf, ClosedForm)
     assert cf.g_over_m() == Poly((F(-5, 3), F(0), F(2, 3)))  # (2x^2-5)/3
-    assert exact_sqrt(cf.m2) == F(3, 2)
+    assert rational_sqrt(cf.m2) == F(3, 2)
     assert elapsed < 0.1
     _announce(1, f"g/m = (2x^2-5)/3, m = 3/2, decided in {elapsed * 1e3:.2f} ms")
 
@@ -181,7 +181,7 @@ def test_criterion_10_composition_closure():
     # parity-exact check on g/m: ((4/3) u^2 - 3/2) / (3/2) = (8/9) u^2 - 1
     assert cf.convention == "g-over-m"
     assert cf.G == (u * u).scale(F(8, 9)) - Poly.one()
-    assert exact_sqrt(cf.m2) == F(3, 2)
+    assert rational_sqrt(cf.m2) == F(3, 2)
     assert not cf.residual()
     _announce(10, "n=4 composition g = (4/3)(x^2-5/2)^2 - 3/2, residual exactly zero")
 

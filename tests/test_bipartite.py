@@ -22,7 +22,6 @@ from bicheb.bipartite import (
     solve_c1,
 )
 from bicheb.poly import Poly, chebyshev_t
-from bicheb.scalars import Surd
 
 WORKED = QuarticCoeffs.of(-2, -3, 2, 2)  # x^4 - 2x^3 - 3x^2 + 2x + 2
 SYMMETRIC = QuarticCoeffs.of(0, -5, 0, 4)  # (x^2-1)(x^2-4)
@@ -177,16 +176,25 @@ def test_build_rejects_failed_conditions():
 
 
 def test_build_unit_amplitude_surd():
-    sol = build_solution(3, WORKED, UNIT_AMPLITUDE)
-    # d = 9 is a perfect square, so everything stays rational: a_s = 1
-    assert sol.m2 == 1 and sol.a[-1] == 1
+    # d = 9 is a perfect square, so the printed values stay rational: for
+    # SYMMETRIC lambda = 2/3 and u = (2x^2 - 5)/3, m = 1
+    sol = build_solution(2, SYMMETRIC, UNIT_AMPLITUDE)
+    shown = sol.as_dict()
+    assert shown["a"] == ["-5/3", "0", "2/3"] and shown["m2"] == "1"
+    assert shown["normalization"] == "unit-amplitude" and shown["residual_zero"]
+    assert sol.u_text() == "(2/3)*x^2 - (5/3)"
     # |d| = 3 is not a square: hyperbolic x^4 - x^2 + 1, a_s = 2/sqrt(3)
     c = QuarticCoeffs.of(0, -1, 0, 1)
     assert conditions(2, c).d == -3
     sol2 = build_solution(2, c, UNIT_AMPLITUDE)
-    assert isinstance(sol2.a[-1], Surd) and not sol2.a[-1].is_rational
-    assert sol2.m2 == 1
-    assert not sol2.residual()
+    shown = sol2.as_dict()
+    assert shown["a"] == ["(0 + -1/3*sqrt(3))", "0", "(0 + 2/3*sqrt(3))"]
+    assert shown["m2"] == "1" and shown["residual_zero"]
+    assert sol2.u_text() == "(0 + 2/3*sqrt(3))*x^2 - (0 + 1/3*sqrt(3))"
+    # the data underneath is the rational unit-leading solution
+    lead = build_solution(2, c)
+    assert sol2.a == lead.a and sol2.m2 == lead.m2 == F(3, 4)
+    assert all(type(v) in (int, F) for v in sol2.a)
     with pytest.raises(ValueError):
         build_solution(2, LOG, UNIT_AMPLITUDE)
 

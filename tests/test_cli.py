@@ -193,6 +193,9 @@ BAD_INPUTS = [
     (("integrate", "--n", "3", "--p=-2,-3,2,2", "--emit-samples", "/nonexistent/x.csv"),
      "No such file or directory"),
     (("decide", "--n", "3", "--p=1e400,0,0,0", "--rationalize"), "not a finite number"),
+    (("decide", "--n", "3", "--p=1/0,0,0,0"), "'1/0' has a zero denominator"),
+    (("construct", "--s", "2", "--c2=-3/0", "--c3", "0", "--c4", "1"),
+     "'-3/0' has a zero denominator"),
     (("verify", "--n", "2", "--p=0,-2,0,1", "--interval=0.99,0.999999"),
      "exceeds tolerance 1e-08"),
     (("verify", "--n", "3", "--p=-2,-3,2,2", "--interval=-0.95,-0.75", "--tol", "0"),

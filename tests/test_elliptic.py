@@ -312,6 +312,14 @@ def test_hyperbolic_with_irrational_m():
     assert numeric_check(cf6, (-1.0, 1.0), 1e-10) <= 1e-8
 
 
+def test_g_over_m_rejects_irrational_m():
+    # odd outer degree keeps G = g; m = sqrt(3)/2 has no rational g/m
+    cf = decide(2, QuarticCoeffs.of(0, -1, 0, 1))
+    assert cf.convention == "g" and cf.m2 == F(3, 4)
+    with pytest.raises(ValueError, match="not a rational square"):
+        cf.g_over_m()
+
+
 def test_randomized_branch_sweep_s2():
     # the s = 2 solvable locus is c1 = c3 = 0; random (c2, c4) reach all
     # three branches, every decision re-verified numerically on one piece

@@ -2,15 +2,22 @@
 
 For each branch and piece, the rendered formula is differentiated
 symbolically and compared with the integrand at high precision; the
-difference must vanish to 50 digits.  Skipped when sympy is absent (it
-is an oracle, not a dependency).
+difference must vanish to 50 digits.  The unit-amplitude coefficients
+that ``construct`` prints, square roots included, are parsed back and
+must satisfy the defining identity exactly.  Skipped when sympy is
+absent (it is an oracle, not a dependency).
 """
+
+import contextlib
+import io
+import json
 
 import pytest
 
 sp = pytest.importorskip("sympy")
 
 from bicheb.bipartite import QuarticCoeffs
+from bicheb.cli import main
 from bicheb.elliptic import decide
 
 X = sp.Symbol("x", real=True)
@@ -53,3 +60,33 @@ def test_symbolic_derivative_matches_integrand(n, c, piece_idx, samples):
     for xv in samples:
         diff = sp.Abs((dA - integrand).subs(X, sp.Rational(xv))).evalf(60)
         assert diff < sp.Float("1e-50"), (n, c, piece_idx, xv, diff)
+
+
+# (s, c2, c3, c4, branch, |d| a rational square)
+UNIT_AMPLITUDE_CASES = [
+    (2, "-1", "0", "1", "hyperbolic", False),
+    (2, "-3", "0", "1", "circular", False),
+    (2, "-5", "0", "4", "circular", True),
+    (2, "-2", "0", "2", "hyperbolic", True),
+    (3, "-3", "2", "2", "circular", True),
+    (6, "-8", "0", "-4", "circular", False),
+    (6, "-3", "0", "3", "hyperbolic", False),  # |d| = 243/256
+]
+
+
+@pytest.mark.parametrize("s,c2,c3,c4,branch,square", UNIT_AMPLITUDE_CASES)
+def test_unit_amplitude_output_satisfies_identity(s, c2, c3, c4, branch, square):
+    argv = ["construct", "--s", str(s), f"--c2={c2}", f"--c3={c3}", f"--c4={c4}",
+            "--normalize", "unit-m", "--json"]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(argv) == 0
+    sols = json.loads(buf.getvalue())["solutions"]
+    assert sols
+    for sol in sols:
+        assert sol["branch"] == branch and sol["m2"] == "1"
+        assert any("sqrt" in a for a in sol["a"]) != square
+        u = sum(sp.sympify(a) * X**k for k, a in enumerate(sol["a"]))
+        p = X**4 + sum(sp.Rational(v) * X ** (3 - i) for i, v in enumerate(sol["c"]))
+        sign = 1 if branch == "hyperbolic" else -1
+        assert sp.expand(s**2 * X**2 * (u**2 + sign) - p * sp.diff(u, X) ** 2) == 0
