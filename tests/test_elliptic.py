@@ -307,17 +307,13 @@ def test_hyperbolic_with_irrational_m():
     cf = decide(2, c)
     assert cf.branch == BRANCH_ARCSINH and cf.m2 == F(3, 4)
     assert numeric_check(cf, (0.0, 1.5), 1e-10) <= 1e-8
+    # the odd outer degree keeps G = g, and g/m is not rational
+    assert cf.convention == "g"
+    with pytest.raises(ValueError, match="not a rational square"):
+        cf.g_over_m()
     cf6 = decide(6, c)
     assert not cf6.residual()
     assert numeric_check(cf6, (-1.0, 1.0), 1e-10) <= 1e-8
-
-
-def test_g_over_m_rejects_irrational_m():
-    # odd outer degree keeps G = g; m = sqrt(3)/2 has no rational g/m
-    cf = decide(2, QuarticCoeffs.of(0, -1, 0, 1))
-    assert cf.convention == "g" and cf.m2 == F(3, 4)
-    with pytest.raises(ValueError, match="not a rational square"):
-        cf.g_over_m()
 
 
 def test_randomized_branch_sweep_s2():
