@@ -42,7 +42,7 @@ from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .partitions import FkTable, fk_table_by_recurrence
-from .poly import LaurentPoly, Poly, chebyshev_t, sinh_chebyshev
+from .poly import LaurentPoly, Poly, chebyshev_t, horner, sinh_chebyshev
 from .roots import IsolatedRoot, count_roots_halfopen, polys_gcd, real_roots, sturm_chain
 from .scalars import is_square, rational_sqrt, reconstruct_rational
 
@@ -215,7 +215,11 @@ def ode_residual(s: int, c: QuarticCoeffs, u: Poly) -> LaurentPoly:
     tail; the x^-1 coefficient is -2 * aux and the x^1 coefficient is
     -2 (s^2 - 1) F_1 when u comes from the recurrence.
     """
-    return _divided_ode_residual(c.ptilde(), s, u)
+    pt = c.ptilde()
+    lhs = LaurentPoly(u.scale(2 * s * s), 0)
+    rhs = LaurentPoly(u.derivative().derivative().scale(2), 0) * pt
+    rhs = rhs + LaurentPoly(u.derivative(), 0) * pt.derivative()
+    return lhs - rhs
 
 
 def branch_of(d) -> Branch:
@@ -247,7 +251,7 @@ class BipartiteSolution:
     branch: Branch
     normalization: str
 
-    @property
+    @cached_property
     def u(self) -> Poly:
         return Poly(self.a)
 
@@ -386,23 +390,17 @@ def compose_outer(u: Poly, m2, N: int, branch: Branch) -> tuple[Poly, str]:
 
 
 def _parity_compose(outer: Poly, u: Poly, m2, convention: str) -> Poly:
-    """Sum t_k u^k m^(1-k) (odd outer) or t_k u^k m^(-k) (even outer).
+    """m outer(u/m) (convention "g", odd outer) or outer(u/m) (even outer).
 
-    Only the parity-matching t_k are nonzero, so every exponent of m is
-    even and the result is rational, like u and m2.
+    Only the parity-matching coefficients t_k of outer are nonzero, so
+    outer(y) = y^e P(y^2) with e = 0 or 1 and P(z) = sum_j t_(2j+e) z^j.
+    Then m outer(u/m) = u P(u^2/m^2) and outer(u/m) = P(u^2/m^2): every
+    power of m is even and the result is rational, like u and m2.  P is
+    composed by integer Horner (``Poly.compose``).
     """
-    acc = Poly.zero()
-    upow = Poly.one()
-    for k, t in enumerate(outer.coeffs):
-        if t:
-            e = (1 - k) // 2 if convention == "g" else -k // 2
-            if e >= 0:
-                scale = t * m2**e
-            else:
-                scale = t / m2 ** (-e)
-            acc = acc + upow.scale(scale)
-        upow = upow * u
-    return acc
+    odd = convention == "g"
+    G = Poly(outer.coeffs[odd::2]).compose((u * u).scale(1 / Fraction(m2)))
+    return u * G if odd else G
 
 
 @dataclass(frozen=True)
@@ -427,8 +425,6 @@ def classify_shape(G: Poly, convention: str, m2) -> ShapeResult:
     """
     if G.degree < 1:
         raise ValueError("classification needs a nonconstant polynomial")
-    if not G.is_rational():
-        raise ValueError("classification requires rational coefficients")
     M = Fraction(m2) if convention == "g" else Fraction(1)
     n = G.degree
     dG = G.derivative()
@@ -542,11 +538,14 @@ class PathResult:
             float(self.target_c4) * self.tau_star,
         )
         a, _ = _recurrence(self.s, cvals)
-        u = Poly(a)
-        pt = LaurentPoly(Poly((cvals[3], cvals[2], cvals[1], cvals[0], 1.0)), 2)
-        res = _divided_ode_residual(pt, self.s, u).poly_part()
+        P = [cvals[3], cvals[2], cvals[1], cvals[0], 1.0]  # ptilde = P x^-2
+        dP = [c * (k - 2) for k, c in enumerate(P)]  # ptilde' = dP x^-3
+        du = _fderiv(a)
+        d2p = _fmul([c * 2 for c in _fderiv(du)], P)  # 2 u'' ptilde = d2p x^-2
+        d1p = _fmul(du, dP)  # u' ptilde' = d1p x^-3
+        res = [c * (2 * self.s * self.s) - (d2p[k + 2] + d1p[k + 3]) for k, c in enumerate(a)]
         B = max(abs(lo), abs(hi), 1e-30)
-        return float(sum(abs(c) * B**k for k, c in enumerate(res.coeffs)))
+        return float(sum(abs(c) * B**k for k, c in enumerate(res)))
 
     def as_dict(self) -> dict:
         return {
@@ -567,31 +566,40 @@ class PathResult:
         }
 
 
-def _divided_ode_residual(pt: LaurentPoly, s: int, u: Poly) -> LaurentPoly:
-    lhs = LaurentPoly(u.scale(2 * s * s), 0)
-    rhs = LaurentPoly(u.derivative().derivative().scale(2), 0) * pt
-    rhs = rhs + LaurentPoly(u.derivative(), 0) * pt.derivative()
-    return lhs - rhs
+# The tracker's polynomials are float coefficient lists, ascending powers.
 
 
-def _f1_float(s: int, c2: float, c3: float, c4: float) -> Poly:
+def _fderiv(f: list[float]) -> list[float]:
+    return [c * k for k, c in enumerate(f)][1:]
+
+
+def _fmul(a: list[float], b: list[float]) -> list[float]:
+    out = [0.0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return out
+
+
+def _f1_float(s: int, c2: float, c3: float, c4: float) -> list[float]:
     """F_1 as a polynomial in c1 with float coefficients, for the tracker."""
-    return Poly(map(float, fk_table(s).fk_as_poly_in(1, 1, {2: c2, 3: c3, 4: c4})))
+    return [float(c) for c in fk_table(s).fk_as_poly_in(1, 1, {2: c2, 3: c3, 4: c4})]
 
 
-def _newton(f: Poly, x0: float, tol: float, max_iter: int = 60):
-    scale = max(1.0, max(abs(c) for c in f.coeffs))
-    df = f.derivative()
+def _newton(f: list[float], x0: float, tol: float, max_iter: int = 60):
+    scale = max(1.0, max(abs(c) for c in f))
+    df = _fderiv(f)
     x = x0
     for _ in range(max_iter):
-        fx = f.eval(x)
+        fx = horner(f, x)
         if abs(fx) <= tol * scale:
             return x, True
-        dfx = df.eval(x)
+        dfx = horner(df, x)
         if dfx == 0 or x != x or abs(x) > 1e12:
             return x, False
         x = x - fx / dfx
-    return x, abs(f.eval(x)) <= 10 * tol * scale
+    return x, abs(horner(f, x)) <= 10 * tol * scale
 
 
 def continuation(
@@ -638,14 +646,14 @@ def continuation(
         tau_next = tau + step
         f_next = _f1_float(s, f2, tau_next * f3, tau_next * f4)
         f_cur = _f1_float(s, f2, tau * f3, tau * f4)
-        df_cur = f_cur.derivative()
+        df_cur = _fderiv(f_cur)
         new_roots = []
         ok = True
         for r in roots:
-            df = df_cur.eval(r)
+            df = horner(df_cur, r)
             pred = r
             if df != 0:
-                pred = r - (f_next.eval(r) - f_cur.eval(r)) / df
+                pred = r - (horner(f_next, r) - horner(f_cur, r)) / df
             x, good = _newton(f_next, pred, newton_tol)
             if not good:
                 ok = False
@@ -674,7 +682,7 @@ def continuation(
     c1f = roots[sel]
     f_now = _f1_float(s, f2, tau * f3, tau * f4)
     c1f, _ = _newton(f_now, c1f, 1e-15)
-    f1_res = abs(f_now.eval(c1f))
+    f1_res = abs(horner(f_now, c1f))
 
     c1_exact = None
     f1_exact_zero = False

@@ -30,7 +30,7 @@ from .bipartite import (
 )
 from .elliptic import ClosedForm, IntervalNotValid, Refusal, decide, numeric_check, render, render_refusal
 from .partitions import format_fk
-from .poly import Poly
+from .poly import Poly, horner
 from .quadrature import ToleranceNotReached
 from .scalars import parse_rational
 
@@ -46,6 +46,17 @@ def _parse_value(text: str, rationalize: bool) -> Fraction:
             raise ValueError(f"value {text!r} is not a finite number")
         return Fraction(value)
     return parse_rational(text)
+
+
+def _parse_endpoint(text: str) -> float:
+    """An --interval endpoint: an exact rational, used as a finite float."""
+    try:
+        return float(parse_rational(text))
+    except (ValueError, OverflowError):
+        raise ValueError(
+            "--interval endpoints must be finite rationals (a/b, integer or "
+            f"decimal), got {text.strip()!r}"
+        ) from None
 
 
 def _parse_quartic(text: str, rationalize: bool) -> QuarticCoeffs:
@@ -114,13 +125,13 @@ def _emit_samples(cf: ClosedForm, path: str, count: int = 200) -> None:
         return
     lo, hi = span
     piece = cf.piece_for(lo, hi)
-    pf = cf.c.poly().to_float()
+    pf = cf.c.poly().float_coeffs()
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["x", "integrand", "antiderivative"])
         for i in range(count + 1):
             x = lo + (hi - lo) * i / count
-            rad = cf.radicand_sign * pf.eval(x)
+            rad = cf.radicand_sign * horner(pf, x)
             if rad <= 0:
                 continue
             w.writerow([x, x / rad**0.5, cf.antiderivative(piece, x)])
@@ -130,9 +141,9 @@ def cmd_verify(args) -> int:
     c = _parse_quartic(args.p, args.rationalize)
     try:
         lo_s, hi_s = args.interval.split(",")
-        interval = (float(lo_s), float(hi_s))
     except ValueError:
         raise ValueError(f"--interval expects a,b, got {args.interval!r}") from None
+    interval = (_parse_endpoint(lo_s), _parse_endpoint(hi_s))
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise ValueError(f"--tol must be a positive finite number, got {args.tol}")
     out = decide(args.n, c)
@@ -145,7 +156,10 @@ def cmd_verify(args) -> int:
         print(f"interval not valid: {exc}", file=sys.stderr)
         return EXIT_USAGE
     ok = err <= args.tol
-    print(f"numeric check on [{lo_s}, {hi_s}]: max error {err:.3e} (tol {args.tol:.1e})")
+    print(
+        f"numeric check on [{interval[0]!r}, {interval[1]!r}]: "
+        f"max error {err:.3e} (tol {args.tol:.1e})"
+    )
     if args.emit_samples:
         _emit_samples(out, args.emit_samples)
     return EXIT_YES if ok else EXIT_NO

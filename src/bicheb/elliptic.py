@@ -44,7 +44,7 @@ from .bipartite import (
     fk_table,
     identity_residual,
 )
-from .poly import Poly
+from .poly import Poly, horner
 from .quadrature import Integrand, integrate_adaptive
 from .roots import IsolatedRoot, noroot_point, real_roots, sign_at
 from .scalars import is_square, rational_sqrt
@@ -202,8 +202,7 @@ class ClosedForm:
         """Exact g/m; under convention 'g' a ValueError unless m is rational."""
         if self.convention == "g-over-m":
             return self.G
-        m = rational_sqrt(self.m2)
-        return Poly([cf / m for cf in self.G.coeffs])
+        return self.G.scale(1 / rational_sqrt(self.m2))
 
     # -- numeric evaluation -------------------------------------------------
 
@@ -214,7 +213,7 @@ class ClosedForm:
         arccos(T_N(y)) = arccos(cos(N arccos y)), arccosh|T_N(y)| =
         N arccosh|y|, arcsinh(S_N(y)) = N arcsinh y and log|u^N| = N log|u|.
         """
-        u = self.solution.u.to_float().eval(x)
+        u = horner(self.solution.u.float_coeffs(), x)
         if piece.fn == "log":
             return piece.sigma / self.n * self.N * math.log(abs(u))
         y = u / math.sqrt(float(self.m2))
@@ -429,7 +428,7 @@ def numeric_check(
     if not a < b:
         raise IntervalNotValid("empty interval")
     piece = cf.piece_for(a, b)
-    f = Integrand(cf.c.poly(), cf.radicand_sign)
+    f = Integrand(cf.c.poly().float_coeffs(), cf.radicand_sign)
     mid = (a + b) / 2
     worst = 0.0
     for x0, x1 in ((a, mid), (mid, b), (a, b)):

@@ -1,8 +1,24 @@
-"""Dense univariate polynomials with exact ring arithmetic.
+"""Dense univariate polynomials over Q, backed by integers.
 
-Coefficients are duck-typed: int or Fraction for exact work (the exact
-ring is Q), plain float for the continuation numerics.  ``Poly`` is
-immutable; the zero polynomial has degree -1.
+A ``Poly`` is a positive rational content times a primitive integer
+vector: p = content * sum ints[k] x^k, gcd(ints) = 1, no trailing zero.
+The form is unique, so equality compares the two fields.  The zero
+polynomial has degree -1, empty ints and content 1.  ``Poly`` is
+immutable and exact: its coefficients are ints or Fractions, and building
+one from floats raises TypeError.
+
+The ring operations work on the integer vectors.  A product packs both
+vectors into one big int each (Kronecker substitution: x -> 2^w with a
+slot width w wide enough for every product coefficient), does one CPython
+multiply and unpacks the slots with a signed borrow.  By Gauss's lemma the
+product of two primitive vectors is primitive, so it needs no gcd; its
+content is the product of the contents.  Sums, derivatives and quotients
+take one gcd to restore the form.  ``coeffs``, the Fraction coefficients
+for printing and tests, is built on first access.
+
+Float coefficient lists for the continuation tracker, the quadrature
+oracle and display are plain lists evaluated by ``horner``; they never
+enter ``Poly``.
 
 ``LaurentPoly`` is the minimal negative-power companion needed for the
 divided form p(x)/x^2 of a quartic and its derivative (tails never go
@@ -11,24 +27,129 @@ below x^-3 here, but the representation poly(x) * x^(-shift) is general).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+# coprime integer coefficients, ascending powers, of a positive multiple of a poly
+Ints = tuple[int, ...]
 
-def _trim(coeffs: list) -> tuple:
-    n = len(coeffs)
-    while n and not coeffs[n - 1]:
+_set = object.__setattr__
+
+
+def _exact(v) -> Fraction:
+    if isinstance(v, Fraction):
+        return v
+    if isinstance(v, int):
+        return Fraction(v)
+    raise TypeError(f"Poly is exact: expected int or Fraction, got {type(v).__name__}")
+
+
+def _make(content: Fraction, ints: Ints) -> "Poly":
+    """The Poly content * ints for a positive content and a primitive ints."""
+    p = object.__new__(Poly)
+    _set(p, "content", content)
+    _set(p, "ints", ints)
+    return p
+
+
+def _normal(content: Fraction, ints: list[int]) -> "Poly":
+    """content * ints for any nonzero content and any integer list."""
+    n = len(ints)
+    while n and not ints[n - 1]:
         n -= 1
-    return tuple(coeffs[:n])
+    if not n:
+        return _ZERO
+    del ints[n:]
+    g = math.gcd(*ints)
+    if content < 0:
+        g = -g
+    if g != 1:
+        content *= g
+        ints = [v // g for v in ints]
+    return _make(content, tuple(ints))
+
+
+def _kmul(a: Ints, b: Ints) -> list[int]:
+    """Product of two nonempty integer vectors by Kronecker substitution.
+
+    Every product coefficient is below min(len) * max|a| * max|b| in
+    magnitude, so a slot of w bits, with 2^(w-1) above that bound, holds
+    it with its sign.  Packing adds the signed digits in Horner order;
+    unpacking reads w-bit slots from the low end and borrows one from the
+    next slot whenever a slot's top bit is set.
+    """
+    w = (
+        max(map(abs, a)).bit_length()
+        + max(map(abs, b)).bit_length()
+        + min(len(a), len(b)).bit_length()
+        + 1
+    )
+    nb = (w + 7) >> 3
+    w = nb << 3
+    pa = 0
+    for c in reversed(a):
+        pa = (pa << w) + c
+    pb = 0
+    for c in reversed(b):
+        pb = (pb << w) + c
+    prod = pa * pb
+    neg = prod < 0
+    if neg:
+        prod = -prod
+    m = len(a) + len(b) - 1
+    raw = prod.to_bytes(nb * m, "little")
+    half, full = 1 << (w - 1), 1 << w
+    out = []
+    borrow = 0
+    for i in range(0, nb * m, nb):
+        v = int.from_bytes(raw[i : i + nb], "little") + borrow
+        borrow = v >= half
+        out.append(v - full if borrow else v)
+    if neg:
+        out = [-v for v in out]
+    return out
+
+
+def _sum(p: "Poly", q: "Poly", sign: int) -> "Poly":
+    """p + sign * q for sign = +-1."""
+    a, b = p.ints, q.ints
+    if not b:
+        return p
+    if not a:
+        return q if sign > 0 else -q
+    # with g the gcd of the contents, p = g ka a and q = g kb b for integers ka, kb
+    ca, cb = p.content, q.content
+    na, da, nb, db = ca.numerator, ca.denominator, cb.numerator, cb.denominator
+    gn, gd = math.gcd(na, nb), math.gcd(da, db)
+    ka, kb = na // gn * (db // gd), sign * (nb // gn) * (da // gd)
+    g = Fraction(gn, da // gd * db)
+    if len(a) < len(b):
+        a, b, ka, kb = b, a, kb, ka
+    out = list(a) if ka == 1 else [ka * v for v in a]
+    for i, v in enumerate(b):
+        out[i] += kb * v
+    return _normal(g, out)
 
 
 class Poly:
-    """Immutable dense polynomial, coefficients indexed by ascending power."""
+    """Immutable dense polynomial over Q: content * ints, ascending powers."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("content", "ints", "coeffs")
 
-    def __init__(self, coeffs: Iterable = ()):
-        object.__setattr__(self, "coeffs", _trim(list(coeffs)))
+    def __new__(cls, coeffs: Iterable = ()):
+        vals = [_exact(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in vals)) if vals else 1
+        return _normal(Fraction(1, den), [c.numerator * (den // c.denominator) for c in vals])
+
+    def __getattr__(self, name):
+        # coeffs is built from the integers on first access
+        if name != "coeffs":
+            raise AttributeError(name)
+        c = self.content
+        coeffs = tuple(c * v for v in self.ints)
+        _set(self, "coeffs", coeffs)
+        return coeffs
 
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
@@ -37,45 +158,46 @@ class Poly:
 
     @staticmethod
     def zero() -> "Poly":
-        return Poly(())
+        return _ZERO
 
     @staticmethod
     def one() -> "Poly":
-        return Poly((Fraction(1),))
+        return _make(Fraction(1), (1,))
 
     @staticmethod
     def x() -> "Poly":
-        return Poly((Fraction(0), Fraction(1)))
+        return _make(Fraction(1), (0, 1))
 
     @staticmethod
     def from_roots(roots: Sequence) -> "Poly":
         """Monic polynomial with the given roots."""
         out = Poly.one()
         for r in roots:
-            out = out * Poly((-Fraction(r), Fraction(1)))
+            out = out * Poly((-_exact(r), 1))
         return out
 
     # -- basic queries -------------------------------------------------------
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.ints)
 
-    def __getitem__(self, k: int):
-        if 0 <= k < len(self.coeffs):
+    def __getitem__(self, k: int) -> Fraction:
+        if 0 <= k < len(self.ints):
             return self.coeffs[k]
         return Fraction(0)
 
-    def leading(self):
-        if not self.coeffs:
+    def leading(self) -> Fraction:
+        if not self.ints:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.content * self.ints[-1]
 
-    def is_rational(self) -> bool:
-        return all(isinstance(c, (int, Fraction)) for c in self.coeffs)
+    def float_coeffs(self) -> list[float]:
+        """The coefficients as floats, for ``horner``."""
+        return [float(c) for c in self.coeffs]
 
     # -- ring operations -----------------------------------------------------
 
@@ -83,24 +205,18 @@ class Poly:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(out)
+        return _sum(self, other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs])
+        return _make(self.content, tuple(-v for v in self.ints)) if self.ints else self
 
     def __sub__(self, other):
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return _sum(self, other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -109,16 +225,9 @@ class Poly:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly.zero()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                out[i + j] = out[i + j] + ai * bj
-        return Poly(out)
+        if not self.ints or not other.ints:
+            return _ZERO
+        return _make(self.content * other.content, tuple(_kmul(self.ints, other.ints)))
 
     __rmul__ = __mul__
 
@@ -134,76 +243,109 @@ class Poly:
         return out
 
     def scale(self, k) -> "Poly":
-        return Poly([c * k for c in self.coeffs])
+        k = _exact(k)
+        if not k or not self.ints:
+            return _ZERO
+        ints = self.ints if k > 0 else tuple(-v for v in self.ints)
+        return _make(self.content * abs(k), ints)
 
     def shift_up(self, k: int) -> "Poly":
         """Multiply by x^k."""
-        if not self.coeffs:
+        if not self.ints:
             return self
-        return Poly([Fraction(0)] * k + list(self.coeffs))
+        return _make(self.content, (0,) * k + self.ints)
 
     def __eq__(self, other):
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        if len(self.coeffs) != len(other.coeffs):
-            return False
-        return all(a == b for a, b in zip(self.coeffs, other.coeffs))
+        return self.ints == other.ints and self.content == other.content
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.content, self.ints))
 
     # -- calculus ------------------------------------------------------------
 
     def derivative(self) -> "Poly":
-        return Poly([c * k for k, c in enumerate(self.coeffs)][1:])
+        return _normal(self.content, [k * v for k, v in enumerate(self.ints)][1:])
 
-    def eval(self, x):
-        """Horner evaluation; exact for exact inputs."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+    def eval(self, x) -> Fraction:
+        """Exact value at an int or Fraction x, by homogenised integer Horner:
+        den^deg * ints(num/den) is an integer."""
+        x = _exact(x)
+        num, den = x.numerator, x.denominator
+        ints = self.ints
+        if not ints:
+            return Fraction(0)
+        acc, pw = ints[-1], 1
+        for c in ints[-2::-1]:
+            pw *= den
+            acc = acc * num + c * pw
+        content = self.content
+        return Fraction(content.numerator * acc, content.denominator * pw)
 
     def __call__(self, x):
         return self.eval(x)
 
     def compose(self, inner: "Poly") -> "Poly":
-        """self(inner(x)) by Horner over polynomials."""
-        acc = Poly.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Poly((c,))
-        return acc
+        """self(inner(x)) by Horner over integer vectors.
 
-    # -- euclidean structure (rational coefficients) --------------------------
+        With inner = (a/b) I and self = c S of degree d,
+        self(inner) = (c / b^d) sum_k S_k a^k b^(d-k) I^k, whose Horner
+        steps H <- H * (a I) + S_k b^(d-k) stay in the integers.
+        """
+        S = self.ints
+        if not S:
+            return _ZERO
+        if not inner.ints:
+            return Poly((self.content * S[0],))
+        a, b = inner.content.numerator, inner.content.denominator
+        aI = tuple(a * v for v in inner.ints)
+        acc, bpow = [S[-1]], 1
+        for c in S[-2::-1]:
+            bpow *= b
+            acc = _kmul(acc, aI)
+            acc[0] += c * bpow
+        return _normal(self.content / bpow, acc)
+
+    # -- euclidean structure -------------------------------------------------
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
+        """Quotient and remainder over Q, by integer pseudo-division:
+        lc^e A = Q B + R with e = deg A - deg B + 1 and lc the leading
+        integer of B."""
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(0, self.degree - other.degree + 1)
-        rem = list(self.coeffs)
-        dlead = other.leading()
-        dd = other.degree
-        for k in range(len(rem) - 1 - dd, -1, -1):
-            c = rem[k + dd]
-            if not c:
-                continue
-            f = c / dlead
-            q[k] = f
-            for j, oc in enumerate(other.coeffs):
-                rem[k + j] = rem[k + j] - f * oc
-        return Poly(q), Poly(rem)
+        A, B = self.ints, other.ints
+        e = len(A) - len(B) + 1
+        if e <= 0:
+            return _ZERO, self
+        rem = list(A)
+        lc = B[-1]
+        quot = [0] * e
+        for top in range(len(A) - 1, len(B) - 2, -1):
+            t = rem[top]
+            k = top - len(B) + 1
+            if lc != 1:
+                rem = [lc * v for v in rem]
+                quot = [lc * v for v in quot]
+            quot[k] = t
+            for i, v in enumerate(B):
+                rem[k + i] -= t * v
+            rem.pop()
+        lce = Fraction(lc) ** e
+        return (
+            _normal(self.content / other.content / lce, quot),
+            _normal(self.content / lce, rem),
+        )
 
     def __mod__(self, other):
         return self.divmod(_as_poly(other))[1]
 
-    def to_float(self) -> "Poly":
-        return Poly([float(c) for c in self.coeffs])
-
     # -- printing --------------------------------------------------------------
 
     def format(self, var: str = "x", latex: bool = False) -> str:
-        if not self.coeffs:
+        if not self.ints:
             return "0"
         parts = []
         for k in range(self.degree, -1, -1):
@@ -227,10 +369,21 @@ class Poly:
         return f"Poly({self.format()})"
 
 
-def _fmt_coeff(c, latex: bool) -> str:
-    if isinstance(c, Fraction) and c.denominator != 1 and latex:
+_ZERO = _make(Fraction(1), ())
+
+
+def horner(coeffs: Sequence[float], x: float) -> float:
+    """Value at x of the ascending coefficient list coeffs, in floats."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _fmt_coeff(c: Fraction, latex: bool) -> str:
+    if c.denominator != 1 and latex:
         return rf"\frac{{{c.numerator}}}{{{c.denominator}}}"
-    if isinstance(c, Fraction) and c.denominator != 1:
+    if c.denominator != 1:
         return f"({c})"
     return str(c)
 
@@ -238,8 +391,8 @@ def _fmt_coeff(c, latex: bool) -> str:
 def _as_poly(v):
     if isinstance(v, Poly):
         return v
-    if isinstance(v, (int, Fraction, float)):
-        return Poly((v,))
+    if isinstance(v, (int, Fraction)):
+        return _make(Fraction(abs(v)), (1 if v > 0 else -1,)) if v else _ZERO
     return NotImplemented
 
 
@@ -250,8 +403,8 @@ class LaurentPoly:
 
     def __init__(self, poly: Poly, shift: int = 0):
         # normalize: drop common factors of x between poly and the shift
-        while shift > 0 and poly and not poly.coeffs[0]:
-            poly = Poly(poly.coeffs[1:])
+        while shift > 0 and poly and not poly.ints[0]:
+            poly = _make(poly.content, poly.ints[1:])
             shift -= 1
         self.poly = poly
         self.shift = max(shift, 0) if poly else 0
@@ -313,31 +466,38 @@ def _as_laurent(v):
 def chebyshev_t(n: int) -> Poly:
     """Chebyshev polynomial of the first kind, T_n.
 
-    T_0 = 1, T_1 = x, T_{k+1} = 2x T_k - T_{k-1}; leading coefficient
-    2^(n-1) for n >= 1.
+    T_0 = 1, T_1 = x, T_{k+1} = 2x T_k - T_{k-1} on integer vectors;
+    leading coefficient 2^(n-1) for n >= 1.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    prev, cur = [1], [0, 1]  # T_0, T_1
     if n == 0:
         return Poly.one()
-    prev, cur = Poly.one(), Poly.x()
-    twox = Poly.x().scale(Fraction(2))
     for _ in range(n - 1):
-        prev, cur = cur, twox * cur - prev
-    return cur
+        prev, cur = cur, _minus([0] + [2 * c for c in cur], prev)
+    return _normal(Fraction(1), cur)
 
 
 def sinh_chebyshev(n: int) -> Poly:
     """Hyperbolic analogue sinh(n * arcsinh(x)), a polynomial iff n is odd.
 
     Odd-step recurrence: S_{k+2} = 2(1 + 2x^2) S_k - S_{k-2}, seeded with
-    S_{-1} = -x, S_1 = x.
+    S_{-1} = -x, S_1 = x, on integer vectors.
     """
     if n < 1 or n % 2 == 0:
         raise ValueError("sinh-Chebyshev polynomials exist only for odd n >= 1")
-    prev = Poly((Fraction(0), Fraction(-1)))  # index -1
-    cur = Poly.x()  # index 1
-    step = Poly((Fraction(2), Fraction(0), Fraction(4)))  # 2 + 4x^2
+    prev, cur = [0, -1], [0, 1]  # indices -1 and 1
     for _ in range((n - 1) // 2):
-        prev, cur = cur, step * cur - prev
-    return cur
+        step = [2 * c for c in cur] + [0, 0]
+        for i, c in enumerate(cur):
+            step[i + 2] += 4 * c
+        prev, cur = cur, _minus(step, prev)
+    return _normal(Fraction(1), cur)
+
+
+def _minus(a: list[int], b: list[int]) -> list[int]:
+    """a - b for len(a) >= len(b), in place."""
+    for i, c in enumerate(b):
+        a[i] -= c
+    return a

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from scipy.integrate import quad
 
-from .poly import Poly
+from .poly import horner
 
 
 class RegionViolation(ValueError):
@@ -28,19 +29,18 @@ class ToleranceNotReached(RuntimeError):
 class Integrand:
     """x / sqrt(sign * p(x)) with a guarded radicand.
 
-    standoff is an absolute floor for sign * p(x); panels that dip below
-    it raise RegionViolation instead of returning garbage.
+    p holds the float coefficients of p, ascending powers
+    (``Poly.float_coeffs``).  standoff is an absolute floor for
+    sign * p(x); panels that dip below it raise RegionViolation instead of
+    returning garbage.
     """
 
-    p: Poly
+    p: Sequence[float]
     sign: int = 1
     standoff: float = 0.0
 
-    def __post_init__(self):
-        self.pf = self.p.to_float()
-
     def __call__(self, x: float) -> float:
-        radicand = self.sign * self.pf.eval(x)
+        radicand = self.sign * horner(self.p, x)
         if radicand <= self.standoff:
             raise RegionViolation(
                 f"radicand {radicand:.3g} at x={x:.6g} under standoff {self.standoff:.3g}"

@@ -12,13 +12,25 @@ polynomials, the square-free part is isolated on its own chain and each
 root's multiplicity is read off the factor it belongs to.  The search
 runs over the whole line within the Cauchy bound, which no root reaches.
 
-Isolating intervals are refined by bisection on integer numerators over
-one common denominator.  Rational roots come out exactly by the
-rational-root theorem: a rational root of a primitive integer polynomial
-has a denominator dividing the leading coefficient, so it is k/lead for
-an integer k.  Once lead * (hi - lo) < 1 the interval holds at most one
-such point, which is tested once; if it is not a root, the root is
-irrational.
+Every polynomial enters as the primitive integer vector ``Poly.ints``,
+a positive multiple of it, so no conversion runs per call.
+
+Isolating intervals are refined on the dyadic grid of the starting
+interval (lo, hi): at level j its cells have width (hi - lo) / 2^j.
+Refinement is quadratic interval refinement (QIR; Abbott 2006, Kerber &
+Sagraloff 2011): from a cell at level j with N = 2^e subcells, the
+secant through the exact integer values at the cell ends guesses the
+subcell holding the root, and two exact signs certify it.  On success the
+cell moves to level j + e and N becomes N^2; on failure N falls back to
+its square root, and N = 2 is a plain bisection step.  The result is the
+grid cell at the first level no wider than the requested width (a cell
+found deeper is mapped up to it), or the exact root when it is rational,
+so it is the interval that bisection on the same grid returns.  Rational
+roots come out exactly by the rational-root theorem: a rational root of a
+primitive integer polynomial has a denominator dividing the leading
+coefficient, so it is k/lead for an integer k.  Once lead * (hi - lo) < 1
+the interval holds at most one such point, which is tested once; if it is
+not a root, the root is irrational.
 """
 
 from __future__ import annotations
@@ -28,28 +40,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import Poly
+from .poly import Ints, Poly
 
 DEFAULT_WIDTH = Fraction(1, 2**48)
-
-# coprime integer coefficients, ascending powers, of a positive multiple of a poly
-Ints = tuple[int, ...]
-
-
-def _require_rational(p: Poly) -> None:
-    if not p.is_rational():
-        raise ValueError("root isolation requires rational coefficients")
 
 
 def _primitive(ints: list[int]) -> Ints:
     content = math.gcd(*ints) or 1
     return tuple(v // content for v in ints)
-
-
-def _ints(p: Poly) -> Ints:
-    """Coprime integer coefficients of a positive rational multiple of p."""
-    den = math.lcm(*(c.denominator for c in p.coeffs))
-    return _primitive([c.numerator * (den // c.denominator) for c in p.coeffs])
 
 
 def _powers(den: int, n: int) -> list[int]:
@@ -78,7 +76,7 @@ def sign_at(p: Poly, x: Fraction) -> int:
     """Exact sign of p(x)."""
     if not p:
         return 0
-    return _sign(_ints(p), Fraction(x))
+    return _sign(p.ints, Fraction(x))
 
 
 def _pseudo_remainder(a: Ints, b: Ints) -> list[int]:
@@ -106,7 +104,7 @@ def sturm_chain(p: Poly) -> list[Ints]:
     signs and the root counts are the same; the last element is
     gcd(p, p') up to a constant.
     """
-    return _sturm(_ints(p))
+    return _sturm(p.ints)
 
 
 def _sturm(a: Ints) -> list[Ints]:
@@ -176,7 +174,6 @@ def _squarefree(p: Ints, g: Ints) -> list[tuple[Ints, int]]:
 
 def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
     """Pairwise-coprime monic square-free factors of p with multiplicity."""
-    _require_rational(p)
     if not p:
         raise ValueError("zero polynomial")
     if p.degree == 0:
@@ -190,9 +187,7 @@ def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
 
 def polys_gcd(a: Poly, b: Poly) -> Poly:
     """A gcd of nonzero rational a and b, with coprime integer coefficients."""
-    _require_rational(a)
-    _require_rational(b)
-    return Poly(Fraction(c) for c in _gcd(_ints(a), _ints(b)))
+    return Poly(_gcd(a.ints, b.ints))
 
 
 @dataclass(frozen=True)
@@ -222,7 +217,7 @@ class IsolatedRoot:
 
 def noroot_point(lo: Fraction, hi: Fraction, *polys: Poly) -> Fraction:
     """A point in (lo, hi) that is a root of none of the (nonzero) polys."""
-    return _noroot_point(lo, hi, [_ints(p) for p in polys])
+    return _noroot_point(lo, hi, [p.ints for p in polys])
 
 
 def _noroot_point(lo: Fraction, hi: Fraction, polys: list[Ints]) -> Fraction:
@@ -234,54 +229,89 @@ def _noroot_point(lo: Fraction, hi: Fraction, polys: list[Ints]) -> Fraction:
             return x
 
 
-def _sign_dyadic(q: Ints, num: int, j: int) -> int:
-    """Sign of q(num / 2^j): homogenised Horner with shifts for the powers."""
+def _value_dyadic(q: Ints, num: int, j: int) -> int:
+    """2^(j deg) q(num / 2^j): homogenised Horner with shifts for the powers."""
     acc, shift = q[-1], 0
     for c in q[-2::-1]:
         shift += j
         acc = acc * num + (c << shift)
-    return (acc > 0) - (acc < 0)
+    return acc
+
+
+def _first_level(x: int, y: int) -> int:
+    """The least j >= 0 with x <= y 2^j, for positive x and y."""
+    j = max(0, x.bit_length() - y.bit_length())
+    while x > y << j:
+        j += 1
+    while j and x <= y << (j - 1):
+        j -= 1
+    return j
 
 
 def _refine(p: Ints, lo: Fraction, hi: Fraction, width: Fraction):
     """Shrink an isolating interval of a simple root; may land exactly.
 
-    Requires p(lo) and p(hi) nonzero of opposite signs.  Bisection keeps
-    lo = a/(den 2^j) and hi = b/(den 2^j) on one denominator.  The result
-    is the first interval no wider than width, or the exact root once the
-    rational-root test finds it; when the width comes first, bisection
-    goes on past it only to settle that test.
+    Requires p(lo) and p(hi) nonzero of opposite signs.  Cell c at level
+    j is (a0 2^j + c W, a0 2^j + (c+1) W) / (den 2^j), with
+    lo = a0/den and W = (hi - lo) den.  The result is the cell at level jw,
+    the first no wider than width, or the exact root when it is rational:
+    QIR runs to max(jw, jt), where jt is the first level with
+    lead * W < den 2^j, tests the one candidate k/lead at the first level
+    it reaches past jt, and maps its final cell up to level jw.
     """
     lead = abs(p[-1])
     den = math.lcm(lo.denominator, hi.denominator)
-    a = lo.numerator * (den // lo.denominator)
-    b = hi.numerator * (den // hi.denominator)
-    # p(t / (den 2^j)) has the sign of q(t / 2^j), q_k = p_k den^(deg - k)
+    a0 = lo.numerator * (den // lo.denominator)
+    W = hi.numerator * (den // hi.denominator) - a0
+    # p(t / (den 2^j)) has the sign of q(t / 2^j), q_k = p_k den^(deg - k);
+    # values at one level share the positive factor (den 2^j)^deg
     q = [c * w for c, w in zip(p, reversed(_powers(den, len(p) - 1)))] + [p[-1]]
-    s_lo = _sign_dyadic(q, a, 0)
-    tested, settled = False, None
-    j = 0
+    deg = len(p) - 1
+    jw = _first_level(W * width.denominator, den * width.numerator)
+    jt = _first_level(lead * W + 1, den)
+    target = max(jw, jt)
+    j = c = 0
+    va, vb = _value_dyadic(q, a0, 0), _value_dyadic(q, a0 + W, 0)
+    e, tested = 2, False
     while True:
-        d = den << j
-        if not tested and lead * (b - a) < d:
-            # at most one k/lead lies in (lo, hi): the least one above lo
+        if not tested and j >= jt:
+            # at most one k/lead lies in the cell: the least one above it
             tested = True
+            d = den << j
+            a = (a0 << j) + c * W
             cand = Fraction(lead * a // d + 1, lead)
-            if cand < Fraction(b, d) and not _sign(p, cand):
+            if cand < Fraction(a + W, d) and not _sign(p, cand):
                 return cand, cand
-        if settled is None and (b - a) * width.denominator <= width.numerator * d:
-            settled = Fraction(a, d), Fraction(b, d)
-        if tested and settled:
-            return settled
-        mid = a + b
-        a, b, j = 2 * a, 2 * b, j + 1
-        s_mid = _sign_dyadic(q, mid, j)
-        if not s_mid:
-            return Fraction(mid, den << j), Fraction(mid, den << j)
-        if s_mid == s_lo:
-            a = mid
-        else:
-            b = mid
+        if j == target:
+            c >>= j - jw
+            d = den << jw
+            a = (a0 << jw) + c * W
+            return Fraction(a, d), Fraction(a + W, d)
+        step = min(e, target - j)
+        N, level = 1 << step, j + step
+        base = (a0 << level) + (c << step) * W  # subcell 0 at the new level
+        # the secant's subcell boundary, rounded, strictly inside the cell
+        ra, rb = abs(va), abs(vb)
+        i = min(max((2 * N * ra + ra + rb) // (2 * (ra + rb)), 1), N - 1)
+        t = base + i * W
+        vi = _value_dyadic(q, t, level)
+        if vi:
+            left = (vi > 0) != (va > 0)  # the root lies in subcells 0 .. i-1
+            nbr = i - 1 if left else i + 1
+            if nbr in (0, N):
+                vn = (va if left else vb) << (step * deg)
+            else:
+                t = base + nbr * W
+                vn = _value_dyadic(q, t, level)
+        if not vi or not vn:  # the grid point t is the root
+            x = Fraction(t, den << level)
+            return x, x
+        if (vn > 0) == (vi > 0):
+            e = max(e // 2, 1)  # the root is not next to the guess
+            continue
+        j, c = level, (c << step) + min(i, nbr)
+        va, vb = (vn, vi) if left else (vi, vn)
+        e *= 2
 
 
 def isolate_squarefree(p: Poly, width: Fraction = DEFAULT_WIDTH) -> list[IsolatedRoot]:
@@ -290,7 +320,6 @@ def isolate_squarefree(p: Poly, width: Fraction = DEFAULT_WIDTH) -> list[Isolate
     Returned intervals are pairwise disjoint and each contains exactly
     one root; exact rational roots come out as point intervals.
     """
-    _require_rational(p)
     if not p:
         raise ValueError("zero polynomial")
     if p.degree == 0:
@@ -328,7 +357,6 @@ def real_roots(p: Poly, width: Fraction = DEFAULT_WIDTH) -> list[IsolatedRoot]:
     disjoint by construction) and each root's multiplicity is read off
     the square-free factor it belongs to.
     """
-    _require_rational(p)
     if not p:
         raise ValueError("zero polynomial")
     if p.degree == 0:

@@ -16,11 +16,18 @@ def parse_rational(text: str) -> Fraction:
     """Parse "a/b", integer, or decimal strings into an exact Fraction.
 
     Decimals are rationalized exactly: "0.01" -> 1/100, "1e-3" -> 1/1000.
+    Anything else, "nan" and "inf" included, raises a ValueError that
+    names the text.
     """
+    text = text.strip()
     try:
-        return Fraction(text.strip())
+        return Fraction(text)
     except ZeroDivisionError:
-        raise ValueError(f"{text.strip()!r} has a zero denominator") from None
+        raise ValueError(f"{text!r} has a zero denominator") from None
+    except ValueError:
+        raise ValueError(
+            f"{text!r} is not a rational number (a/b, integer or decimal)"
+        ) from None
 
 
 def is_square(q: Fraction) -> bool:

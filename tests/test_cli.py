@@ -80,6 +80,13 @@ def test_verify_bad_interval(capsys):
     assert "interval not valid" in err
 
 
+def test_verify_interval_takes_rationals(capsys):
+    argv = ("verify", "--n", "3", "--p=-2,-3,2,2", "--tol", "1e-8")
+    code, out, _ = run(capsys, *argv, "--interval=11/10,19/10")
+    assert code == 0
+    assert (code, out) == run(capsys, *argv, "--interval=1.1,1.9")[:2]
+
+
 def test_fk_text_and_eval(capsys):
     code, out, _ = run(capsys, "fk", "--s", "3")
     assert code == 0
@@ -204,6 +211,18 @@ BAD_INPUTS = [
      "--tol must be a positive finite number"),
     (("verify", "--n", "3", "--p=-2,-3,2,2", "--interval=-0.95,-0.75", "--tol", "nan"),
      "--tol must be a positive finite number"),
+    (("verify", "--n", "3", "--p=-2,-3,2,2", "--interval=nan,1.1"),
+     "--interval endpoints must be finite rationals"),
+    (("verify", "--n", "3", "--p=-2,-3,2,2", "--interval=1.1,inf"),
+     "--interval endpoints must be finite rationals"),
+    (("verify", "--n", "3", "--p=-2,-3,2,2", "--interval=1.1,1e400"),
+     "--interval endpoints must be finite rationals"),
+    (("decide", "--n", "3", "--p=a,0,0,0"),
+     "'a' is not a rational number (a/b, integer or decimal)"),
+    (("construct", "--s", "2", "--c2=abc", "--c3", "0", "--c4", "1"),
+     "'abc' is not a rational number (a/b, integer or decimal)"),
+    (("complete", "--n", "4", "--fix", "c2=x,c3=0,c4=0", "--solve", "c1"),
+     "'x' is not a rational number (a/b, integer or decimal)"),
 ]
 
 

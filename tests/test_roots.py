@@ -4,6 +4,7 @@ import random
 from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
+from unittest import mock
 
 import pytest
 import sympy
@@ -13,6 +14,7 @@ from test_golden import FAMILIES
 
 from bicheb.bipartite import QuarticCoeffs, fk_table
 from bicheb.elliptic import ClosedForm, decide
+from bicheb import roots
 from bicheb.poly import Poly
 from bicheb.roots import (
     count_roots_halfopen,
@@ -285,6 +287,111 @@ def test_real_roots_agree_with_sympy(p):
         (tuple(F(int(c.p), int(c.q)) for c in reversed(f.monic().all_coeffs())), m)
         for f, m in want_sqf
     )
+
+
+# -- quadratic interval refinement against bisection ------------------------------------
+
+
+def bisection_refine(p, lo, hi, width):
+    """Refinement by bisection on the dyadic grid of (lo, hi), with signs
+    from exact Fraction evaluation: the reference roots._refine must equal.
+
+    The result is the first cell no wider than width, or the exact root
+    once a midpoint hits it or the rational-root test (once, at the first
+    level with lead * (hi - lo) < 1) finds it; past the width, bisection
+    goes on only to settle that test.
+    """
+    P = Poly(p)
+    lead = abs(p[-1])
+    den = math.lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (den // lo.denominator)
+    b = hi.numerator * (den // hi.denominator)
+    s_lo = (P.eval(lo) > 0) - (P.eval(lo) < 0)
+    tested, settled, j = False, None, 0
+    while True:
+        d = den << j
+        if not tested and lead * (b - a) < d:
+            tested = True
+            cand = F(lead * a // d + 1, lead)
+            if cand < F(b, d) and not P.eval(cand):
+                return cand, cand
+        if settled is None and (b - a) * width.denominator <= width.numerator * d:
+            settled = F(a, d), F(b, d)
+        if tested and settled:
+            return settled
+        mid = a + b
+        a, b, j = 2 * a, 2 * b, j + 1
+        v = P.eval(F(mid, den << j))
+        if not v:
+            return F(mid, den << j), F(mid, den << j)
+        if (v > 0) == (s_lo > 0):
+            a = mid
+        else:
+            b = mid
+
+
+def refinements(p, width=roots.DEFAULT_WIDTH):
+    """The arguments of every refinement that real_roots(p, width) runs."""
+    seen = []
+    refine = roots._refine
+
+    def spy(*args):
+        seen.append(args)
+        return refine(*args)
+
+    with mock.patch.object(roots, "_refine", spy):
+        real_roots(p, width)
+    return seen
+
+
+def assert_refines_like_bisection(p, width=roots.DEFAULT_WIDTH):
+    for args in refinements(p, width):
+        assert roots._refine(*args) == bisection_refine(*args), args
+
+
+WIDTHS = (roots.DEFAULT_WIDTH, F(1, 8), F(1, 3), F(1, 10**20), F(5))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(factored(), st.sampled_from(WIDTHS))
+def test_qir_equals_bisection(p, width):
+    assert_refines_like_bisection(p, width)
+
+
+@pytest.mark.parametrize("lead", [2**30 + 1, 2**60 + 1])
+def test_qir_equals_bisection_on_the_rational_root_regressions(lead):
+    # 1/lead is found by the rational-root test; at 2^60 + 1 only past the width
+    assert_refines_like_bisection(_linear_times_sqrt2(lead))
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_qir_equals_bisection_on_large_leads_with_irrational_roots(width):
+    # lead * width >= 1: the test level lies past the first level no wider
+    # than width, and the result is still the cell at that first level
+    for lead in (2**50 + 1, 3**40, 2**70 - 1):
+        assert_refines_like_bisection(Poly((F(-2), F(0), F(lead))), width)
+        assert_refines_like_bisection(Poly((F(-1), F(-1), F(lead), F(lead))), width)
+
+
+@pytest.mark.parametrize("root", [F(3, 8), F(5, 64), F(-1, 2), F(1023, 1024), F(1, 2**40)])
+def test_qir_finds_a_root_on_a_dyadic_grid_point(root):
+    p = Poly.from_roots([root]) * Poly((F(-3), F(0), F(1)))  # and +-sqrt3
+    ints = p.ints
+    for lo, hi in ((F(-1), F(1)), (F(-1), F(3, 2)), (root - F(1, 3), root + F(1, 5))):
+        got = roots._refine(ints, lo, hi, roots.DEFAULT_WIDTH)
+        assert got == bisection_refine(ints, lo, hi, roots.DEFAULT_WIDTH) == (root, root)
+    assert_refines_like_bisection(p)
+
+
+def test_qir_on_a_start_narrower_than_the_width():
+    sqrt2 = Poly((F(-2), F(0), F(1))).ints
+    lo, hi = F(1414, 1000), F(1415, 1000)
+    assert roots._refine(sqrt2, lo, hi, F(1, 100)) == (lo, hi)
+    assert bisection_refine(sqrt2, lo, hi, F(1, 100)) == (lo, hi)
+    # the rational-root test still needs a narrower cell when lead is large
+    big = Poly((F(-2), F(0), F(2**60 + 1))).ints
+    lo, hi = F(1, 2**31), F(1, 2**29)
+    assert roots._refine(big, lo, hi, F(1)) == bisection_refine(big, lo, hi, F(1)) == (lo, hi)
 
 
 if __name__ == "__main__":

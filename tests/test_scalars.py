@@ -19,6 +19,9 @@ def test_parse_rational_forms():
     assert parse_rational(" 5/10 ") == F(1, 2)
     with pytest.raises(ValueError, match="'1/0' has a zero denominator"):
         parse_rational(" 1/0 ")
+    for text in ("abc", "nan", "inf", "1/2/3"):
+        with pytest.raises(ValueError, match=rf"^'{text}' is not a rational number"):
+            parse_rational(text)
 
 
 def test_is_square_and_sqrt():
