@@ -68,9 +68,22 @@ def cases() -> list[list[str]]:
          "--json"],
         ["multi", "--s", "4", "--p-roots", "1,-1,2,-3", "--q-roots", "0"],
         ["multi", "--s", "4", "--p-roots", "1,-1,2,-3", "--q-roots", "1/2", "--json"],
+        # denominators 3, 5 and 7 in the roots and in the coefficients; ell = 3
+        # solvable (u = x^4 - 2x^2, q = u'/4, q(0) = 0) and refused with
+        # 3 ell > s, where the conditions reach index -s
+        ["multi", "--s", "6", "--p-roots", "1/3,-2/5,3/7,-1", "--q-roots", "2/7"],
+        ["multi", "--s", "5", "--p-coeffs", "1,1/3,-2/7,5/3,-1/7", "--q-coeffs", "1,2/7",
+         "--json"],
+        ["multi", "--s", "4", "--p-coeffs", "1,0,-4,0,4,0,0,0,-1", "--q-coeffs", "1,0,-1,0",
+         "--json"],
+        ["multi", "--s", "5", "--p-roots", "1,-1,1/2,-1/3,2,-2,3/5,-3",
+         "--q-roots", "0,1/7,-2/3"],
         ["perturb", "--s", "4", "--c2=-2", "--target-c3", "0.01",
          "--target-c4", "0.01", "--branch", "2"],
         ["fk", "--s", "6", "--json"],
+        ["fk", "--s", "30"],
+        ["fk", "--s", "17", "--json"],
+        ["fk", "--s", "12", "--eval=1/3,-3/2,2,-1/6", "--json"],
     ]
     return out
 
