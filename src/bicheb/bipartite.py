@@ -583,8 +583,21 @@ def _fmul(a: list[float], b: list[float]) -> list[float]:
 
 
 def _f1_float(s: int, c2: float, c3: float, c4: float) -> list[float]:
-    """F_1 as a polynomial in c1 with float coefficients, for the tracker."""
-    return [float(c) for c in fk_table(s).fk_as_poly_in(1, 1, {2: c2, 3: c3, 4: c4})]
+    """F_1 as a polynomial in c1 with float coefficients, for the tracker.
+
+    The float image of FkTable.fk_as_poly_in(1, 1, ...): each monomial's
+    other parts multiply in floats, in table order.
+    """
+    fixed = {2: c2, 3: c3, 4: c4}
+    out: dict[int, float] = {}
+    for lam, coeff in fk_table(s)[1].items():
+        rest = 1.0
+        for p in lam.parts:
+            if p != 1:
+                rest *= fixed[p]
+        e = lam.parts.count(1)
+        out[e] = out.get(e, 0.0) + float(coeff) * rest
+    return [out.get(e, 0.0) for e in range(max(out, default=0) + 1)]
 
 
 def _newton(f: list[float], x0: float, tol: float, max_iter: int = 60):

@@ -207,7 +207,14 @@ def cmd_construct(args) -> int:
     return EXIT_YES if built else EXIT_NO
 
 
+# largest fk --s: at s = 60 the command takes about 2 s and prints 3 MB of
+# text (15 MB of JSON); time and size grow faster than s^4 beyond it
+FK_MAX_S = 60
+
+
 def cmd_fk(args) -> int:
+    if not 1 <= args.s <= FK_MAX_S:
+        raise ValueError(f"fk --s must be between 1 and {FK_MAX_S}, got {args.s}")
     table = fk_table(args.s)
     if args.eval is not None:
         c = _parse_coeff_list(args.eval, args.rationalize)
@@ -238,7 +245,9 @@ def cmd_fk(args) -> int:
                     "k": k,
                     "terms": [
                         {"parts": list(lam.parts), "coeff": str(coeff)}
-                        for lam, coeff in sorted(table[k].items(), reverse=True)
+                        for lam, coeff in sorted(
+                            table[k].items(), key=lambda item: item[0].parts, reverse=True
+                        )
                     ],
                 }
             )
@@ -285,6 +294,12 @@ def cmd_multi(args) -> int:
             raise ValueError("need --p-coeffs/--q-coeffs or --p-roots/--q-roots")
         pc = _parse_coeff_list(args.p_coeffs, rat)
         qc = _parse_coeff_list(args.q_coeffs, rat) if args.q_coeffs else [Fraction(1)]
+        for flag, cs in (("--p-coeffs", pc), ("--q-coeffs", qc)):
+            if not cs or cs[0] != 1:
+                raise ValueError(
+                    f"{flag} must start with the leading coefficient 1 of a monic "
+                    f"polynomial, got {cs[0] if cs else 'nothing'}"
+                )
         p, q = Poly(list(reversed(pc))), Poly(list(reversed(qc)))
     sys_ = multipartite.coefficients_general(args.s, p, q)
     # unpinned, the run already holds the conditions; rerun only when q(0) = 0
@@ -409,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     cst.set_defaults(fn=cmd_construct)
 
     f = sub.add_parser("fk", help="print the F_k coefficient tables")
-    f.add_argument("--s", type=int, required=True)
+    f.add_argument("--s", type=int, required=True, help=f"inner degree, 1..{FK_MAX_S}")
     f.add_argument("--eval", metavar="C", help="evaluate at c1,c2,c3,c4")
     add_common(f)
     f.set_defaults(fn=cmd_fk)

@@ -23,14 +23,19 @@ negative-index condition is evaluated in the cleared form
 E_i^(j) = tc_ij - 2 s^2 td_i with the division deferred.
 
 Every coefficient and every condition comes from this one recurrence.
-Sums over the distinct permutations of bounded partitions give closed
-forms for the same quantities, but their cost grows exponentially in s;
-they live in the test suite as an oracle that the recurrence must equal
-exactly.
+It runs fraction-free: with D the lcm of the denominators of p and q,
+a_j is an integer numerator over D^(s-j) prod_{k=j}^{s-1} 2(s^2 - k^2),
+every step is an integer sum, and Fractions are made only for the
+returned coefficients and residuals.
+
+The test suite holds two oracles that the recurrence must equal exactly:
+the same recurrence on Fractions, and sums over the distinct permutations
+of bounded partitions, closed forms whose cost grows exponentially in s.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -104,19 +109,42 @@ def qcube(q: Poly) -> list[Fraction]:
     return _desc(q**3)
 
 
+def _tc_sums(c: list, d: list) -> tuple[list, list]:
+    """A_i = sum_k (4i - 3k) c_k d_{i-k} and B_i = sum_k c_k d_{i-k}.
+
+    c and d are descending coefficient lists (zero out of range), and
+    i runs over 0..len(c) + len(d) - 2; _tc_from_sums turns them into
+    tc(i, j).  Both sums are homogeneous: when every c_k and d_k is
+    scaled by D^k, A_i and B_i scale by D^i.
+    """
+    A = [0] * (len(c) + len(d) - 1)
+    B = [0] * (len(c) + len(d) - 1)
+    for k, ck in enumerate(c):
+        for m, dm in enumerate(d):
+            A[k + m] += (4 * m + k) * ck * dm
+            B[k + m] += ck * dm
+    return A, B
+
+
+def _tc_from_sums(A: list, B: list, i: int, j: int):
+    """tc(i, j) = (i + j) (A_i + 2 j B_i), for i within range of the sums."""
+    return (i + j) * (A[i] + 2 * j * B[i])
+
+
 def tc(i: int, j: int, p: Poly, q: Poly) -> Fraction:
     """(i+j) * sum_{k=0}^{i} (4i + 2j - 3k) c_k d_{i-k}.
 
     c and d are the descending coefficients of p and q, taken as zero out
     of range; tc(0, j) = 2 j^2 always.
     """
-    c, d = _desc(p), _desc(q)
-    total = Fraction(0)
-    for k in range(i + 1):
-        ck = c[k] if k < len(c) else Fraction(0)
-        dk = d[i - k] if i - k < len(d) else Fraction(0)
-        total += (4 * i + 2 * j - 3 * k) * ck * dk
-    return (i + j) * total
+    A, B = _tc_sums(_desc(p), _desc(q))
+    return Fraction(_tc_from_sums(A, B, i, j)) if i < len(A) else Fraction(0)
+
+
+def _scaled_desc(poly: Poly, D: int) -> list[int]:
+    """Descending coefficients c_k times D^k, for D a multiple of every
+    denominator of poly; for monic poly each one is an integer."""
+    return [v.numerator * (D**k // v.denominator) for k, v in enumerate(_desc(poly))]
 
 
 @dataclass
@@ -168,40 +196,60 @@ def coefficients_general(
     q(0) = 0, where the undivided identity forces u'(0) = 0.  Pass False
     to get the plain divided-ODE recurrence (a_1 determined, not pinned),
     which is the run solvability_residuals reads.  Each step sums the
-    cleared weights E_i^(j) times a_(i+j); only the steps j >= 0 divide.
+    cleared weights E_i^(j) times a_(i+j); a step j >= 0 sets a_j to that
+    sum over 2 (s^2 - j^2), and the steps j < 0 are the conditions.
+
+    The run is fraction-free.  With D the lcm of the denominators of p and
+    q, the descending coefficients scaled by D^k are integers, and
+    E_i^(j) D^i is one too, because E_i^(j) is weighted-homogeneous of
+    degree i.  So with R_k = 2 (s^2 - k^2) and P_j = R_j ... R_(s-1),
+    a_j = N_j / (D^(s-j) P_j) for an integer N_j, and the step at index j
+    sums E_i^(j) D^i N_(i+j) R_lo ... R_(i+j-1) over a common denominator
+    D^(s-j) P_lo, with lo = max(j + 1, 0) the lowest index it reads.  For
+    j >= 0 that sum is N_j itself; no step divides.  Fractions are made
+    only for the returned values.
     """
     if s < 1:
         raise ValueError("s must be positive")
     r, ell = _check_pq(p, q)
-    td = qcube(q)
     top = r + ell
     if pin_origin is None:
         pin_origin = q.eval(Fraction(0)) == 0
-    a = [Fraction(0)] * (s + 1)
-    a[s] = Fraction(1)
+    # the lcm of every coefficient denominator: a Poly's integer vector is
+    # primitive, so its content's denominator is the lcm of its own
+    D = math.lcm(p.content.denominator, q.content.denominator)
+    A, B = _tc_sums(_scaled_desc(p, D), _scaled_desc(q, D))
+    td = _scaled_desc(q**3, D) + [0] * (top - 3 * ell)
+    R = [2 * (s * s - k * k) for k in range(s + 1)]
+    P = [1] * (s + 1)  # P[j] = R_j ... R_(s-1)
+    for k in range(s - 1, -1, -1):
+        P[k] = P[k + 1] * R[k]
+    N = [0] * (s + 1)
+    N[s] = 1
 
-    def step(j: int) -> Fraction:
-        acc = Fraction(0)
-        for i in range(max(1, -j), min(top, s - j) + 1):
-            tdi = td[i] if i < len(td) else Fraction(0)
-            acc += (tc(i, j, p, q) - 2 * s * s * tdi) * a[i + j]
+    def step(j: int) -> int:
+        """The step's sum over D^(s-j) P[lo]."""
+        acc, between = 0, 1  # R_lo ... R_(m-1)
+        for m in range(max(j + 1, 0), min(top + j, s) + 1):
+            i = m - j
+            acc += (_tc_from_sums(A, B, i, j) - 2 * s * s * td[i]) * N[m] * between
+            between *= R[m]
         return acc
 
     origin_res: Fraction | None = None
     for j in range(s - 1, -1, -1):
-        acc = step(j)
         if pin_origin and j == 1:
-            origin_res = acc
-            a[1] = Fraction(0)
+            origin_res = Fraction(step(1), D ** (s - 1) * P[2])
         else:
-            a[j] = acc / (2 * (s * s - j * j))
-    neg = [step(-j) for j in range(1, 3 * ell + 1)]
+            N[j] = step(j)
     return MultipartiteSystem(
         s=s,
         p=p,
         q=q,
-        a=a,
-        neg_residuals=neg,
+        a=[Fraction(N[j], D ** (s - j) * P[j]) for j in range(s + 1)],
+        neg_residuals=[
+            Fraction(step(-j), D ** (s + j) * P[0]) for j in range(1, 3 * ell + 1)
+        ],
         pinned_origin=pin_origin,
         origin_residual=origin_res,
     )

@@ -7,16 +7,22 @@ indexed by partitions of s - k with parts at most 4.  Two independent
 constructions are provided:
 
   * fk_table_by_recurrence: run the coefficient recurrence symbolically,
-    carrying partition-indexed tables from F_s = 1 downward.
+    carrying partition-indexed tables from F_s = 1 downward.  The run is
+    fraction-free: F_k is carried as integer numerators over the known
+    denominator Q_k = prod_{j=k}^{s-1} 2(s^2 - j^2), and Fractions are
+    made once, for the finished table.
   * fk_table_by_products: evaluate each monomial coefficient m_lambda as a
     sum over the distinct permutations of the partition of products of the
-    one-part factors (s-k+i)(2s-2k+i) / (2k(2s-k)).
+    one-part factors (s-k+i)(2s-2k+i) / (2k(2s-k)), on Fractions.
 
 Their exact equality is one of the artifact's acceptance properties.
+An FkTable keeps both forms: integer numerators over one denominator per
+k, which fk_as_poly_in and eval_fk read, and the reduced Fractions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -29,9 +35,10 @@ class Partition:
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        if any(p < 1 for p in self.parts):
+        parts = self.parts
+        if parts and min(parts) < 1:
             raise ValueError("parts must be positive")
-        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
+        if list(parts) != sorted(parts, reverse=True):
             raise ValueError("parts must be weakly decreasing")
 
     @property
@@ -41,13 +48,6 @@ class Partition:
     @property
     def length(self) -> int:
         return len(self.parts)
-
-    def monomial(self, c: Sequence[Fraction]) -> Fraction:
-        """Product c_{i1} * ... * c_{ir} for parts (i1..ir); c is 1-indexed."""
-        out = Fraction(1)
-        for p in self.parts:
-            out *= c[p - 1]
-        return out
 
     def __repr__(self):
         return f"Partition{self.parts}"
@@ -130,15 +130,24 @@ def partition_coeff(lam: Partition, s: int) -> Fraction:
 class FkTable:
     """Partition-indexed tables of the coefficient polynomials F_0..F_s.
 
-    table[k] maps each Partition of weight s-k (parts <= 4) to its
-    positive rational coefficient; zero coefficients are absent (so the
-    all-ones partition never appears in the k=0 entry).  F_s is the
-    empty-partition singleton {(): 1}.
+    numerators[k] maps each Partition of weight s-k (parts <= 4) to a
+    positive integer, and the coefficient of that monomial in F_k is the
+    numerator over denominators[k]; zero coefficients are absent (so the
+    all-ones partition never appears in the k=0 entry).  entries[k] holds
+    the same coefficients as reduced Fractions, in the same order.  F_s is
+    the empty-partition singleton {(): 1}.
     """
 
-    def __init__(self, s: int, entries: dict[int, dict[Partition, Fraction]]):
+    def __init__(
+        self, s: int, numerators: dict[int, dict[Partition, int]], denominators: dict[int, int]
+    ):
         self.s = s
-        self.entries = entries
+        self.numerators = numerators
+        self.denominators = denominators
+        self.entries = {
+            k: {lam: Fraction(n, denominators[k]) for lam, n in row.items()}
+            for k, row in numerators.items()
+        }
 
     def __getitem__(self, k: int) -> dict[Partition, Fraction]:
         return self.entries[k]
@@ -148,31 +157,37 @@ class FkTable:
 
     def eval_fk(self, c: Sequence[Fraction]) -> list[Fraction]:
         """Evaluate (F_0, F_1, ..., F_s) at quartic coefficients (c1..c4)."""
-        cf = [Fraction(v) for v in c]
-        out = []
-        for k in range(self.s + 1):
-            acc = Fraction(0)
-            for lam, coeff in self.entries[k].items():
-                acc += coeff * lam.monomial(cf)
-            out.append(acc)
-        return out
+        cf = {p: Fraction(v) for p, v in enumerate(c, 1)}
+        return [self.fk_as_poly_in(k, 0, cf)[0] for k in range(self.s + 1)]
 
     def fk_as_poly_in(self, k: int, index: int, fixed: dict[int, Fraction]):
         """F_k as a dense univariate polynomial in c_<index>.
 
-        fixed maps the other three indices (1-based) to their values.
+        fixed maps the other three indices (1-based) to their values;
+        index 0 with all four fixed gives the value of F_k, as [F_k].
         Returns the coefficient list, ascending powers.
+
+        The sums run on integers.  With D the lcm of the denominators in
+        fixed and C_p = c_p D^p (an integer), a monomial of weight s-k with
+        e parts equal to index is c_<index>^e times the product of C_p over
+        its other parts, divided by D^(s-k-index*e); so the coefficient of
+        c_<index>^e is one integer sum over denominators[k] D^(s-k-index*e).
         """
-        coeffs: dict[int, Fraction] = {}
-        for lam, coeff in self.entries[k].items():
-            power = sum(1 for p in lam.parts if p == index)
-            rest = Fraction(1)
+        c = {p: Fraction(v) for p, v in fixed.items()}
+        D = math.lcm(*(v.denominator for v in c.values()))
+        C = {p: v.numerator * (D**p // v.denominator) for p, v in c.items()}
+        sums: dict[int, int] = {}
+        for lam, n in self.numerators[k].items():
             for p in lam.parts:
                 if p != index:
-                    rest *= fixed[p]
-            coeffs[power] = coeffs.get(power, Fraction(0)) + coeff * rest
-        top = max(coeffs, default=0)
-        return [coeffs.get(i, Fraction(0)) for i in range(top + 1)]
+                    n *= C[p]
+            e = lam.parts.count(index)
+            sums[e] = sums.get(e, 0) + n
+        den, w = self.denominators[k], self.s - k
+        return [
+            Fraction(sums.get(e, 0), den * D ** (w - index * e))
+            for e in range(max(sums, default=0) + 1)
+        ]
 
     def __eq__(self, other):
         return (
@@ -185,55 +200,74 @@ class FkTable:
 def fk_table_by_recurrence(s: int) -> FkTable:
     """Build the F-tables by running the coefficient recurrence symbolically.
 
-    Descending from F_s = 1: each F_k gathers part_factor(i, s-k, s) * c_i
-    * F_{k+i}.  The k = 0 step skips the i = 1 contribution because the
-    linear coefficient of the inner polynomial is pinned to zero.
+    Descending from F_s = 1: F_k = sum_i (k+i)(2k+i) c_i F_{k+i} / R_k
+    with R_j = 2(s^2 - j^2).  The k = 0 step skips the i = 1 contribution
+    because the linear coefficient of the inner polynomial is pinned to
+    zero.  The run is fraction-free: F_k is carried as integer numerators
+    N_k over Q_k = R_k R_(k+1) ... R_(s-1), so
+    N_k[lam + (i)] += (k+i)(2k+i) R_(k+1) ... R_(k+i-1) N_(k+i)[lam],
+    keyed during the run by the part counts m1 + m2 B + m3 B^2 + m4 B^3
+    (B = s + 1), where adding a part i adds B^(i-1).  Every term is
+    positive, so no coefficient cancels.  Partitions are built once, at
+    the end, in the order the recurrence first reaches them.
     """
     if s < 1:
         raise ValueError("s must be positive")
-    tables: dict[int, dict[Partition, Fraction]] = {
-        s: {Partition(()): Fraction(1)}
-    }
+    base = s + 1
+    R = [2 * (s * s - j * j) for j in range(s + 1)]
+    nums: dict[int, dict[int, int]] = {s: {0: 1}}
+    denominators = {s: 1}
     for k in range(s - 1, -1, -1):
-        entry: dict[Partition, Fraction] = {}
-        start_i = 2 if k == 0 else 1
-        for i in range(start_i, 5):
-            if k + i > s:
-                continue
-            factor = part_factor(i, s - k, s)
-            for lam, coeff in tables[k + i].items():
-                newparts = tuple(sorted(lam.parts + (i,), reverse=True))
-                key = Partition(newparts)
-                entry[key] = entry.get(key, Fraction(0)) + factor * coeff
-        tables[k] = {lam: v for lam, v in entry.items() if v != 0}
-    return FkTable(s, tables)
+        entry: dict[int, int] = {}
+        between = 1  # R_(k+1) ... R_(k+i-1)
+        for i in range(1, min(4, s - k) + 1):
+            if i > 1 or k > 0:
+                factor = (k + i) * (2 * k + i) * between
+                bump = base ** (i - 1)
+                for key, n in nums[k + i].items():
+                    key += bump
+                    entry[key] = entry.get(key, 0) + factor * n
+            between *= R[k + i]
+        nums[k] = entry
+        denominators[k] = denominators[k + 1] * R[k]
+    numerators = {
+        k: {_counted(key, base): n for key, n in row.items()} for k, row in nums.items()
+    }
+    return FkTable(s, numerators, denominators)
+
+
+def _counted(key: int, base: int) -> Partition:
+    """The partition with m1 + m2 B + m3 B^2 + m4 B^3 = key parts 1..4."""
+    m1, key = key % base, key // base
+    m2, key = key % base, key // base
+    m3, m4 = key % base, key // base
+    return Partition((4,) * m4 + (3,) * m3 + (2,) * m2 + (1,) * m1)
 
 
 def fk_table_by_products(s: int) -> FkTable:
     """Build the F-tables from the permutation-product formula."""
     if s < 1:
         raise ValueError("s must be positive")
-    tables: dict[int, dict[Partition, Fraction]] = {}
+    numerators: dict[int, dict[Partition, int]] = {}
+    denominators: dict[int, int] = {}
     for k in range(s + 1):
         entry: dict[Partition, Fraction] = {}
         for lam in partitions_bounded(s - k, 4):
             m = partition_coeff(lam, s)
             if m != 0:
                 entry[lam] = m
-        tables[k] = entry
-    return FkTable(s, tables)
+        den = math.lcm(*(m.denominator for m in entry.values()))
+        numerators[k] = {lam: m.numerator * (den // m.denominator) for lam, m in entry.items()}
+        denominators[k] = den
+    return FkTable(s, numerators, denominators)
 
 
 def monomial_str(lam: Partition) -> str:
     """c-monomial with grouped powers, e.g. (1,1,2) never occurs but (2,1,1) -> c1^2*c2."""
     if not lam.parts:
         return "1"
-    counts: dict[int, int] = {}
-    for p in lam.parts:
-        counts[p] = counts.get(p, 0) + 1
-    return "*".join(
-        f"c{p}" if e == 1 else f"c{p}^{e}" for p, e in sorted(counts.items())
-    )
+    counts = [(p, lam.parts.count(p)) for p in sorted(set(lam.parts))]
+    return "*".join(f"c{p}" if e == 1 else f"c{p}^{e}" for p, e in counts)
 
 
 def format_fk(table: FkTable, k: int) -> str:
@@ -242,8 +276,7 @@ def format_fk(table: FkTable, k: int) -> str:
     if not entry:
         return f"F_{k} = 0"
     terms = []
-    for lam in sorted(entry):
-        coeff = entry[lam]
+    for lam, coeff in sorted(entry.items(), key=lambda item: item[0].parts):
         mono = monomial_str(lam)
         if lam.parts:
             terms.append(f"({coeff})*{mono}" if coeff != 1 else mono)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bicheb import multipartite
+from bicheb import cli, multipartite
 from bicheb.cli import main
 
 
@@ -104,6 +104,18 @@ def test_fk_json(capsys):
     assert entry[1]["terms"] == [{"parts": [1], "coeff": "1"}]
 
 
+def test_fk_s_is_bounded_before_any_table_is_built(monkeypatch, capsys):
+    def unbuilt(s):
+        raise AssertionError(f"fk_table({s}) was built")
+
+    monkeypatch.setattr(cli, "fk_table", unbuilt)
+    for argv in (("--s", str(cli.FK_MAX_S + 1)), ("--s", "0"),
+                 ("--s", str(cli.FK_MAX_S + 1), "--eval=1,2,3,4", "--json")):
+        code, out, err = run(capsys, "fk", *argv)
+        assert code == 1 and out == ""
+        assert err == f"error: fk --s must be between 1 and {cli.FK_MAX_S}, got {argv[1]}\n"
+
+
 def test_construct(capsys):
     code, out, _ = run(capsys, "construct", "--s", "3", "--c2=-3", "--c3", "2", "--c4", "2")
     assert code == 0
@@ -195,6 +207,13 @@ BAD_INPUTS = [
      "n must be positive"),
     (("multi", "--s", "2", "--p-roots", "1,-1,2,-2", "--q-roots", "0",
       "--p-coeffs", "1,0,-6,0,9,0,-1"), "--p-roots/--q-roots or --p-coeffs/--q-coeffs"),
+    # a zero leading coefficient used to be dropped, reading p as degree 4
+    (("multi", "--s", "2", "--p-coeffs", "0,1,0,-5,0,4", "--q-coeffs", "1,0"),
+     "--p-coeffs must start with the leading coefficient 1 of a monic polynomial, got 0"),
+    (("multi", "--s", "2", "--p-coeffs", "1,0,-5,0,4", "--q-coeffs", "0,1,0"),
+     "--q-coeffs must start with the leading coefficient 1 of a monic polynomial, got 0"),
+    (("multi", "--s", "2", "--p-coeffs", "2,0,-5,0,4", "--q-coeffs", "1,0"),
+     "--p-coeffs must start with the leading coefficient 1 of a monic polynomial, got 2"),
     (("verify", "--n", "3", "--p=-2,-3,2,2", "--interval=1"), "--interval expects a,b"),
     (("construct", "--s", "1", "--c2=-3", "--c3", "2", "--c4", "2"), "at least 2"),
     (("integrate", "--n", "3", "--p=-2,-3,2,2", "--emit-samples", "/nonexistent/x.csv"),

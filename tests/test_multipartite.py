@@ -3,6 +3,8 @@ from fractions import Fraction as F
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bicheb.bipartite import (
     Branch,
@@ -106,6 +108,79 @@ def residuals_closed_form(s, p, q):
                 total += prod
         out.append(total)
     return out
+
+
+# -- Fraction oracle ---------------------------------------------------------------
+#
+# The general recurrence on Fractions, each step built from tc, as it ran
+# before the fraction-free form.
+
+
+def fraction_recurrence(s, p, q, pin_origin=None):
+    """(a, neg_residuals, pinned, origin_residual) of the Fraction run."""
+    cleared = cleared_weight(s, p, q)
+    top = p.degree + q.degree
+    if pin_origin is None:
+        pin_origin = q.eval(F(0)) == 0
+    a = [F(0)] * s + [F(1)]
+
+    def step(j):
+        return sum(
+            (cleared(i, j) * a[i + j] for i in range(max(1, -j), min(top, s - j) + 1)),
+            F(0),
+        )
+
+    origin = None
+    for j in range(s - 1, -1, -1):
+        acc = step(j)
+        if pin_origin and j == 1:
+            origin, a[1] = acc, F(0)
+        else:
+            a[j] = acc / (2 * (s * s - j * j))
+    neg = [step(-j) for j in range(1, 3 * q.degree + 1)]
+    return a, neg, pin_origin, origin
+
+
+@st.composite
+def rational_outside_data(draw, ell, q_vanishes_at_0):
+    """(s, p, q): monic p of degree 2 ell + 2 and monic q of degree ell,
+    coefficients with denominators 3, 5 and 7."""
+    s = draw(st.integers(1, (8, 7, 6, 5)[ell]))
+    value = st.builds(F, st.integers(-12, 12), st.sampled_from((1, 3, 5, 7, 15, 21, 35)))
+
+    def monic(deg):
+        return Poly(draw(st.lists(value, min_size=deg, max_size=deg)) + [F(1)])
+
+    q = X * monic(ell - 1) if q_vanishes_at_0 else monic(ell)
+    return s, monic(2 * ell + 2), q
+
+
+# (ell, q(0) = 0, pin_origin): q(0) = 0 both pinned (the default) and unpinned
+ORACLE_CASES = [(ell, False, None) for ell in range(4)] + [
+    (ell, True, pin) for ell in range(1, 4) for pin in (None, False)
+]
+
+
+@pytest.mark.parametrize("ell, q_vanishes_at_0, pin", ORACLE_CASES)
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_integer_recurrence_equals_the_fraction_oracle(ell, q_vanishes_at_0, pin, data):
+    s, p, q = data.draw(rational_outside_data(ell, q_vanishes_at_0))
+    sys_ = coefficients_general(s, p, q, pin_origin=pin)
+    got = (sys_.a, sys_.neg_residuals, sys_.pinned_origin, sys_.origin_residual)
+    assert got == fraction_recurrence(s, p, q, pin)
+
+
+def test_integer_recurrence_reaches_index_minus_s():
+    # 3 ell > s: the conditions at -s and below need no division by R_(-s) = 0
+    p = Poly.from_roots([F(1), F(-1), F(1, 2), F(-1, 3), F(2), F(-2), F(3, 5), F(-3)])
+    for s in (2, 3, 5, 8):
+        for q in (Poly.from_roots([F(0), F(1, 7), F(-2, 3)]),
+                  Poly.from_roots([F(5, 7), F(1, 7), F(-2, 3)])):
+            for pin in (None, False):
+                sys_ = coefficients_general(s, p, q, pin_origin=pin)
+                got = (sys_.a, sys_.neg_residuals, sys_.pinned_origin, sys_.origin_residual)
+                assert got == fraction_recurrence(s, p, q, pin), (s, q, pin)
 
 
 # -- building blocks ----------------------------------------------------------

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from bicheb.bipartite import _f1_float
 from bicheb.partitions import (
     Partition,
     distinct_perms,
@@ -17,6 +18,69 @@ from bicheb.partitions import (
 
 def P(*parts):
     return Partition(tuple(parts))
+
+
+# -- Fraction oracles ----------------------------------------------------------
+#
+# The recurrence and the one-variable view on Fractions, as they ran before
+# the tables were carried as integer numerators.
+
+
+def fraction_recurrence(s):
+    """{k: {Partition: Fraction}} from F_s = 1 down, in insertion order."""
+    tables = {s: {Partition(()): F(1)}}
+    for k in range(s - 1, -1, -1):
+        entry = {}
+        for i in range(2 if k == 0 else 1, 5):
+            if k + i > s:
+                continue
+            factor = part_factor(i, s - k, s)
+            for lam, coeff in tables[k + i].items():
+                key = Partition(tuple(sorted(lam.parts + (i,), reverse=True)))
+                entry[key] = entry.get(key, F(0)) + factor * coeff
+        tables[k] = {lam: v for lam, v in entry.items() if v != 0}
+    return tables
+
+
+def fraction_poly_in(entry, index, fixed):
+    """F_k as coefficients in c_<index>, multiplying in the type of fixed."""
+    coeffs = {}
+    for lam, coeff in entry.items():
+        power = sum(1 for p in lam.parts if p == index)
+        rest = F(1)
+        for p in lam.parts:
+            if p != index:
+                rest *= fixed[p]
+        coeffs[power] = coeffs.get(power, F(0)) + coeff * rest
+    top = max(coeffs, default=0)
+    return [coeffs.get(i, F(0)) for i in range(top + 1)]
+
+
+@pytest.mark.parametrize("s", range(1, 41))
+def test_integer_recurrence_equals_the_fraction_oracle(s):
+    table, oracle = fk_table_by_recurrence(s), fraction_recurrence(s)
+    assert table.ks() == sorted(oracle)
+    for k in table.ks():
+        assert list(table[k].items()) == list(oracle[k].items()), k
+        assert list(table.numerators[k]) == list(oracle[k])
+
+
+def test_fk_as_poly_in_equals_the_fraction_oracle():
+    rng = random.Random(11)
+    for s in (2, 3, 5, 8, 13, 20):
+        table = fk_table_by_recurrence(s)
+        for _ in range(6):
+            c = {p: F(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 7, 12))) for p in range(1, 5)}
+            if rng.random() < 0.3:
+                c[rng.randint(1, 4)] = F(0)
+            for index in range(1, 5):
+                fixed = {p: v for p, v in c.items() if p != index}
+                for k in {0, 1, s // 2, s}:
+                    got = table.fk_as_poly_in(k, index, fixed)
+                    assert got == fraction_poly_in(table[k], index, fixed), (s, k, index)
+            assert table.eval_fk([c[p] for p in range(1, 5)]) == [
+                fraction_poly_in(table[k], 0, c)[0] for k in range(s + 1)
+            ]
 
 
 def test_partition_validation():
@@ -95,7 +159,7 @@ def test_fk_f_sminus1_is_half_s_c1():
         assert t[s - 1] == {P(1): F(s, 2)}
 
 
-@pytest.mark.parametrize("s", range(1, 9))
+@pytest.mark.parametrize("s", range(1, 13))
 def test_dual_route_equality(s):
     assert fk_table_by_recurrence(s) == fk_table_by_products(s)
 
@@ -149,3 +213,15 @@ def test_format_fk_text():
     t3 = fk_table_by_recurrence(3)
     assert format_fk(t3, 1) == "F_1 = (9/16)*c1^2 + (3/4)*c2"
     assert format_fk(t3, 3) == "F_3 = 1"
+
+
+def test_tracker_float_f1_is_the_float_image_of_the_oracle():
+    # the continuation tracker multiplies in floats, in table order; the
+    # values must stay bit-identical to the Fraction-times-float oracle
+    rng = random.Random(13)
+    for s in (2, 3, 4, 7, 12):
+        table = fk_table_by_recurrence(s)
+        for _ in range(5):
+            c2, c3, c4 = (rng.uniform(-3, 3) for _ in range(3))
+            want = [float(v) for v in fraction_poly_in(table[1], 1, {2: c2, 3: c3, 4: c4})]
+            assert _f1_float(s, c2, c3, c4) == want
