@@ -112,8 +112,8 @@ def residuals_closed_form(s, p, q):
 
 # -- Fraction oracle ---------------------------------------------------------------
 #
-# The general recurrence on Fractions, each step built from tc, as it ran
-# before the fraction-free form.
+# The general recurrence on Fractions, each step built from tc: the
+# reference for the fraction-free run.
 
 
 def fraction_recurrence(s, p, q, pin_origin=None):

@@ -22,8 +22,8 @@ def P(*parts):
 
 # -- Fraction oracles ----------------------------------------------------------
 #
-# The recurrence and the one-variable view on Fractions, as they ran before
-# the tables were carried as integer numerators.
+# The recurrence and the one-variable view on Fractions: the references for
+# the tables carried as integer numerators.
 
 
 def fraction_recurrence(s):
