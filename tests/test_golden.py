@@ -46,7 +46,9 @@ def cases() -> list[list[str]]:
     # and 3 in the quartic, and a zero c3
     for n, p, fmt in ((120, "1/3,-3/2,2,-1/6", []), (120, "1/2,-3,0,-1", ["--json"]),
                       (360, "1/3,-3/2,2,-1/6", ["--json"]),
-                      (360, "1/2,-3,0,-1", ["--json"])):
+                      (360, "1/2,-3,0,-1", ["--json"]),
+                      (360, "-3/2,2,1/2,-3", ["--json"]), (720, "-3/2,2,1/2,-3", ["--json"]),
+                      (720, "1/2,-3,0,-1", [])):
         out.append(["decide", "--n", str(n), f"--p={p}", *fmt])
     out += [
         ["decide", "--n", "6", "--p=-2,-3,2,2", "--verbose"],
