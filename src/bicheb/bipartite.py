@@ -107,6 +107,12 @@ class QuarticCoeffs:
         return LaurentPoly(self.poly(), 2)
 
 
+# largest s whose F_k table a command builds (fk --s, complete's divisor): at
+# s = 60 fk takes about 2 s and prints 3 MB of text (15 MB of JSON); time and
+# size grow faster than s^4 beyond it
+FK_MAX_S = 60
+
+
 @lru_cache(maxsize=64)
 def fk_table(s: int) -> FkTable:
     return fk_table_by_recurrence(s)
@@ -150,22 +156,29 @@ class Conditions:
 
     f1 and aux must both vanish for a solution to exist, and the sign of
     the discriminant d selects its branch.  The run is kept as integers:
-    a_k = nums[k] / dens[k], where dens[k] = Q_k = D^(s-k) *
-    prod_{j=k}^{s-1} 2 (s^2 - j^2) and D is the lcm of the quartic's
-    denominators.  The inner coefficients a (a_0..a_s, a_s = 1, a_1 = 0)
-    are built from them on first access, which only the selected
-    divisor's construction does.
+    a_k = nums[k] / dens[k], where dens[k] = Q_k = prod_{j=k}^{s-1} e_j with
+    the factors e_j = D * 2 (s^2 - j^2) and D the lcm of the quartic's
+    denominators.  dens and the inner coefficients a (a_0..a_s, a_s = 1,
+    a_1 = 0) are built on first access, which only the selected divisor's
+    construction does.
     """
 
     f1: Fraction
     aux: Fraction
     d: Fraction
     nums: tuple[int, ...] = field(repr=False)
-    dens: tuple[int, ...] = field(repr=False)
+    factors: tuple[int, ...] = field(repr=False)
 
     @property
     def met(self) -> bool:
         return self.f1 == 0 and self.aux == 0
+
+    @cached_property
+    def dens(self) -> tuple[int, ...]:
+        q = [1]
+        for e in reversed(self.factors):
+            q.append(q[-1] * e)
+        return tuple(reversed(q))
 
     @cached_property
     def a(self) -> tuple[Fraction, ...]:
@@ -179,33 +192,35 @@ def conditions(s: int, c: QuarticCoeffs) -> Conditions:
     The recurrence runs on the cleared coefficients C_i = c_i * D and the
     numerators A_k over the known denominators Q_k (see Conditions):
 
-        A_k = sum_i (k+i)(2k+i) C_i A_{k+i} D^(i-1) prod_{j=k+1}^{k+i-1} 2(s^2 - j^2),
+        A_k = sum_i (k+i)(2k+i) C_i A_{k+i} D^(i-1) prod_{j=k+1}^{k+i-1} e_j,
 
     so no step divides or reduces.  The k = 1 value is F_1's numerator over
-    Q_1 before A_1 is pinned to 0; F_1, aux and d are the only Fractions made.
+    Q_1 before A_1 is pinned to 0; F_1, aux and d are the only Fractions
+    made, and they need only Q_2, Q_1 = Q_2 e_1 and Q_0 = Q_1 e_0.
     """
     if s < 2:
         raise ValueError("inner degree s must be at least 2")
     D = math.lcm(*(v.denominator for v in c.as_tuple()))
     C1, C2, C3, C4 = (v.numerator * (D // v.denominator) for v in c.as_tuple())
+    e = [D * 2 * (s * s - j * j) for j in range(s + 3)]
     A = [0] * (s + 4)
     A[s] = 1
-    Q = [1] * (s + 1)
     for k in range(s - 1, -1, -1):
-        # D * 2 (s^2 - j^2) for j = k+1..k+3, applied in Horner form
-        e1, e2, e3 = (D * 2 * (s * s - j * j) for j in (k + 1, k + 2, k + 3))
+        # the sum in Horner form over the factors e_{k+1}, e_{k+2}, e_{k+3}
         acc = (k + 4) * (2 * k + 4) * C4 * A[k + 4]
-        acc = (k + 3) * (2 * k + 3) * C3 * A[k + 3] + e3 * acc
-        acc = (k + 2) * (2 * k + 2) * C2 * A[k + 2] + e2 * acc
-        A[k] = (k + 1) * (2 * k + 1) * C1 * A[k + 1] + e1 * acc
-        Q[k] = Q[k + 1] * (D * 2 * (s * s - k * k))
+        acc = (k + 3) * (2 * k + 3) * C3 * A[k + 3] + e[k + 3] * acc
+        acc = (k + 2) * (2 * k + 2) * C2 * A[k + 2] + e[k + 2] * acc
+        A[k] = (k + 1) * (2 * k + 1) * C1 * A[k + 1] + e[k + 1] * acc
         if k == 1:
-            f1 = Fraction(A[1], Q[1])
+            f1_num = A[1]
             A[1] = 0  # pinned: the inner polynomial has no linear term
-    r = D * D * 2 * (s * s - 1) * 2 * s * s  # Q_0 / Q_2
-    aux = Fraction(C3 * A[2] + 3 * C4 * A[3] * D * 2 * (s * s - 4), D * Q[2])
-    d = Fraction(s * s * D * A[0] ** 2 - 4 * C4 * (A[2] * r) ** 2, D * Q[0] ** 2)
-    return Conditions(f1, aux, d, tuple(A[: s + 1]), tuple(Q))
+    Q2 = math.prod(e[2:s])
+    Q1 = Q2 * e[1]
+    Q0 = Q1 * e[0]
+    r = e[1] * e[0]  # Q_0 / Q_2
+    aux = Fraction(C3 * A[2] + 3 * C4 * A[3] * e[2], D * Q2)
+    d = Fraction(s * s * D * A[0] ** 2 - 4 * C4 * (A[2] * r) ** 2, D * Q0**2)
+    return Conditions(Fraction(f1_num, Q1), aux, d, tuple(A[: s + 1]), tuple(e[:s]))
 
 
 def ode_residual(s: int, c: QuarticCoeffs, u: Poly) -> LaurentPoly:

@@ -13,6 +13,8 @@ internal error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import math
 import sys
@@ -20,6 +22,7 @@ from fractions import Fraction
 
 from . import elliptic, multipartite
 from .bipartite import (
+    FK_MAX_S,
     QuarticCoeffs,
     UNIT_AMPLITUDE,
     UNIT_LEADING,
@@ -37,6 +40,22 @@ from .scalars import parse_rational
 EXIT_YES = 0
 EXIT_USAGE = 1
 EXIT_NO = 3
+
+
+@contextlib.contextmanager
+def _exact_digits():
+    """Lift Python's int-to-str digit limit while a result is formatted.
+
+    Refusals print every divisor's exact d, which passes the default 4300
+    digits from about n = 840 on.  Inputs are parsed outside this block, so
+    the limit still guards the slow conversion of huge argv numbers.
+    """
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _parse_value(text: str, rationalize: bool) -> Fraction:
@@ -98,20 +117,22 @@ def _print_decision_text(out, verbose: bool) -> None:
 def cmd_decide(args) -> int:
     c = _parse_quartic(args.p, args.rationalize)
     out = decide(args.n, c)
-    if args.json:
-        print(json.dumps(out.as_dict(), indent=2))
-    else:
-        _print_decision_text(out, args.verbose)
+    with _exact_digits():
+        if args.json:
+            print(json.dumps(out.as_dict(), indent=2))
+        else:
+            _print_decision_text(out, args.verbose)
     return EXIT_YES if isinstance(out, ClosedForm) else EXIT_NO
 
 
 def cmd_integrate(args) -> int:
     c = _parse_quartic(args.p, args.rationalize)
     out = decide(args.n, c)
-    if isinstance(out, Refusal):
-        print(render_refusal(out, args.format if args.format == "json" else "text"))
-        return EXIT_NO
-    print(render(out, args.format))
+    with _exact_digits():
+        if isinstance(out, Refusal):
+            print(render_refusal(out, args.format if args.format == "json" else "text"))
+            return EXIT_NO
+        print(render(out, args.format))
     if args.emit_samples:
         _emit_samples(out, args.emit_samples)
     return EXIT_YES
@@ -148,7 +169,8 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--tol must be a positive finite number, got {args.tol}")
     out = decide(args.n, c)
     if isinstance(out, Refusal):
-        print(render_refusal(out, "text"))
+        with _exact_digits():
+            print(render_refusal(out, "text"))
         return EXIT_NO
     try:
         err = numeric_check(out, interval, args.tol)
@@ -207,11 +229,6 @@ def cmd_construct(args) -> int:
     return EXIT_YES if built else EXIT_NO
 
 
-# largest fk --s: at s = 60 the command takes about 2 s and prints 3 MB of
-# text (15 MB of JSON); time and size grow faster than s^4 beyond it
-FK_MAX_S = 60
-
-
 def cmd_fk(args) -> int:
     if not 1 <= args.s <= FK_MAX_S:
         raise ValueError(f"fk --s must be between 1 and {FK_MAX_S}, got {args.s}")
@@ -268,13 +285,14 @@ def cmd_complete(args) -> int:
         fixed[k] = _parse_value(val, args.rationalize)
     target = _parse_coeff_name(args.solve, "--solve")
     result = elliptic.complete_coefficient(args.n, fixed, target, force_s=args.force_s)
-    if args.json:
-        print(json.dumps(result.as_dict(), indent=2))
-    else:
-        print(f"n={args.n}, s={result.s}, solving F_1 = 0 for c{target}")
-        for e in result.entries:
-            root = str(e.root.lo) if e.root.exact else f"({e.root.lo}, {e.root.hi})"
-            print(f"  c{target} = {root}: {e.note}")
+    with _exact_digits():
+        if args.json:
+            print(json.dumps(result.as_dict(), indent=2))
+        else:
+            print(f"n={args.n}, s={result.s}, solving F_1 = 0 for c{target}")
+            for e in result.entries:
+                root = str(e.root.lo) if e.root.exact else f"({e.root.lo}, {e.root.hi})"
+                print(f"  c{target} = {root}: {e.note}")
     return EXIT_YES if result.entries else EXIT_NO
 
 
@@ -370,7 +388,12 @@ def cmd_perturb(args) -> int:
     return EXIT_YES if result.reached else EXIT_NO
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every main call.
+
+    parse_args leaves it unchanged; callers must not add to it.
+    """
     ap = argparse.ArgumentParser(
         prog="bicheb",
         description=(
@@ -430,10 +453,15 @@ def build_parser() -> argparse.ArgumentParser:
     f.set_defaults(fn=cmd_fk)
 
     comp = sub.add_parser("complete", help="solve F_1 = 0 for a missing coefficient")
-    comp.add_argument("--n", type=int, required=True)
+    comp.add_argument(
+        "--n", type=int, required=True,
+        help=f"outer degree; the divisor s it selects must be at most {FK_MAX_S}",
+    )
     comp.add_argument("--fix", required=True, help="e.g. c2=-5,c3=0,c4=4")
     comp.add_argument("--solve", required=True, help="target coefficient, e.g. c1")
-    comp.add_argument("--force-s", type=int, default=None)
+    comp.add_argument(
+        "--force-s", type=int, default=None, help=f"use this divisor s of n, 2..{FK_MAX_S}"
+    )
     add_common(comp)
     comp.set_defaults(fn=cmd_complete)
 

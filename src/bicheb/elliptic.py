@@ -35,6 +35,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .bipartite import (
+    FK_MAX_S,
     Branch,
     BipartiteSolution,
     QuarticCoeffs,
@@ -559,7 +560,8 @@ def complete_coefficient(
     even s for c1, s = 3 mod 4 for c2, s = 5 mod 8 for c4.  Roots are
     isolated exactly; rational roots get a full exact decision, which may
     still refuse (a root of F_1 alone does not guarantee the auxiliary
-    condition).  Raises ClassNotCovered when no divisor qualifies.
+    condition).  Raises ClassNotCovered when no divisor qualifies, and
+    ValueError when s exceeds FK_MAX_S, before any F_k table is built.
     """
     if target not in (1, 2, 3, 4):
         raise ValueError("target must identify one of c1..c4")
@@ -584,6 +586,10 @@ def complete_coefficient(
                 f"n={n} has no divisor {name}; no completion guarantee for c{target}"
             )
         s = max(candidates)
+    if s > FK_MAX_S:
+        raise ValueError(
+            f"complete needs the F_k table at s={s}; the divisor s must be at most {FK_MAX_S}"
+        )
     coeffs = fk_table(s).fk_as_poly_in(1, target, fixed)
     f1_poly = Poly(coeffs)
     entries: list[CompletionEntry] = []

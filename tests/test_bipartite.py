@@ -80,20 +80,25 @@ def test_integer_route_matches_fraction_recurrence():
             c[2] = c[3] = F(0)  # c3 = c4 = 0
         draws.append(QuarticCoeffs.of(*c))
     cases = [(s, c) for k, c in enumerate(draws) for s in range(2 + k // 3 % 3, 41, 3)]
-    cases.append((120, QuarticCoeffs.of(F(1, 3), F(-3, 2), 2, F(-1, 6))))
+    # every divisor of 720, the largest n of the refusal benchmark
+    for c in (QuarticCoeffs.of(F(1, 3), F(-3, 2), 2, F(-1, 6)),
+              QuarticCoeffs.of(F(-3, 2), 2, F(1, 2), -3)):
+        cases += [(s, c) for s in range(2, 721) if 720 % s == 0]
     for s, c in cases:
         a, f1, aux, d = _fraction_route(s, c)
         cond = conditions(s, c)
         assert (cond.f1, cond.aux, cond.d) == (f1, aux, d), (s, c)
         assert list(cond.a) == a, (s, c)
-    assert {s for s, _ in cases} >= set(range(2, 41)) | {120}
+    assert {s for s, _ in cases} >= set(range(2, 41)) | {120, 720}
 
 
 def test_condition_coefficients_are_built_on_demand():
     cond = conditions(3, WORKED)
-    assert "a" not in vars(cond)
+    assert "a" not in vars(cond) and "dens" not in vars(cond)
     assert cond.a == (F(3), F(0), F(-3), F(1))
     assert vars(cond)["a"] is cond.a
+    # Q_k = prod_{j=k}^{2} 2 (9 - j^2) with D = 1
+    assert vars(cond)["dens"] == (18 * 16 * 10, 16 * 10, 10, 1)
 
 
 # -- auxiliary condition -----------------------------------------------------

@@ -1,9 +1,15 @@
+import argparse
 import json
+import math
+import sys
+from fractions import Fraction as F
 
 import pytest
 
-from bicheb import cli, multipartite
+from bicheb import cli, elliptic, multipartite
+from bicheb.bipartite import QuarticCoeffs, conditions
 from bicheb.cli import main
+from bicheb.elliptic import divisors_from_two
 
 
 def run(capsys, *argv):
@@ -114,6 +120,98 @@ def test_fk_s_is_bounded_before_any_table_is_built(monkeypatch, capsys):
         code, out, err = run(capsys, "fk", *argv)
         assert code == 1 and out == ""
         assert err == f"error: fk --s must be between 1 and {cli.FK_MAX_S}, got {argv[1]}\n"
+
+
+def test_complete_s_is_bounded_before_any_table_is_built(monkeypatch, capsys):
+    class Reached(Exception):
+        pass
+
+    def unbuilt(s):
+        raise Reached(s)
+
+    monkeypatch.setattr(elliptic, "fk_table", unbuilt)
+    # the c1 class takes the largest even divisor, c2 the largest s = 3 mod 4
+    for argv, s in ((("--n", "80", "--fix", "c2=-5,c3=0,c4=4", "--solve", "c1"), 80),
+                    (("--n", "63", "--fix", "c1=0,c3=0,c4=4", "--solve", "c2", "--json"), 63),
+                    (("--n", "124", "--fix", "c2=-5,c3=0,c4=4", "--solve", "c1",
+                      "--force-s", "62"), 62)):
+        code, out, err = run(capsys, "complete", *argv)
+        assert code == 1 and out == ""
+        assert err == (f"error: complete needs the F_k table at s={s}; the divisor s "
+                       f"must be at most {cli.FK_MAX_S}\n")
+    with pytest.raises(Reached):
+        elliptic.complete_coefficient(cli.FK_MAX_S, {2: F(-5), 3: F(0), 4: F(4)}, 1)
+
+
+def test_large_n_refusal_prints_exact_values(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "decide", "--n", "840", "--p=-3/2,2,1/2,-3", "--json")
+    assert (code, err) == (3, "")
+    assert sys.get_int_max_str_digits() == limit
+    c = QuarticCoeffs.of(F(-3, 2), 2, F(1, 2), -3)
+    want = [(s, cond.f1, cond.aux, cond.d)
+            for s in divisors_from_two(840) for cond in [conditions(s, c)]]
+    # d's numerator has more digits than the limit, and is printed in full
+    assert max(abs(d.numerator).bit_length() for *_, d in want) > limit * math.log2(10)
+    sys.set_int_max_str_digits(0)
+    try:
+        got = [(dv["s"], F(dv["F1"]), F(dv["aux"]), F(dv["d"]))
+               for dv in json.loads(out)["divisors"]]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert got == want
+    code, out, err = run(capsys, "decide", "--n", "840", "--p=-3/2,2,1/2,-3")
+    assert code == 3 and err == "" and out.count("\n  s=") == len(want)
+    assert sys.get_int_max_str_digits() == limit
+    # inputs still parse under the default limit
+    code, out, err = run(capsys, "decide", "--n", "2", f"--p={'1' * (limit + 1)},0,0,1")
+    assert code == 1 and out == "" and "is not a rational number" in err
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    run(capsys, "decide", "--n", "2", "--p", "0,-3,1,1")  # builds it, if nothing did yet
+    built.clear()
+    for argv in (("decide", "--n", "2", "--p", "0,-3,1,1"), ("fk", "--s", "2"), ("--help",)):
+        run(capsys, *argv)
+    assert built == []
+
+
+# a usage error first, then valid argv, more usage errors and --help
+SEQUENCE = [
+    ("decide", "--n", "2"),
+    ("decide", "--n", "2", "--p", "0,-3,1,1"),
+    ("nosuch",),
+    ("decide", "--n", "x", "--p", "0,-3,1,1"),
+    ("decide", "--n", "3", "--p=-2,-3,2,2", "--json"),
+    ("fk", "--s", "3", "--bogus"),
+    ("fk", "--s", "3"),
+    ("--help",),
+    ("--help",),
+    ("complete", "--help"),
+    ("complete", "--help"),
+    ("decide", "--n", "2", "--p", "0,-3,1,1", "--json"),
+]
+
+
+def test_one_parser_answers_like_fresh_ones(capsys):
+    shared = [run(capsys, *argv) for argv in SEQUENCE]
+    fresh = []
+    for argv in SEQUENCE:
+        cli.build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [1, 3, 1, 1, 0, 1, 0, 0, 0, 0, 0, 3]
+    assert shared[7] == shared[8] and shared[7][1].startswith("usage: bicheb")
+    assert shared[9] == shared[10] and f"at most {cli.FK_MAX_S}" in shared[9][1]
 
 
 def test_construct(capsys):
