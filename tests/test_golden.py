@@ -86,6 +86,19 @@ def cases() -> list[list[str]]:
         ["fk", "--s", "30"],
         ["fk", "--s", "17", "--json"],
         ["fk", "--s", "12", "--eval=1/3,-3/2,2,-1/6", "--json"],
+        # F_1 as a polynomial in one coefficient: c1 at even s, c4 and c3
+        # with a denominator, construct and the tracker's start roots
+        ["complete", "--n", "20", "--fix", "c2=-5,c3=0,c4=4", "--solve", "c1"],
+        ["complete", "--n", "20", "--fix", "c2=-5,c3=0,c4=4", "--solve", "c1", "--json"],
+        ["complete", "--n", "13", "--fix", "c1=1,c2=-3,c3=1/2", "--solve", "c4", "--json"],
+        ["complete", "--n", "6", "--fix", "c1=1,c2=-3,c4=1/2", "--solve", "c3",
+         "--force-s", "6", "--json"],
+        ["construct", "--s", "6", "--c2=-2", "--c3", "0", "--c4", "0", "--json"],
+        ["perturb", "--s", "5", "--c2=-2", "--target-c3", "0.01", "--target-c4", "0.02",
+         "--branch", "3", "--json"],
+        # s = 1 has no conditions to run: F_0 = 0 and F_1 = 1 come from the table
+        ["fk", "--s", "1", "--eval=1,2,3,4"],
+        ["fk", "--s", "2", "--eval=0,-5,0,4"],
     ]
     return out
 
