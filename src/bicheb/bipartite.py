@@ -29,7 +29,8 @@ integers: with D the lcm of the quartic's denominators, a_k = A_k / Q_k
 over the known denominators Q_k = D^(s-k) * prod_{j=k}^{s-1} 2 (s^2 - j^2),
 and the integer A_k need no division or gcd.  Only F_1, aux and d become
 Fractions; the coefficients a_k are built on demand, for the divisor a
-construction selects.
+construction selects.  The same run, at a packed point, gives F_1 as a
+polynomial in one coefficient (``f1_polynomial``) for completion.
 """
 
 from __future__ import annotations
@@ -107,9 +108,10 @@ class QuarticCoeffs:
         return LaurentPoly(self.poly(), 2)
 
 
-# largest s whose F_k table a command builds (fk --s, complete's divisor): at
-# s = 60 fk takes about 2 s and prints 3 MB of text (15 MB of JSON); time and
-# size grow faster than s^4 beyond it
+# largest inner degree s a command accepts (fk --s, construct --s, perturb
+# --s, complete's divisor): at s = 60 fk takes about 2 s and prints 3 MB of
+# text (15 MB of JSON), and F_1 has degree up to 59 in the solved coefficient;
+# time and size grow faster than s^4 beyond it
 FK_MAX_S = 60
 
 
@@ -185,23 +187,16 @@ class Conditions:
         return tuple(map(Fraction, self.nums, self.dens))
 
 
-def conditions(s: int, c: QuarticCoeffs) -> Conditions:
-    """Run the recurrence once and evaluate the conditions on it.
+def _run(s: int, C: Sequence[int], D: int) -> tuple[list[int], list[int], int]:
+    """The recurrence (s >= 2) on the cleared coefficients C_i = c_i * D.
 
-    aux = c3*F_2 + 3*c4*F_3 (F_3 = 0 when s = 2) and d = s^2 F_0^2 - 4 c4 F_2^2.
-    The recurrence runs on the cleared coefficients C_i = c_i * D and the
-    numerators A_k over the known denominators Q_k (see Conditions):
+    Returns the factors e_j = D * 2 (s^2 - j^2), the numerators A_k over
+    Q_k = prod_{j=k}^{s-1} e_j, with A_1 pinned to 0, and F_1's numerator
+    over Q_1, the k = 1 value before the pin.  No step divides or reduces:
 
-        A_k = sum_i (k+i)(2k+i) C_i A_{k+i} D^(i-1) prod_{j=k+1}^{k+i-1} e_j,
-
-    so no step divides or reduces.  The k = 1 value is F_1's numerator over
-    Q_1 before A_1 is pinned to 0; F_1, aux and d are the only Fractions
-    made, and they need only Q_2, Q_1 = Q_2 e_1 and Q_0 = Q_1 e_0.
+        A_k = sum_i (k+i)(2k+i) C_i A_{k+i} prod_{j=k+1}^{k+i-1} e_j.
     """
-    if s < 2:
-        raise ValueError("inner degree s must be at least 2")
-    D = math.lcm(*(v.denominator for v in c.as_tuple()))
-    C1, C2, C3, C4 = (v.numerator * (D // v.denominator) for v in c.as_tuple())
+    C1, C2, C3, C4 = C
     e = [D * 2 * (s * s - j * j) for j in range(s + 3)]
     A = [0] * (s + 4)
     A[s] = 1
@@ -214,6 +209,22 @@ def conditions(s: int, c: QuarticCoeffs) -> Conditions:
         if k == 1:
             f1_num = A[1]
             A[1] = 0  # pinned: the inner polynomial has no linear term
+    return e, A, f1_num
+
+
+def conditions(s: int, c: QuarticCoeffs) -> Conditions:
+    """Run the recurrence once and evaluate the conditions on it.
+
+    aux = c3*F_2 + 3*c4*F_3 (F_3 = 0 when s = 2) and d = s^2 F_0^2 - 4 c4 F_2^2.
+    The recurrence runs on integers (``_run``); F_1, aux and d are the only
+    Fractions made, and they need only Q_2, Q_1 = Q_2 e_1 and Q_0 = Q_1 e_0.
+    """
+    if s < 2:
+        raise ValueError("inner degree s must be at least 2")
+    D = math.lcm(*(v.denominator for v in c.as_tuple()))
+    C = [v.numerator * (D // v.denominator) for v in c.as_tuple()]
+    e, A, f1_num = _run(s, C, D)
+    _, _, C3, C4 = C
     Q2 = math.prod(e[2:s])
     Q1 = Q2 * e[1]
     Q0 = Q1 * e[0]
@@ -221,6 +232,32 @@ def conditions(s: int, c: QuarticCoeffs) -> Conditions:
     aux = Fraction(C3 * A[2] + 3 * C4 * A[3] * e[2], D * Q2)
     d = Fraction(s * s * D * A[0] ** 2 - 4 * C4 * (A[2] * r) ** 2, D * Q0**2)
     return Conditions(Fraction(f1_num, Q1), aux, d, tuple(A[: s + 1]), tuple(e[:s]))
+
+
+def f1_polynomial(s: int, target: int, fixed: dict[int, Fraction]) -> Poly:
+    """F_1 as a polynomial in c_<target>, the other three coefficients fixed.
+
+    With D the lcm of the fixed denominators and t = c_<target>, F_1's
+    numerator over Q_1 is an integer polynomial N(t), and one ``_run`` with
+    C_target = D t packs it (Kronecker substitution).  Every factor of the
+    recurrence is positive, so the run on |C_i| with t = 1 gives a bound B
+    on every |coefficient| of N; at t = 2^w with w = B.bit_length() + 1
+    each coefficient fills its own w-bit slot, read back as a signed digit.
+    """
+    if s < 2:
+        raise ValueError("inner degree s must be at least 2")
+    c = [Fraction(1 if k == target else fixed[k]) for k in range(1, 5)]  # t = 1
+    D = math.lcm(*(v.denominator for v in c))
+    C = [v.numerator * (D // v.denominator) for v in c]
+    w = _run(s, [abs(v) for v in C], D)[2].bit_length() + 1
+    C[target - 1] = D << w
+    e, _, packed = _run(s, C, D)
+    mask, half = (1 << w) - 1, 1 << (w - 1)
+    digits = []
+    while packed:
+        digits.append(((packed + half) & mask) - half)  # the signed low slot
+        packed = (packed - digits[-1]) >> w
+    return Poly(digits).scale(Fraction(1, math.prod(e[1:s])))
 
 
 def ode_residual(s: int, c: QuarticCoeffs, u: Poly) -> LaurentPoly:
@@ -490,11 +527,7 @@ def _vanishes_on(w: Poly, chain, r: IsolatedRoot) -> bool:
 
 def solve_c1(s: int, c2, c3, c4) -> list[IsolatedRoot]:
     """All real roots of F_1 viewed as a univariate polynomial in c1."""
-    if s < 2:
-        raise ValueError("inner degree s must be at least 2")
-    fixed = {2: Fraction(c2), 3: Fraction(c3), 4: Fraction(c4)}
-    coeffs = fk_table(s).fk_as_poly_in(1, 1, fixed)
-    return real_roots(Poly(coeffs))
+    return real_roots(f1_polynomial(s, 1, {2: c2, 3: c3, 4: c4}))
 
 
 # ---------------------------------------------------------------------------
@@ -600,8 +633,9 @@ def _fmul(a: list[float], b: list[float]) -> list[float]:
 def _f1_float(s: int, c2: float, c3: float, c4: float) -> list[float]:
     """F_1 as a polynomial in c1 with float coefficients, for the tracker.
 
-    The float image of FkTable.fk_as_poly_in(1, 1, ...): each monomial's
-    other parts multiply in floats, in table order.
+    The float image of the table's F_1 entry: each monomial's other parts
+    multiply in floats, in table order, which keeps perturb's floats as
+    they were before ``f1_polynomial`` took over the exact F_1.
     """
     fixed = {2: c2, 3: c3, 4: c4}
     out: dict[int, float] = {}

@@ -27,6 +27,7 @@ from .bipartite import (
     UNIT_AMPLITUDE,
     UNIT_LEADING,
     build_solution,
+    conditions,
     continuation,
     fk_table,
     solve_c1,
@@ -188,6 +189,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    if args.s > FK_MAX_S:
+        raise ValueError(f"construct --s must be at most {FK_MAX_S}, got {args.s}")
     c2 = _parse_value(args.c2, args.rationalize)
     c3 = _parse_value(args.c3, args.rationalize)
     c4 = _parse_value(args.c4, args.rationalize)
@@ -207,16 +210,8 @@ def cmd_construct(args) -> int:
             continue
         built.append(sol)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "s": args.s,
-                    "solutions": [s.as_dict() for s in built],
-                    "skipped": skipped,
-                },
-                indent=2,
-            )
-        )
+        payload = {"s": args.s, "solutions": [s.as_dict() for s in built], "skipped": skipped}
+        print(json.dumps(payload, indent=2))
     else:
         print(f"s={args.s}: {len(roots)} real F_1 root(s) in c1")
         for sol in built:
@@ -232,27 +227,23 @@ def cmd_construct(args) -> int:
 def cmd_fk(args) -> int:
     if not 1 <= args.s <= FK_MAX_S:
         raise ValueError(f"fk --s must be between 1 and {FK_MAX_S}, got {args.s}")
-    table = fk_table(args.s)
     if args.eval is not None:
         c = _parse_coeff_list(args.eval, args.rationalize)
         if len(c) != 4:
             raise ValueError("--eval expects c1,c2,c3,c4")
-        values = table.eval_fk(c)
+        if args.s == 1:  # F_1 = 1; F_0 skips its only term, the pinned i = 1 one
+            values = [Fraction(0), Fraction(1)]
+        else:
+            cond = conditions(args.s, QuarticCoeffs.from_list(c))
+            values = [cond.a[0], cond.f1, *cond.a[2:]]
         if args.json:
-            print(
-                json.dumps(
-                    {
-                        "s": args.s,
-                        "c": [str(v) for v in c],
-                        "F": [str(v) for v in values],
-                    },
-                    indent=2,
-                )
-            )
+            payload = {"s": args.s, "c": [str(v) for v in c], "F": [str(v) for v in values]}
+            print(json.dumps(payload, indent=2))
         else:
             for k, v in enumerate(values):
                 print(f"F_{k} = {v}")
         return EXIT_YES
+    table = fk_table(args.s)
     if args.json:
         payload = []
         for k in table.ks():
@@ -363,6 +354,8 @@ def cmd_multi(args) -> int:
 
 
 def cmd_perturb(args) -> int:
+    if args.s > FK_MAX_S:
+        raise ValueError(f"perturb --s must be at most {FK_MAX_S}, got {args.s}")
     result = continuation(
         args.s,
         _parse_value(args.c2, args.rationalize),
@@ -438,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(fn=cmd_verify)
 
     cst = sub.add_parser("construct", help="build inner polynomials for given c2,c3,c4")
-    cst.add_argument("--s", type=int, required=True)
+    cst.add_argument("--s", type=int, required=True, help=f"inner degree, 2..{FK_MAX_S}")
     cst.add_argument("--c2", required=True)
     cst.add_argument("--c3", required=True)
     cst.add_argument("--c4", required=True)
@@ -481,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.set_defaults(fn=cmd_multi)
 
     pe = sub.add_parser("perturb", help="track an F_1 root toward target (c3, c4)")
-    pe.add_argument("--s", type=int, required=True)
+    pe.add_argument("--s", type=int, required=True, help=f"inner degree, 2..{FK_MAX_S}")
     pe.add_argument("--c2", required=True)
     pe.add_argument("--target-c3", required=True)
     pe.add_argument("--target-c4", required=True)

@@ -42,7 +42,7 @@ from .bipartite import (
     build_solution,
     compose_outer,
     conditions,
-    fk_table,
+    f1_polynomial,
     identity_residual,
 )
 from .poly import Poly, horner
@@ -561,7 +561,7 @@ def complete_coefficient(
     isolated exactly; rational roots get a full exact decision, which may
     still refuse (a root of F_1 alone does not guarantee the auxiliary
     condition).  Raises ClassNotCovered when no divisor qualifies, and
-    ValueError when s exceeds FK_MAX_S, before any F_k table is built.
+    ValueError when s exceeds FK_MAX_S, before F_1 is built.
     """
     if target not in (1, 2, 3, 4):
         raise ValueError("target must identify one of c1..c4")
@@ -588,12 +588,11 @@ def complete_coefficient(
         s = max(candidates)
     if s > FK_MAX_S:
         raise ValueError(
-            f"complete needs the F_k table at s={s}; the divisor s must be at most {FK_MAX_S}"
+            f"complete solves F_1 = 0 at s={s}, of degree up to {(s - 1) // target} "
+            f"in c{target}; the divisor s must be at most {FK_MAX_S}"
         )
-    coeffs = fk_table(s).fk_as_poly_in(1, target, fixed)
-    f1_poly = Poly(coeffs)
     entries: list[CompletionEntry] = []
-    for root in real_roots(f1_poly):
+    for root in real_roots(f1_polynomial(s, target, fixed)):
         if root.exact:
             vals = dict(fixed)
             vals[target] = root.lo

@@ -16,16 +16,16 @@ constructions are provided:
     one-part factors (s-k+i)(2s-2k+i) / (2k(2s-k)), on Fractions.
 
 Their exact equality is one of the artifact's acceptance properties.
-An FkTable keeps both forms: integer numerators over one denominator per
-k, which fk_as_poly_in and eval_fk read, and the reduced Fractions.
+An FkTable holds the reduced Fractions.  The tables serve the fk printout,
+the continuation tracker and the dual-route check; the decision and the
+completion read F_1 from the integer recurrence in bipartite instead.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator
 
 
 @dataclass(frozen=True, order=True)
@@ -130,64 +130,21 @@ def partition_coeff(lam: Partition, s: int) -> Fraction:
 class FkTable:
     """Partition-indexed tables of the coefficient polynomials F_0..F_s.
 
-    numerators[k] maps each Partition of weight s-k (parts <= 4) to a
-    positive integer, and the coefficient of that monomial in F_k is the
-    numerator over denominators[k]; zero coefficients are absent (so the
-    all-ones partition never appears in the k=0 entry).  entries[k] holds
-    the same coefficients as reduced Fractions, in the same order.  F_s is
-    the empty-partition singleton {(): 1}.
+    entries[k] maps each Partition of weight s-k (parts <= 4) to its
+    nonzero Fraction coefficient in F_k; zero coefficients are absent (so
+    the all-ones partition never appears in the k=0 entry).  F_s is the
+    empty-partition singleton {(): 1}.
     """
 
-    def __init__(
-        self, s: int, numerators: dict[int, dict[Partition, int]], denominators: dict[int, int]
-    ):
+    def __init__(self, s: int, entries: dict[int, dict[Partition, Fraction]]):
         self.s = s
-        self.numerators = numerators
-        self.denominators = denominators
-        self.entries = {
-            k: {lam: Fraction(n, denominators[k]) for lam, n in row.items()}
-            for k, row in numerators.items()
-        }
+        self.entries = entries
 
     def __getitem__(self, k: int) -> dict[Partition, Fraction]:
         return self.entries[k]
 
     def ks(self) -> list[int]:
         return sorted(self.entries)
-
-    def eval_fk(self, c: Sequence[Fraction]) -> list[Fraction]:
-        """Evaluate (F_0, F_1, ..., F_s) at quartic coefficients (c1..c4)."""
-        cf = {p: Fraction(v) for p, v in enumerate(c, 1)}
-        return [self.fk_as_poly_in(k, 0, cf)[0] for k in range(self.s + 1)]
-
-    def fk_as_poly_in(self, k: int, index: int, fixed: dict[int, Fraction]):
-        """F_k as a dense univariate polynomial in c_<index>.
-
-        fixed maps the other three indices (1-based) to their values;
-        index 0 with all four fixed gives the value of F_k, as [F_k].
-        Returns the coefficient list, ascending powers.
-
-        The sums run on integers.  With D the lcm of the denominators in
-        fixed and C_p = c_p D^p (an integer), a monomial of weight s-k with
-        e parts equal to index is c_<index>^e times the product of C_p over
-        its other parts, divided by D^(s-k-index*e); so the coefficient of
-        c_<index>^e is one integer sum over denominators[k] D^(s-k-index*e).
-        """
-        c = {p: Fraction(v) for p, v in fixed.items()}
-        D = math.lcm(*(v.denominator for v in c.values()))
-        C = {p: v.numerator * (D**p // v.denominator) for p, v in c.items()}
-        sums: dict[int, int] = {}
-        for lam, n in self.numerators[k].items():
-            for p in lam.parts:
-                if p != index:
-                    n *= C[p]
-            e = lam.parts.count(index)
-            sums[e] = sums.get(e, 0) + n
-        den, w = self.denominators[k], self.s - k
-        return [
-            Fraction(sums.get(e, 0), den * D ** (w - index * e))
-            for e in range(max(sums, default=0) + 1)
-        ]
 
     def __eq__(self, other):
         return (
@@ -216,7 +173,7 @@ def fk_table_by_recurrence(s: int) -> FkTable:
     base = s + 1
     R = [2 * (s * s - j * j) for j in range(s + 1)]
     nums: dict[int, dict[int, int]] = {s: {0: 1}}
-    denominators = {s: 1}
+    dens = {s: 1}
     for k in range(s - 1, -1, -1):
         entry: dict[int, int] = {}
         between = 1  # R_(k+1) ... R_(k+i-1)
@@ -229,11 +186,12 @@ def fk_table_by_recurrence(s: int) -> FkTable:
                     entry[key] = entry.get(key, 0) + factor * n
             between *= R[k + i]
         nums[k] = entry
-        denominators[k] = denominators[k + 1] * R[k]
-    numerators = {
-        k: {_counted(key, base): n for key, n in row.items()} for k, row in nums.items()
+        dens[k] = dens[k + 1] * R[k]
+    entries = {
+        k: {_counted(key, base): Fraction(n, dens[k]) for key, n in row.items()}
+        for k, row in nums.items()
     }
-    return FkTable(s, numerators, denominators)
+    return FkTable(s, entries)
 
 
 def _counted(key: int, base: int) -> Partition:
@@ -248,18 +206,11 @@ def fk_table_by_products(s: int) -> FkTable:
     """Build the F-tables from the permutation-product formula."""
     if s < 1:
         raise ValueError("s must be positive")
-    numerators: dict[int, dict[Partition, int]] = {}
-    denominators: dict[int, int] = {}
+    entries = {}
     for k in range(s + 1):
-        entry: dict[Partition, Fraction] = {}
-        for lam in partitions_bounded(s - k, 4):
-            m = partition_coeff(lam, s)
-            if m != 0:
-                entry[lam] = m
-        den = math.lcm(*(m.denominator for m in entry.values()))
-        numerators[k] = {lam: m.numerator * (den // m.denominator) for lam, m in entry.items()}
-        denominators[k] = den
-    return FkTable(s, numerators, denominators)
+        coeffs = ((lam, partition_coeff(lam, s)) for lam in partitions_bounded(s - k, 4))
+        entries[k] = {lam: m for lam, m in coeffs if m != 0}
+    return FkTable(s, entries)
 
 
 def monomial_str(lam: Partition) -> str:

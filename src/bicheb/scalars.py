@@ -9,6 +9,8 @@ is never formed: it is carried as its rational square m^2 (see
 from __future__ import annotations
 
 import math
+import re
+import sys
 from fractions import Fraction
 
 
@@ -17,7 +19,8 @@ def parse_rational(text: str) -> Fraction:
 
     Decimals are rationalized exactly: "0.01" -> 1/100, "1e-3" -> 1/1000.
     Anything else, "nan" and "inf" included, raises a ValueError that
-    names the text.
+    names the text.  A run of digits longer than Python's int-to-str
+    limit raises one that names the limit and shows the text's start.
     """
     text = text.strip()
     try:
@@ -25,6 +28,13 @@ def parse_rational(text: str) -> Fraction:
     except ZeroDivisionError:
         raise ValueError(f"{text!r} has a zero denominator") from None
     except ValueError:
+        limit = sys.get_int_max_str_digits()
+        digits = max(map(len, re.findall(r"\d+", text)), default=0)
+        if 0 < limit < digits:
+            raise ValueError(
+                f"{text[:20] + '...'!r} has a run of {digits} digits; "
+                f"numbers are limited to {limit} digits"
+            ) from None
         raise ValueError(
             f"{text!r} is not a rational number (a/b, integer or decimal)"
         ) from None

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bicheb.bipartite import (
     Branch,
@@ -17,6 +19,7 @@ from bicheb.bipartite import (
     compose_outer,
     conditions,
     continuation,
+    f1_polynomial,
     identity_residual,
     ode_residual,
     solve_c1,
@@ -344,6 +347,35 @@ def test_solve_c1_count_for_negative_c2():
     # for c3 = c4 = 0 and c2 < 0 there are s-1 distinct real roots
     for s in (2, 3, 4, 5, 6):
         assert len(solve_c1(s, F(-2), 0, 0)) == s - 1
+
+
+# -- F_1 as a polynomial in one coefficient --------------------------------------
+
+coefficient = st.builds(F, st.integers(-12, 12), st.sampled_from((1, 2, 3, 5, 7, 12)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 30), st.integers(1, 4), st.lists(coefficient, min_size=4, max_size=4))
+def test_f1_polynomial_evaluates_to_the_conditions_value(s, target, c):
+    fixed = {p: v for p, v in enumerate(c, 1) if p != target}
+    f1 = f1_polynomial(s, target, fixed)
+    assert f1.eval(c[target - 1]) == conditions(s, QuarticCoeffs.of(*c)).f1
+
+
+def test_f1_polynomial_negative_leading_coefficient():
+    # the c2^2 c1 monomial of F_1 at s = 6 leads, with the sign of c1
+    fixed = {1: F(-1, 3), 3: F(2, 5), 4: F(7)}
+    f1 = f1_polynomial(6, 2, fixed)
+    assert f1.degree == 2 and f1.leading() < 0
+    for v in (F(0), F(1), F(-2), F(3, 7)):
+        assert f1.eval(v) == conditions(6, QuarticCoeffs.of(F(-1, 3), v, F(2, 5), F(7))).f1
+
+
+def test_f1_polynomial_zero_bound():
+    # with c1 = c3 = c4 = 0, F_1 at odd weight s - 1 has no monomial in c2:
+    # the bound is 0 and F_1 is the zero polynomial; at s = 5 only (2, 2) is left
+    assert f1_polynomial(4, 2, {1: F(0), 3: F(0), 4: F(0)}) == Poly.zero()
+    assert f1_polynomial(5, 2, {1: F(0), 3: F(0), 4: F(0)}) == Poly((0, 0, F(5, 16)))
 
 
 # -- hyperbolic impossibility for odd s ------------------------------------------

@@ -126,21 +126,45 @@ def test_complete_s_is_bounded_before_any_table_is_built(monkeypatch, capsys):
     class Reached(Exception):
         pass
 
-    def unbuilt(s):
+    def unbuilt(s, target, fixed):
         raise Reached(s)
 
-    monkeypatch.setattr(elliptic, "fk_table", unbuilt)
+    monkeypatch.setattr(elliptic, "f1_polynomial", unbuilt)
     # the c1 class takes the largest even divisor, c2 the largest s = 3 mod 4
-    for argv, s in ((("--n", "80", "--fix", "c2=-5,c3=0,c4=4", "--solve", "c1"), 80),
-                    (("--n", "63", "--fix", "c1=0,c3=0,c4=4", "--solve", "c2", "--json"), 63),
-                    (("--n", "124", "--fix", "c2=-5,c3=0,c4=4", "--solve", "c1",
-                      "--force-s", "62"), 62)):
+    for argv, s, degree in (
+        (("--n", "80", "--fix", "c2=-5,c3=0,c4=4", "--solve", "c1"), 80, "79 in c1"),
+        (("--n", "63", "--fix", "c1=0,c3=0,c4=4", "--solve", "c2", "--json"), 63, "31 in c2"),
+        (("--n", "124", "--fix", "c2=-5,c3=0,c4=4", "--solve", "c1", "--force-s", "62"), 62,
+         "61 in c1"),
+    ):
         code, out, err = run(capsys, "complete", *argv)
         assert code == 1 and out == ""
-        assert err == (f"error: complete needs the F_k table at s={s}; the divisor s "
-                       f"must be at most {cli.FK_MAX_S}\n")
+        assert err == (f"error: complete solves F_1 = 0 at s={s}, of degree up to {degree}; "
+                       f"the divisor s must be at most {cli.FK_MAX_S}\n")
     with pytest.raises(Reached):
         elliptic.complete_coefficient(cli.FK_MAX_S, {2: F(-5), 3: F(0), 4: F(4)}, 1)
+
+
+def test_construct_and_perturb_s_are_bounded_before_any_work(monkeypatch, capsys):
+    def unreached(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "solve_c1", unreached)
+    monkeypatch.setattr(cli, "continuation", unreached)
+    s = str(cli.FK_MAX_S + 1)
+    for argv in (("construct", "--s", s, "--c2=-5", "--c3", "0", "--c4", "4"),
+                 ("perturb", "--s", s, "--c2=-2", "--target-c3", "0", "--target-c4", "0",
+                  "--branch", "1", "--json")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == f"error: {argv[0]} --s must be at most {cli.FK_MAX_S}, got {s}\n"
+
+
+def test_complete_with_f1_identically_zero_is_an_error(capsys):
+    # at s = 4 F_1 has odd weight 3, so with c1 = c3 = c4 = 0 no monomial survives
+    code, out, err = run(capsys, "complete", "--n", "4", "--force-s", "4",
+                         "--fix", "c1=0,c3=0,c4=0", "--solve", "c2")
+    assert (code, out, err) == (1, "", "error: zero polynomial\n")
 
 
 def test_large_n_refusal_prints_exact_values(capsys):
@@ -165,7 +189,9 @@ def test_large_n_refusal_prints_exact_values(capsys):
     assert sys.get_int_max_str_digits() == limit
     # inputs still parse under the default limit
     code, out, err = run(capsys, "decide", "--n", "2", f"--p={'1' * (limit + 1)},0,0,1")
-    assert code == 1 and out == "" and "is not a rational number" in err
+    assert (code, out) == (1, "")
+    assert err == (f"error: '{'1' * 20}...' has a run of {limit + 1} digits; "
+                   f"numbers are limited to {limit} digits\n")
     assert sys.get_int_max_str_digits() == limit
 
 

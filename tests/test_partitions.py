@@ -1,9 +1,12 @@
+import functools
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from bicheb.bipartite import _f1_float
+from bicheb.bipartite import QuarticCoeffs, _f1_float, conditions, f1_polynomial
 from bicheb.partitions import (
     Partition,
     distinct_perms,
@@ -14,6 +17,7 @@ from bicheb.partitions import (
     partition_coeff,
     partitions_bounded,
 )
+from bicheb.poly import Poly
 
 
 def P(*parts):
@@ -23,7 +27,9 @@ def P(*parts):
 # -- Fraction oracles ----------------------------------------------------------
 #
 # The recurrence and the one-variable view on Fractions: the references for
-# the tables carried as integer numerators.
+# the tables the integer recurrence builds, and for F_1 as a polynomial in
+# one coefficient, which bipartite.f1_polynomial reads from the integer
+# conditions recurrence.
 
 
 def fraction_recurrence(s):
@@ -56,31 +62,36 @@ def fraction_poly_in(entry, index, fixed):
     return [coeffs.get(i, F(0)) for i in range(top + 1)]
 
 
+def fraction_values(table, c):
+    """(F_0, ..., F_s) at c = (c1, c2, c3, c4), on Fractions."""
+    cf = dict(enumerate(c, 1))
+    return [fraction_poly_in(table[k], 0, cf)[0] for k in table.ks()]
+
+
 @pytest.mark.parametrize("s", range(1, 41))
 def test_integer_recurrence_equals_the_fraction_oracle(s):
     table, oracle = fk_table_by_recurrence(s), fraction_recurrence(s)
     assert table.ks() == sorted(oracle)
     for k in table.ks():
         assert list(table[k].items()) == list(oracle[k].items()), k
-        assert list(table.numerators[k]) == list(oracle[k])
 
 
-def test_fk_as_poly_in_equals_the_fraction_oracle():
-    rng = random.Random(11)
-    for s in (2, 3, 5, 8, 13, 20):
-        table = fk_table_by_recurrence(s)
-        for _ in range(6):
-            c = {p: F(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 7, 12))) for p in range(1, 5)}
-            if rng.random() < 0.3:
-                c[rng.randint(1, 4)] = F(0)
-            for index in range(1, 5):
-                fixed = {p: v for p, v in c.items() if p != index}
-                for k in {0, 1, s // 2, s}:
-                    got = table.fk_as_poly_in(k, index, fixed)
-                    assert got == fraction_poly_in(table[k], index, fixed), (s, k, index)
-            assert table.eval_fk([c[p] for p in range(1, 5)]) == [
-                fraction_poly_in(table[k], 0, c)[0] for k in range(s + 1)
-            ]
+table_at = functools.lru_cache(fk_table_by_recurrence)
+coefficient = st.builds(
+    F, st.integers(-9, 9), st.sampled_from((1, 3, 5, 7, 12))
+) | st.just(F(0))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 30), st.tuples(coefficient, coefficient, coefficient, coefficient))
+@example(30, (F(-9, 7), F(5, 12), F(-1, 3), F(7, 5)))
+@example(4, (F(0), F(0), F(0), F(0)))
+def test_f1_polynomial_equals_the_fraction_oracle(s, c):
+    entry = table_at(s)[1]
+    for target in range(1, 5):
+        fixed = {p: v for p, v in enumerate(c, 1) if p != target}
+        want = Poly(fraction_poly_in(entry, target, fixed))
+        assert f1_polynomial(s, target, fixed) == want, target
 
 
 def test_partition_validation():
@@ -186,27 +197,27 @@ def test_grading_under_weighted_scaling():
             c = [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(4)]
             lam = F(rng.randint(1, 5), rng.randint(1, 3))
             scaled = [c[i] * lam ** -(i + 1) for i in range(4)]
-            base = table.eval_fk(c)
-            got = table.eval_fk(scaled)
+            base = fraction_values(table, c)
+            got = fraction_values(table, scaled)
             for k in range(s + 1):
                 assert got[k] == base[k] * lam ** -(s - k)
 
 
-def test_eval_fk_known_values():
-    t3 = fk_table_by_recurrence(3)
-    assert t3.eval_fk([F(-2), F(-3), F(2), F(2)]) == [F(3), F(0), F(-3), F(1)]
-    t2 = fk_table_by_recurrence(2)
-    assert t2.eval_fk([F(0), F(-5), F(0), F(4)]) == [F(-5, 2), F(0), F(1)]
-    for s in (2, 4, 6):
-        t = fk_table_by_recurrence(s)
-        vals = t.eval_fk([F(0)] * 4)
-        assert vals[:-1] == [F(0)] * s and vals[-1] == 1
+def test_fk_known_values():
+    # the table, and the conditions run that fk --eval prints (F_1 in place
+    # of the pinned a_1)
+    for s, c, want in ((3, (-2, -3, 2, 2), [3, 0, -3, 1]), (2, (0, -5, 0, 4), [F(-5, 2), 0, 1]),
+                       (2, (0, 0, 0, 0), [0, 0, 1]), (4, (0, 0, 0, 0), [0, 0, 0, 0, 1]),
+                       (6, (0, 0, 0, 0), [0] * 6 + [1])):
+        c = tuple(map(F, c))
+        assert fraction_values(fk_table_by_recurrence(s), c) == want
+        cond = conditions(s, QuarticCoeffs.of(*c))
+        assert [*cond.a[:1], cond.f1, *cond.a[2:]] == want
 
 
-def test_fk_as_poly_in_c1():
-    t3 = fk_table_by_recurrence(3)
-    coeffs = t3.fk_as_poly_in(1, 1, {2: F(-3), 3: F(0), 4: F(0)})
-    assert coeffs == [F(-9, 4), F(0), F(9, 16)]
+def test_f1_polynomial_in_c1():
+    got = f1_polynomial(3, 1, {2: F(-3), 3: F(0), 4: F(0)})
+    assert got == Poly((F(-9, 4), F(0), F(9, 16)))
 
 
 def test_format_fk_text():

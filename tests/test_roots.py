@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_golden import FAMILIES
 
-from bicheb.bipartite import QuarticCoeffs, fk_table
+from bicheb.bipartite import QuarticCoeffs, f1_polynomial
 from bicheb.elliptic import ClosedForm, decide
 from bicheb import roots
 from bicheb.poly import Poly
@@ -215,7 +215,7 @@ def snapshot_polys() -> dict[str, Poly]:
             fixed = dict(zip([k for k in (1, 2, 3, 4) if k != target], (a, b, c)))
             for n in ns:
                 key = f"F1 in c{target} n={n} fixed={a},{b},{c}"
-                polys[key] = Poly(fk_table(n).fk_as_poly_in(1, target, fixed))
+                polys[key] = f1_polynomial(n, target, fixed)
     return polys
 
 

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -22,6 +23,16 @@ def test_parse_rational_forms():
     for text in ("abc", "nan", "inf", "1/2/3"):
         with pytest.raises(ValueError, match=rf"^'{text}' is not a rational number"):
             parse_rational(text)
+
+
+def test_parse_rational_past_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    for text in ("7" * (limit + 1), "-1/" + "3" * (limit + 1), "0." + "5" * (limit + 1)):
+        with pytest.raises(ValueError) as info:
+            parse_rational(text)
+        assert str(info.value) == (f"{text[:20] + '...'!r} has a run of {limit + 1} digits; "
+                                   f"numbers are limited to {limit} digits")
+    assert parse_rational("7" * limit) == int("7" * limit)
 
 
 def test_is_square_and_sqrt():
