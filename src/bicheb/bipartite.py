@@ -108,10 +108,9 @@ class QuarticCoeffs:
         return LaurentPoly(self.poly(), 2)
 
 
-# largest inner degree s a command accepts (fk --s, construct --s, perturb
-# --s, complete's divisor): at s = 60 fk takes about 2 s and prints 3 MB of
-# text (15 MB of JSON), and F_1 has degree up to 59 in the solved coefficient;
-# time and size grow faster than s^4 beyond it
+# largest inner degree s a command accepts (fk, construct and perturb --s,
+# complete's divisor): at s = 60 fk takes about 2 s and prints 3 MB of text
+# (15 MB of JSON); time and size grow faster than s^4 beyond it
 FK_MAX_S = 60
 
 
@@ -188,7 +187,7 @@ class Conditions:
 
 
 def _run(s: int, C: Sequence[int], D: int) -> tuple[list[int], list[int], int]:
-    """The recurrence (s >= 2) on the cleared coefficients C_i = c_i * D.
+    """The recurrence on the cleared coefficients C_i = c_i * D.
 
     Returns the factors e_j = D * 2 (s^2 - j^2), the numerators A_k over
     Q_k = prod_{j=k}^{s-1} e_j, with A_1 pinned to 0, and F_1's numerator
@@ -196,6 +195,8 @@ def _run(s: int, C: Sequence[int], D: int) -> tuple[list[int], list[int], int]:
 
         A_k = sum_i (k+i)(2k+i) C_i A_{k+i} prod_{j=k+1}^{k+i-1} e_j.
     """
+    if s < 2:
+        raise ValueError("inner degree s must be at least 2")
     C1, C2, C3, C4 = C
     e = [D * 2 * (s * s - j * j) for j in range(s + 3)]
     A = [0] * (s + 4)
@@ -219,8 +220,6 @@ def conditions(s: int, c: QuarticCoeffs) -> Conditions:
     The recurrence runs on integers (``_run``); F_1, aux and d are the only
     Fractions made, and they need only Q_2, Q_1 = Q_2 e_1 and Q_0 = Q_1 e_0.
     """
-    if s < 2:
-        raise ValueError("inner degree s must be at least 2")
     D = math.lcm(*(v.denominator for v in c.as_tuple()))
     C = [v.numerator * (D // v.denominator) for v in c.as_tuple()]
     e, A, f1_num = _run(s, C, D)
@@ -244,8 +243,6 @@ def f1_polynomial(s: int, target: int, fixed: dict[int, Fraction]) -> Poly:
     on every |coefficient| of N; at t = 2^w with w = B.bit_length() + 1
     each coefficient fills its own w-bit slot, read back as a signed digit.
     """
-    if s < 2:
-        raise ValueError("inner degree s must be at least 2")
     c = [Fraction(1 if k == target else fixed[k]) for k in range(1, 5)]  # t = 1
     D = math.lcm(*(v.denominator for v in c))
     C = [v.numerator * (D // v.denominator) for v in c]
@@ -633,9 +630,8 @@ def _fmul(a: list[float], b: list[float]) -> list[float]:
 def _f1_float(s: int, c2: float, c3: float, c4: float) -> list[float]:
     """F_1 as a polynomial in c1 with float coefficients, for the tracker.
 
-    The float image of the table's F_1 entry: each monomial's other parts
-    multiply in floats, in table order, which keeps perturb's floats as
-    they were before ``f1_polynomial`` took over the exact F_1.
+    The float image of the table's F_1 entry, not of ``f1_polynomial``:
+    each monomial's other parts multiply in floats, in table order.
     """
     fixed = {2: c2, 3: c3, 4: c4}
     out: dict[int, float] = {}

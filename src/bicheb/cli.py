@@ -210,8 +210,16 @@ def cmd_construct(args) -> int:
             continue
         built.append(sol)
     if args.json:
-        payload = {"s": args.s, "solutions": [s.as_dict() for s in built], "skipped": skipped}
-        print(json.dumps(payload, indent=2))
+        print(
+            json.dumps(
+                {
+                    "s": args.s,
+                    "solutions": [s.as_dict() for s in built],
+                    "skipped": skipped,
+                },
+                indent=2,
+            )
+        )
     else:
         print(f"s={args.s}: {len(roots)} real F_1 root(s) in c1")
         for sol in built:
@@ -237,8 +245,16 @@ def cmd_fk(args) -> int:
             cond = conditions(args.s, QuarticCoeffs.from_list(c))
             values = [cond.a[0], cond.f1, *cond.a[2:]]
         if args.json:
-            payload = {"s": args.s, "c": [str(v) for v in c], "F": [str(v) for v in values]}
-            print(json.dumps(payload, indent=2))
+            print(
+                json.dumps(
+                    {
+                        "s": args.s,
+                        "c": [str(v) for v in c],
+                        "F": [str(v) for v in values],
+                    },
+                    indent=2,
+                )
+            )
         else:
             for k, v in enumerate(values):
                 print(f"F_{k} = {v}")

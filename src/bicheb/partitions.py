@@ -173,7 +173,7 @@ def fk_table_by_recurrence(s: int) -> FkTable:
     base = s + 1
     R = [2 * (s * s - j * j) for j in range(s + 1)]
     nums: dict[int, dict[int, int]] = {s: {0: 1}}
-    dens = {s: 1}
+    denominators = {s: 1}
     for k in range(s - 1, -1, -1):
         entry: dict[int, int] = {}
         between = 1  # R_(k+1) ... R_(k+i-1)
@@ -186,9 +186,9 @@ def fk_table_by_recurrence(s: int) -> FkTable:
                     entry[key] = entry.get(key, 0) + factor * n
             between *= R[k + i]
         nums[k] = entry
-        dens[k] = dens[k + 1] * R[k]
+        denominators[k] = denominators[k + 1] * R[k]
     entries = {
-        k: {_counted(key, base): Fraction(n, dens[k]) for key, n in row.items()}
+        k: {_counted(key, base): Fraction(n, denominators[k]) for key, n in row.items()}
         for k, row in nums.items()
     }
     return FkTable(s, entries)
