@@ -9,8 +9,16 @@ Horner on the homogenised form.  The chain's last element is
 gcd(p, p'); when it is not constant, Musser's algorithm splits p into
 square-free factors with gcds and exact divisions of primitive integer
 polynomials, the square-free part is isolated on its own chain and each
-root's multiplicity is read off the factor it belongs to.  The search
-runs over the whole line within the Cauchy bound, which no root reaches.
+root's multiplicity is read off the factor it belongs to.
+
+The search splits the Cauchy interval (-B, B), which holds every root,
+and evaluates the chain only inside (-r, r), where r is a power of two
+at least Fujiwara's bound 2 max |a_(d-i) / a_d|^(1/i): no root reaches
+it.  Past it V is known without evaluation: a split point m >= r takes
+V of the right end of its interval, m <= -r that of the left end, and
+V(+-B) is read off the chain's leading coefficients.  Every V is exact,
+so the split tree, and with it every interval, is the one a descent
+that evaluates the chain at every split point builds.
 
 Every polynomial enters as the primitive integer vector ``Poly.ints``,
 a positive multiple of it, so no conversion runs per call.
@@ -68,6 +76,12 @@ def _sign_pw(p: Ints, num: int, pw: list[int]) -> int:
     return (acc > 0) - (acc < 0)
 
 
+def _signs(polys: list[Ints], x: Fraction):
+    """The signs of the polys at x, lazily, on one list of powers."""
+    num, pw = x.numerator, _powers(x.denominator, max(map(len, polys)) - 1)
+    return (_sign_pw(p, num, pw) for p in polys)
+
+
 def _sign(p: Ints, x: Fraction) -> int:
     return _sign_pw(p, x.numerator, _powers(x.denominator, len(p) - 1))
 
@@ -117,16 +131,45 @@ def _sturm(a: Ints) -> list[Ints]:
     return chain
 
 
-def variations_at(chain: list[Ints], x: Fraction) -> int:
-    x = Fraction(x)
-    num, pw = x.numerator, _powers(x.denominator, len(chain[0]) - 1)
+def _variations(signs) -> int:
     count, prev = 0, 0
-    for q in chain:
-        s = _sign_pw(q, num, pw)
+    for s in signs:
         if s:
             count += prev == -s
             prev = s
     return count
+
+
+def variations_at(chain: list[Ints], x: Fraction, head: int = 0) -> int:
+    """Sign changes along the chain at x; head, when nonzero, is the
+    known sign of the chain's first element there."""
+    x = Fraction(x)
+    if not head:
+        return _variations(_signs(chain, x))
+    return _variations(itertools.chain([head], _signs(chain[1:], x)))
+
+
+def _variations_at_infinity(chain: list[Ints], sign: int) -> int:
+    """V(sign * infinity): each element has the sign of its leading term."""
+    return _variations((1 if q[-1] > 0 else -1) * sign ** (len(q) - 1) for q in chain)
+
+
+def _ceil_log2(a: int, b: int) -> int:
+    """The least integer t with b 2^t >= a, for positive a and b."""
+    t = a.bit_length() - b.bit_length()
+    return t + (b << max(t, 0) < a << max(-t, 0))
+
+
+def _root_bound(p: Ints) -> Fraction:
+    """A power of two r with |z| < r for every complex root z of p.
+
+    Fujiwara: |z| < 2M for M = max_i |a_(d-i) / a_d|^(1/i) > 0, and
+    2^(e i) >= |a_(d-i) / a_d| iff e i >= t_i = _ceil_log2(|a_(d-i)|, |a_d|),
+    so r = 2^(e+1) for the least e with e >= t_i / i for every i.
+    """
+    lead = abs(p[-1])
+    e = [-(-_ceil_log2(abs(c), lead) // i) for i, c in enumerate(reversed(p[:-1]), 1) if c]
+    return Fraction(2) ** (max(e) + 1) if e else Fraction(1)  # else p = a_d x^d
 
 
 def count_roots_halfopen(chain: list[Ints], lo: Fraction, hi: Fraction) -> int:
@@ -220,12 +263,17 @@ def noroot_point(lo: Fraction, hi: Fraction, *polys: Poly) -> Fraction:
     return _noroot_point(lo, hi, [p.ints for p in polys])
 
 
-def _noroot_point(lo: Fraction, hi: Fraction, polys: list[Ints]) -> Fraction:
+def _probes(lo: Fraction, hi: Fraction):
+    """Candidate points of (lo, hi), in the order they are tried."""
     span = hi - lo
     probes = (lo + span / den for den in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29))
     grid = (lo + span * Fraction(j, 1009) for j in itertools.count(1))
-    for x in itertools.chain(probes, grid):
-        if all(_sign(p, x) for p in polys):
+    return itertools.chain(probes, grid)
+
+
+def _noroot_point(lo: Fraction, hi: Fraction, polys: list[Ints]) -> Fraction:
+    for x in _probes(lo, hi):
+        if all(_signs(polys, x)):
             return x
 
 
@@ -332,20 +380,31 @@ def _isolate(chain: list[Ints], width: Fraction) -> list[IsolatedRoot]:
     p = chain[0]
     # Cauchy: every root is smaller in magnitude than the bound
     b = 1 + Fraction(max(abs(c) for c in p[:-1]), abs(p[-1]))
-    a = -b
+    r = _root_bound(p)
     out = []
     # (x, y, V(x), V(y)): (x, y] holds V(x) - V(y) roots
-    stack = [(a, b, variations_at(chain, a), variations_at(chain, b))]
+    stack = [(-b, b, _variations_at_infinity(chain, -1), _variations_at_infinity(chain, 1))]
     while stack:
         x, y, vx, vy = stack.pop()
         if vx - vy == 1:
             out.append(IsolatedRoot(*_refine(p, x, y, width)))
         elif vx - vy > 1:
-            m = _noroot_point(x, y, [p])
-            vm = variations_at(chain, m)
+            # the first probe where p does not vanish, as _noroot_point
+            # picks it; p has no root at |m| >= r, nor in (m, y] or (x, m]
+            for m in _probes(x, y):
+                if m >= r:
+                    vm = vy
+                elif m <= -r:
+                    vm = vx
+                else:
+                    head = _sign(p, m)
+                    if not head:
+                        continue
+                    vm = variations_at(chain, m, head)
+                break
             stack.append((x, m, vx, vm))
             stack.append((m, y, vm, vy))
-    out.sort(key=lambda r: (r.lo, r.hi))
+    out.sort(key=lambda iv: (iv.lo, iv.hi))
     return out
 
 
@@ -371,12 +430,13 @@ def real_roots(p: Poly, width: Fraction = DEFAULT_WIDTH) -> list[IsolatedRoot]:
 
 
 def _multiplicity_of(r: IsolatedRoot, factors: list[tuple[Ints, int]]) -> int:
+    polys = [f for f, _ in factors]
     if r.exact:
-        for f, m in factors:
-            if not _sign(f, r.lo):
+        for (_, m), s in zip(factors, _signs(polys, r.lo)):
+            if not s:
                 return m
     else:
-        for f, m in factors:
-            if _sign(f, r.lo) * _sign(f, r.hi) < 0:
+        for (_, m), a, b in zip(factors, _signs(polys, r.lo), _signs(polys, r.hi)):
+            if a * b < 0:
                 return m
     raise AssertionError("isolated root does not belong to any square-free factor")

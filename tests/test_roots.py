@@ -1,3 +1,5 @@
+import contextlib
+import functools
 import json
 import math
 import random
@@ -199,6 +201,7 @@ SNAPSHOT = Path(__file__).parent / "data" / "roots_snapshot.json"
 SNAPSHOT_TRIPLES = 12
 
 
+@functools.cache
 def snapshot_polys() -> dict[str, Poly]:
     polys = {}
     for name, (p, s, _) in FAMILIES.items():
@@ -392,6 +395,140 @@ def test_qir_on_a_start_narrower_than_the_width():
     big = Poly((F(-2), F(0), F(2**60 + 1))).ints
     lo, hi = F(1, 2**31), F(1, 2**29)
     assert roots._refine(big, lo, hi, F(1)) == bisection_refine(big, lo, hi, F(1)) == (lo, hi)
+
+
+
+# -- the root bound and the pruned descent -----------------------------------------------
+
+
+def assert_roots_inside_the_bound(p):
+    r = roots._root_bound(p.ints)
+    assert r > 0 and all(v & (v - 1) == 0 for v in (r.numerator, r.denominator))  # 2^k
+    sp = sympy.Poly([sympy.Rational(c) for c in reversed(p.coeffs)], sympy.Symbol("x"))
+    R = sympy.Rational(r)
+    assert sp.eval(R) != 0 and sp.eval(-R) != 0
+    assert sp.count_roots(-R, R) == sp.count_roots(), (p, r)
+
+
+@st.composite
+def sparse(draw):
+    """An integer polynomial of degree 1..12 with most coefficients zero and
+    the rest of up to 70 bits."""
+    deg = draw(st.integers(1, 12))
+    big = st.integers(-(2**70), 2**70)
+    low = [draw(st.one_of(st.just(0), st.just(0), big)) for _ in range(deg)]
+    return Poly([F(c) for c in low] + [F(draw(big.filter(bool)))])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.one_of(factored(), sparse()))
+def test_real_roots_lie_inside_the_root_bound(p):
+    assert_roots_inside_the_bound(p)
+
+
+def _x(k):
+    return Poly.x() ** k
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        Poly.x(),
+        Poly((F(0), F(2**70))),  # x, scaled
+        *(_x(d) - Poly.one() for d in (1, 2, 3, 8, 13)),  # +-1 on the bound's doorstep
+        _linear_times_sqrt2(2**60 + 1),
+        Poly((F(-2), F(0), F(2**60 + 1))),
+        Poly((F(3), F(-5), F(0), F(-7))),  # negative lead
+        -Poly.from_roots([F(1, 3), F(-9, 2), F(40)]),
+        _x(6) + Poly((F(-(10**40)),)),  # the constant term dominates
+        _x(5) + _x(1) + Poly((F(3**90),)),
+        Poly.from_roots([F(2**k) for k in range(6)]),  # roots on powers of two
+    ],
+)
+def test_root_bound_edge_cases(p):
+    assert_roots_inside_the_bound(p)
+
+
+def unpruned_isolate(chain, width):
+    """The descent before pruning: V is evaluated at +-B and at every split
+    point.  The oracle the pruned roots._isolate must match call by call."""
+    p = chain[0]
+    b = 1 + F(max(abs(c) for c in p[:-1]), abs(p[-1]))
+    out = []
+    stack = [(-b, b, roots.variations_at(chain, -b), roots.variations_at(chain, b))]
+    while stack:
+        x, y, vx, vy = stack.pop()
+        if vx - vy == 1:
+            out.append(roots.IsolatedRoot(*roots._refine(p, x, y, width)))
+        elif vx - vy > 1:
+            m = roots._noroot_point(x, y, [p])
+            vm = roots.variations_at(chain, m)
+            stack += [(x, m, vx, vm), (m, y, vm, vy)]
+    out.sort(key=lambda iv: (iv.lo, iv.hi))
+    return out
+
+
+def descent(p, isolate=None, width=roots.DEFAULT_WIDTH):
+    """real_roots(p, width) with isolate in place of roots._isolate when
+    given: the roots, the arguments of every _refine call, and each chain
+    evaluation as (root bound of the chain's polynomial, point)."""
+    refined, evaluated = [], []
+    refine, variations = roots._refine, roots.variations_at
+
+    def refine_spy(*args):
+        refined.append(args)
+        return refine(*args)
+
+    def variations_spy(chain, x, *args):
+        evaluated.append((roots._root_bound(chain[0]), x))
+        return variations(chain, x, *args)
+
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(roots, "_refine", refine_spy))
+        stack.enter_context(mock.patch.object(roots, "variations_at", variations_spy))
+        if isolate:
+            stack.enter_context(mock.patch.object(roots, "_isolate", isolate))
+        found = real_roots(p, width)
+    return found, refined, evaluated
+
+
+def assert_descends_like_the_oracle(p, width=roots.DEFAULT_WIDTH):
+    found, refined, evaluated = descent(p, width=width)
+    want, want_refined, want_evaluated = descent(p, unpruned_isolate, width)
+    assert found == want
+    assert refined == want_refined
+    assert all(-r < x < r for r, x in evaluated), p
+    assert len(evaluated) <= len(want_evaluated)
+    return len(evaluated), len(want_evaluated)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(factored(), st.sampled_from(WIDTHS))
+def test_pruned_descent_equals_the_unpruned_one(p, width):
+    assert_descends_like_the_oracle(p, width)
+
+
+def test_pruned_descent_equals_the_unpruned_one_on_the_snapshot():
+    for p in snapshot_polys().values():
+        assert_descends_like_the_oracle(p)
+
+
+@pytest.mark.parametrize("big", [10**6, 10**12, 2**200])
+def test_pruned_descent_with_a_root_at_zero_under_a_large_cauchy_bound(big):
+    # the probe at 0 is a root, so every split falls back to a third of
+    # its interval and the descent walks down towards 0 in root-free steps;
+    # B is about big, r about 2 big^(1/4)
+    p = _x(1) * Poly((F(-2), F(0), F(1))) * (_x(4) + Poly((F(big),)))
+    pruned, unpruned = assert_descends_like_the_oracle(p)
+    assert [r.exact for r in real_roots(p)] == [False, True, False]
+    assert 2 * pruned < unpruned
+
+
+def test_pruned_descent_halves_the_chain_evaluations_on_a_completion():
+    # F_1 in c1 at s = 20: every evaluation inside (-r, r), 16 against 66
+    p = f1_polynomial(20, 1, {2: F(-5), 3: F(0), 4: F(4)})
+    pruned, unpruned = assert_descends_like_the_oracle(p)
+    assert 2 * pruned < unpruned
 
 
 if __name__ == "__main__":
