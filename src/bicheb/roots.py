@@ -143,10 +143,8 @@ def _variations(signs) -> int:
 def variations_at(chain: list[Ints], x: Fraction, head: int = 0) -> int:
     """Sign changes along the chain at x; head, when nonzero, is the
     known sign of the chain's first element there."""
-    x = Fraction(x)
-    if not head:
-        return _variations(_signs(chain, x))
-    return _variations(itertools.chain([head], _signs(chain[1:], x)))
+    rest = chain[1:] if head else chain
+    return _variations(itertools.chain([head], _signs(rest, Fraction(x))))
 
 
 def _variations_at_infinity(chain: list[Ints], sign: int) -> int:
@@ -389,8 +387,9 @@ def _isolate(chain: list[Ints], width: Fraction) -> list[IsolatedRoot]:
         if vx - vy == 1:
             out.append(IsolatedRoot(*_refine(p, x, y, width)))
         elif vx - vy > 1:
-            # the first probe where p does not vanish, as _noroot_point
-            # picks it; p has no root at |m| >= r, nor in (m, y] or (x, m]
+            # _noroot_point's split: the first probe where p does not
+            # vanish.  No root lies at |m| >= r, so then (m, y] or (x, m]
+            # holds none and V(m) is V(y) or V(x)
             for m in _probes(x, y):
                 if m >= r:
                     vm = vy
@@ -404,7 +403,7 @@ def _isolate(chain: list[Ints], width: Fraction) -> list[IsolatedRoot]:
                 break
             stack.append((x, m, vx, vm))
             stack.append((m, y, vm, vy))
-    out.sort(key=lambda iv: (iv.lo, iv.hi))
+    out.sort(key=lambda r: (r.lo, r.hi))
     return out
 
 
