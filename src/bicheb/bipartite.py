@@ -109,8 +109,8 @@ class QuarticCoeffs:
 
 
 # largest inner degree s a command accepts (fk, construct and perturb --s,
-# complete's divisor): at s = 60 fk takes about 2 s and prints 3 MB of text
-# (15 MB of JSON); time and size grow faster than s^4 beyond it
+# complete's divisor): at s = 60 fk prints 3 MB of text in about 0.2 s (15 MB
+# of JSON in about 1.5 s); time and size grow faster than s^4 beyond it
 FK_MAX_S = 60
 
 

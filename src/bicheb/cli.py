@@ -42,6 +42,10 @@ EXIT_YES = 0
 EXIT_USAGE = 1
 EXIT_NO = 3
 
+# largest s multi accepts: with a quartic p and q = x, s = 1000 takes about
+# 2 s and s = 2000 about 14 s
+MULTI_MAX_S = 1000
+
 
 @contextlib.contextmanager
 def _exact_digits():
@@ -304,6 +308,8 @@ def cmd_complete(args) -> int:
 
 
 def cmd_multi(args) -> int:
+    if args.s > MULTI_MAX_S:
+        raise ValueError(f"multi --s must be at most {MULTI_MAX_S}, got {args.s}")
     rat = args.rationalize
     if args.p_roots is not None or args.q_roots is not None:
         if args.p_coeffs is not None or args.q_coeffs is not None:
@@ -475,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     comp.set_defaults(fn=cmd_complete)
 
     m = sub.add_parser("multi", help="general (p, q) condition system")
-    m.add_argument("--s", type=int, required=True)
+    m.add_argument("--s", type=int, required=True, help=f"inner degree, at most {MULTI_MAX_S}")
     m.add_argument(
         "--p-coeffs", "--p", dest="p_coeffs",
         help="descending coefficients of monic p (with leading 1)",

@@ -9,20 +9,22 @@ constructions are provided:
   * fk_table_by_recurrence: run the coefficient recurrence symbolically,
     carrying partition-indexed tables from F_s = 1 downward.  The run is
     fraction-free: F_k is carried as integer numerators over the known
-    denominator Q_k = prod_{j=k}^{s-1} 2(s^2 - j^2), and Fractions are
-    made once, for the finished table.
+    denominator Q_k = prod_{j=k}^{s-1} 2(s^2 - j^2).
   * fk_table_by_products: evaluate each monomial coefficient m_lambda as a
     sum over the distinct permutations of the partition of products of the
     one-part factors (s-k+i)(2s-2k+i) / (2k(2s-k)), on Fractions.
 
 Their exact equality is one of the artifact's acceptance properties.
-An FkTable holds the reduced Fractions.  The tables serve the fk printout,
-the continuation tracker and the dual-route check; the decision and the
+An FkTable holds integer rows: numerators keyed by part counts over one
+denominator per F_k.  format_fk prints a row directly; the Partition ->
+Fraction view of a row is built on first access, for the continuation
+tracker (row 1 only) and the dual-route check.  The decision and the
 completion read F_1 from the integer recurrence in bipartite instead.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -130,21 +132,34 @@ def partition_coeff(lam: Partition, s: int) -> Fraction:
 class FkTable:
     """Partition-indexed tables of the coefficient polynomials F_0..F_s.
 
-    entries[k] maps each Partition of weight s-k (parts <= 4) to its
-    nonzero Fraction coefficient in F_k; zero coefficients are absent (so
-    the all-ones partition never appears in the k=0 entry).  F_s is the
-    empty-partition singleton {(): 1}.
+    rows[k] maps the part-count key m1 + m2 B + m3 B^2 + m4 B^3 (B = s + 1)
+    of each partition of weight s-k (parts <= 4) to its nonzero integer
+    numerator in F_k over the denominator dens[k]; zero coefficients are
+    absent (so the all-ones partition never appears in row 0), and F_s is
+    the row {0: 1} over 1.  table[k] is that row as a Partition -> reduced
+    Fraction dict, built on first access and kept, in the row's order.
     """
 
-    def __init__(self, s: int, entries: dict[int, dict[Partition, Fraction]]):
+    def __init__(self, s: int, rows: dict[int, dict[int, int]], dens: dict[int, int]):
         self.s = s
-        self.entries = entries
+        self.rows = rows
+        self.dens = dens
+        self._views: dict[int, dict[Partition, Fraction]] = {}
 
     def __getitem__(self, k: int) -> dict[Partition, Fraction]:
-        return self.entries[k]
+        view = self._views.get(k)
+        if view is None:
+            base, den = self.s + 1, self.dens[k]
+            view = {_counted(key, base): Fraction(n, den) for key, n in self.rows[k].items()}
+            self._views[k] = view
+        return view
+
+    @property
+    def entries(self) -> dict[int, dict[Partition, Fraction]]:
+        return {k: self[k] for k in self.ks()}
 
     def ks(self) -> list[int]:
-        return sorted(self.entries)
+        return sorted(self.rows)
 
     def __eq__(self, other):
         return (
@@ -163,10 +178,9 @@ def fk_table_by_recurrence(s: int) -> FkTable:
     zero.  The run is fraction-free: F_k is carried as integer numerators
     N_k over Q_k = R_k R_(k+1) ... R_(s-1), so
     N_k[lam + (i)] += (k+i)(2k+i) R_(k+1) ... R_(k+i-1) N_(k+i)[lam],
-    keyed during the run by the part counts m1 + m2 B + m3 B^2 + m4 B^3
-    (B = s + 1), where adding a part i adds B^(i-1).  Every term is
-    positive, so no coefficient cancels.  Partitions are built once, at
-    the end, in the order the recurrence first reaches them.
+    keyed by the part counts m1 + m2 B + m3 B^2 + m4 B^3 (B = s + 1),
+    where adding a part i adds B^(i-1).  Every term is positive, so no
+    coefficient cancels.  The table keeps these rows as they are.
     """
     if s < 1:
         raise ValueError("s must be positive")
@@ -187,50 +201,71 @@ def fk_table_by_recurrence(s: int) -> FkTable:
             between *= R[k + i]
         nums[k] = entry
         denominators[k] = denominators[k + 1] * R[k]
-    entries = {
-        k: {_counted(key, base): Fraction(n, denominators[k]) for key, n in row.items()}
-        for k, row in nums.items()
-    }
-    return FkTable(s, entries)
+    return FkTable(s, nums, denominators)
+
+
+def _counts(key: int, base: int) -> tuple[int, int, int, int]:
+    """The part counts (m1, m2, m3, m4) of key = m1 + m2 B + m3 B^2 + m4 B^3."""
+    m1, key = key % base, key // base
+    m2, key = key % base, key // base
+    return m1, m2, key % base, key // base
 
 
 def _counted(key: int, base: int) -> Partition:
     """The partition with m1 + m2 B + m3 B^2 + m4 B^3 = key parts 1..4."""
-    m1, key = key % base, key // base
-    m2, key = key % base, key // base
-    m3, m4 = key % base, key // base
+    m1, m2, m3, m4 = _counts(key, base)
     return Partition((4,) * m4 + (3,) * m3 + (2,) * m2 + (1,) * m1)
 
 
 def fk_table_by_products(s: int) -> FkTable:
-    """Build the F-tables from the permutation-product formula."""
+    """Build the F-tables from the permutation-product formula.
+
+    Each row's Fractions are packed as numerators over their lcm, keyed by
+    part counts as in fk_table_by_recurrence.
+    """
     if s < 1:
         raise ValueError("s must be positive")
-    entries = {}
+    base = s + 1
+    rows, dens = {}, {}
     for k in range(s + 1):
         coeffs = ((lam, partition_coeff(lam, s)) for lam in partitions_bounded(s - k, 4))
-        entries[k] = {lam: m for lam, m in coeffs if m != 0}
-    return FkTable(s, entries)
-
-
-def monomial_str(lam: Partition) -> str:
-    """c-monomial with grouped powers, e.g. (1,1,2) never occurs but (2,1,1) -> c1^2*c2."""
-    if not lam.parts:
-        return "1"
-    counts = [(p, lam.parts.count(p)) for p in sorted(set(lam.parts))]
-    return "*".join(f"c{p}" if e == 1 else f"c{p}^{e}" for p, e in counts)
+        entry = [(lam, m) for lam, m in coeffs if m != 0]
+        den = math.lcm(*(m.denominator for _, m in entry))
+        rows[k] = {
+            sum(base ** (p - 1) for p in lam.parts): m.numerator * (den // m.denominator)
+            for lam, m in entry
+        }
+        dens[k] = den
+    return FkTable(s, rows, dens)
 
 
 def format_fk(table: FkTable, k: int) -> str:
-    """Render one F_k as 'F_k = sum of coeff * c-monomials' text."""
-    entry = table[k]
-    if not entry:
+    """Render one F_k as 'F_k = sum of coeff * c-monomials' text.
+
+    Terms come in ascending key order, which is the lexicographic order of
+    (m4, m3, m2, m1) and so of the descending parts tuples, since every
+    count is at most s < B.  Each piece of a monomial is 'c{p}' or
+    'c{p}^{e}', joined in ascending p.
+    """
+    row = table.rows[k]
+    if not row:
         return f"F_{k} = 0"
+    base, den = table.s + 1, table.dens[k]
+    # per part p, indexed by its count e: c_p^e with a trailing '*', '' at e = 0
+    one, two, three, four = (
+        [""] + [f"c{p}*" if e == 1 else f"c{p}^{e}*" for e in range(1, (table.s - k) // p + 1)]
+        for p in range(1, 5)
+    )
     terms = []
-    for lam, coeff in sorted(entry.items(), key=lambda item: item[0].parts):
-        mono = monomial_str(lam)
-        if lam.parts:
-            terms.append(f"({coeff})*{mono}" if coeff != 1 else mono)
-        else:
-            terms.append(f"{coeff}")
+    for key in sorted(row):
+        n = row[key]
+        g = math.gcd(n, den)
+        num, d = n // g, den // g
+        coeff = f"{num}/{d}" if d != 1 else f"{num}"
+        if not key:
+            terms.append(coeff)
+            continue
+        m1, m2, m3, m4 = _counts(key, base)
+        mono = (one[m1] + two[m2] + three[m3] + four[m4])[:-1]
+        terms.append(mono if coeff == "1" else f"({coeff})*{mono}")
     return f"F_{k} = " + " + ".join(terms)

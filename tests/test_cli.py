@@ -1,8 +1,11 @@
 import argparse
 import json
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +13,8 @@ from bicheb import cli, elliptic, multipartite
 from bicheb.bipartite import QuarticCoeffs, conditions
 from bicheb.cli import main
 from bicheb.elliptic import divisors_from_two
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -289,6 +294,33 @@ def test_multi_runs_the_recurrence_again_only_when_q_vanishes_at_0(
     )
     assert code == 3 and "condition residuals" in out
     assert len(calls) == runs
+
+
+def test_multi_s_is_bounded_before_any_work(monkeypatch, capsys):
+    def unrun(*args):
+        raise AssertionError("coefficients_general was called")
+
+    monkeypatch.setattr(multipartite, "coefficients_general", unrun)
+    for s in (cli.MULTI_MAX_S + 1, 100000):
+        code, out, err = run(
+            capsys, "multi", "--s", str(s), "--p-coeffs", "1,0,0,0,-1", "--q-coeffs", "1,0"
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: multi --s must be at most {cli.MULTI_MAX_S}, got {s}\n"
+    code, out, _ = run(capsys, "multi", "--help")
+    assert code == 0 and f"at most {cli.MULTI_MAX_S}" in out
+
+
+def test_python_m_bicheb_runs_main(capsys):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "bicheb", "fk", "--s", "3"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    code, out, _ = run(capsys, "fk", "--s", "3")
+    assert proc.returncode == code == 0
+    assert proc.stdout == out and out.startswith("F_0 = ")
 
 
 def test_perturb(capsys):

@@ -1,11 +1,16 @@
+import contextlib
 import functools
+import io
+import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bicheb import bipartite, cli, partitions
 from bicheb.bipartite import QuarticCoeffs, _f1_float, conditions, f1_polynomial
 from bicheb.partitions import (
     Partition,
@@ -62,6 +67,28 @@ def fraction_poly_in(entry, index, fixed):
     return [coeffs.get(i, F(0)) for i in range(top + 1)]
 
 
+def monomial_text(lam):
+    """c-monomial with grouped powers in ascending part, e.g. (2,1,1) -> c1^2*c2."""
+    if not lam.parts:
+        return "1"
+    counts = [(p, lam.parts.count(p)) for p in sorted(set(lam.parts))]
+    return "*".join(f"c{p}" if e == 1 else f"c{p}^{e}" for p, e in counts)
+
+
+def fraction_format(entry, k):
+    """One F_k line from a Partition -> Fraction dict, terms by parts tuple."""
+    if not entry:
+        return f"F_{k} = 0"
+    terms = []
+    for lam, coeff in sorted(entry.items(), key=lambda item: item[0].parts):
+        mono = monomial_text(lam)
+        if lam.parts:
+            terms.append(f"({coeff})*{mono}" if coeff != 1 else mono)
+        else:
+            terms.append(f"{coeff}")
+    return f"F_{k} = " + " + ".join(terms)
+
+
 def fraction_values(table, c):
     """(F_0, ..., F_s) at c = (c1, c2, c3, c4), on Fractions."""
     cf = dict(enumerate(c, 1))
@@ -74,6 +101,55 @@ def test_integer_recurrence_equals_the_fraction_oracle(s):
     assert table.ks() == sorted(oracle)
     for k in table.ks():
         assert list(table[k].items()) == list(oracle[k].items()), k
+
+
+@pytest.mark.parametrize("s", range(1, 41))
+def test_format_fk_equals_the_fraction_formatting(s):
+    table = fk_table_by_recurrence(s)
+    for k in table.ks():
+        assert format_fk(table, k) == fraction_format(table[k], k), k
+
+
+@pytest.mark.parametrize("s", range(1, 11))
+def test_format_fk_of_packed_products_tables(s):
+    products, recurrence = fk_table_by_products(s), fk_table_by_recurrence(s)
+    for k in products.ks():
+        text = format_fk(products, k)
+        assert text == fraction_format(products[k], k) == format_fk(recurrence, k), k
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden_cli.json"
+
+
+def test_fk_text_builds_no_partition_and_no_fraction(monkeypatch):
+    def unbuilt(*args):
+        raise AssertionError(f"built from {args}")
+
+    want = next(e for e in json.loads(GOLDEN.read_text()) if e["argv"] == ["fk", "--s", "30"])
+    monkeypatch.setattr(partitions, "_counted", unbuilt)
+    monkeypatch.setattr(partitions, "Fraction", unbuilt)
+    bipartite.fk_table.cache_clear()
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(["fk", "--s", "30"])
+    assert (code, buf.getvalue()) == (want["exit"], want["stdout"])
+
+
+def test_tracker_decodes_row_1_only(monkeypatch):
+    decoded = []
+    counted = partitions._counted
+
+    def spy(key, base):
+        decoded.append(key)
+        return counted(key, base)
+
+    monkeypatch.setattr(partitions, "_counted", spy)
+    bipartite.fk_table.cache_clear()
+    s = 12
+    _f1_float(s, 0.5, -1.25, 2.0)
+    assert decoded == list(bipartite.fk_table(s).rows[1])
+    _f1_float(s, -0.5, 1.25, 3.0)
+    assert len(decoded) == len(bipartite.fk_table(s).rows[1])
 
 
 table_at = functools.lru_cache(fk_table_by_recurrence)
