@@ -47,7 +47,7 @@ from .bipartite import (
 )
 from .poly import Poly, horner
 from .quadrature import Integrand, integrate_adaptive
-from .roots import IsolatedRoot, noroot_point, real_roots, sign_at
+from .roots import IsolatedRoot, noroot_signs, real_roots, sign_at
 from .scalars import is_square, rational_sqrt
 
 BRANCH_ARCCOS = "CircularArccos"
@@ -129,7 +129,28 @@ def _endpoint_str(e: Optional[IsolatedRoot], low_side: bool) -> str:
         return "-inf" if low_side else "inf"
     if e.exact:
         return str(e.lo)
-    return repr(e.value())
+    return _certified_digits(e.lo, e.hi)
+
+
+def _certified_digits(lo: Fraction, hi: Fraction) -> str:
+    """The longest decimal truncation shared by every point of (lo, hi).
+
+    For a dyadic cell no wider than 1: it has lo >= 0 or hi <= 0 and lies
+    in one integer interval, so its integer part is certified.  Each
+    printed digit is then a digit of the root the cell isolates.
+    """
+    sign, a, b = ("-", -hi, -lo) if hi <= 0 else ("", lo, hi)
+
+    def agree(d: int) -> bool:
+        # floor(a 10^d) and ceil(b 10^d) - 1: the truncations at a and just below b
+        scale = 10**d
+        return a.numerator * scale // a.denominator == -(-b.numerator * scale // b.denominator) - 1
+
+    d = 0
+    while agree(d + 1):
+        d += 1
+    digits = str(a.numerator * 10**d // a.denominator).rjust(d + 1, "0")
+    return f"{sign}{digits[:-d]}.{digits[-d:]}" if d else f"{sign}{digits}"
 
 
 @dataclass(frozen=True)
@@ -357,25 +378,24 @@ def sign_regions(p: Poly, sign: int):
     """Maximal open intervals between consecutive real roots with sign*p > 0.
 
     Endpoints are isolated roots (None for +-infinity); the sign between
-    two roots is evaluated exactly at a rational point of the gap.
+    two roots is evaluated exactly at the middle of the gap between their
+    intervals, whose ends are no roots of p.
     """
     bounds: list[Optional[IsolatedRoot]] = [None, *real_roots(p), None]
     return [
         (lo, hi)
         for lo, hi in zip(bounds, bounds[1:])
-        if sign * sign_at(p, _interior_point(lo, hi, p)) > 0
+        if sign * sign_at(p, sum(_gap(lo, hi)) / 2) > 0
     ]
 
 
-def _interior_point(
-    lo: Optional[IsolatedRoot], hi: Optional[IsolatedRoot], *polys: Poly
-) -> Fraction:
-    """A rational point strictly between lo and hi where no poly vanishes."""
+def _gap(lo: Optional[IsolatedRoot], hi: Optional[IsolatedRoot]) -> tuple[Fraction, Fraction]:
+    """The rational interval strictly between lo and hi."""
     if lo is None and hi is None:
-        return noroot_point(Fraction(-1), Fraction(1), *polys)
+        return Fraction(-1), Fraction(1)
     a = hi.lo - 1 if lo is None else lo.hi
     b = lo.hi + 1 if hi is None else hi.lo
-    return noroot_point(a, b, *polys)
+    return a, b
 
 
 def _build_pieces(cf: ClosedForm, regions) -> list[Piece]:
@@ -396,9 +416,8 @@ def _build_pieces(cf: ClosedForm, regions) -> list[Piece]:
         inner = [r for r in cuts if _strictly_inside(r, lo, hi)]
         ends: list[Optional[IsolatedRoot]] = [lo] + inner + [hi]
         for a, b in zip(ends, ends[1:]):
-            x = _interior_point(a, b, x_poly, cf.G, dG)
-            sg = sign_at(cf.G, x)
-            sxdg = (1 if x > 0 else -1) * sign_at(dG, x)  # sgn x * sgn G'
+            sx, sg, sdg = noroot_signs(*_gap(a, b), x_poly, cf.G, dG)
+            sxdg = sx * sdg  # sgn x * sgn G'
             sigma = {"arccos": -sxdg, "arcsinh": sxdg}.get(fn, sxdg * sg)
             pieces.append(Piece(a, b, sigma, fn, sg if fn == "arccosh" else 1))
     return pieces

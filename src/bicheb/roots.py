@@ -11,14 +11,21 @@ square-free factors with gcds and exact divisions of primitive integer
 polynomials, the square-free part is isolated on its own chain and each
 root's multiplicity is read off the factor it belongs to.
 
-The search splits the Cauchy interval (-B, B), which holds every root,
-and evaluates the chain only inside (-r, r), where r is a power of two
-at least Fujiwara's bound 2 max |a_(d-i) / a_d|^(1/i): no root reaches
-it.  Past it V is known without evaluation: a split point m >= r takes
-V of the right end of its interval, m <= -r that of the left end, and
-V(+-B) is read off the chain's leading coefficients.  Every V is exact,
-so the split tree, and with it every interval, is the one a descent
-that evaluates the chain at every split point builds.
+The search bisects (-r, r), where r is a power of two at least Fujiwara's
+bound 2 max |a_(d-i) / a_d|^(1/i) and at least the requested width: no
+root reaches it, so V(+-r) is V(+-infinity), read off the chain's leading
+coefficients.  Every split point is a dyadic k 2^e, where the chain is
+evaluated by integer shifts; a split point where p vanishes is an exact
+root, counted once (the cell left of it leaves it out).  So every cell is
+a cell [k 2^e, (k+1) 2^e] of the one dyadic grid, and a cell that holds
+one root, with ends where p does not vanish, is refined on that grid.
+
+The result depends only on p and the root, never on r.  A rational root
+comes out exactly.  An irrational one gets the largest dyadic cell, no
+wider than the width, that holds no other root.  Two such cells share an
+end, which is no root, when their roots lie within the width on either
+side of it; each is then halved until it keeps clear of that end, so the
+cells are disjoint.
 
 Every polynomial enters as the primitive integer vector ``Poly.ints``,
 a positive multiple of it, so no conversion runs per call.
@@ -140,16 +147,15 @@ def _variations(signs) -> int:
     return count
 
 
-def variations_at(chain: list[Ints], x: Fraction, head: int = 0) -> int:
-    """Sign changes along the chain at x; head, when nonzero, is the
-    known sign of the chain's first element there."""
-    rest = chain[1:] if head else chain
-    return _variations(itertools.chain([head], _signs(rest, Fraction(x))))
+def variations_at(chain: list[Ints], x: Fraction) -> int:
+    """Sign changes along the chain at x."""
+    return _variations(_signs(chain, Fraction(x)))
 
 
-def _variations_at_infinity(chain: list[Ints], sign: int) -> int:
-    """V(sign * infinity): each element has the sign of its leading term."""
-    return _variations((1 if q[-1] > 0 else -1) * sign ** (len(q) - 1) for q in chain)
+def _signs_at_infinity(chain: list[Ints], sign: int) -> list[int]:
+    """The signs of the chain's elements at sign * infinity: those of their
+    leading terms."""
+    return [(1 if q[-1] > 0 else -1) * sign ** (len(q) - 1) for q in chain]
 
 
 def _ceil_log2(a: int, b: int) -> int:
@@ -256,9 +262,14 @@ class IsolatedRoot:
         return f"Root(({self.lo}, {self.hi}), mult={self.multiplicity})"
 
 
-def noroot_point(lo: Fraction, hi: Fraction, *polys: Poly) -> Fraction:
-    """A point in (lo, hi) that is a root of none of the (nonzero) polys."""
-    return _noroot_point(lo, hi, [p.ints for p in polys])
+def noroot_signs(lo: Fraction, hi: Fraction, *polys: Poly) -> list[int]:
+    """The signs of the (nonzero) polys at a point of (lo, hi) where none
+    of them vanishes."""
+    ints = [p.ints for p in polys]
+    for x in _probes(lo, hi):
+        signs = list(itertools.takewhile(bool, _signs(ints, x)))
+        if len(signs) == len(ints):
+            return signs
 
 
 def _probes(lo: Fraction, hi: Fraction):
@@ -269,12 +280,6 @@ def _probes(lo: Fraction, hi: Fraction):
     return itertools.chain(probes, grid)
 
 
-def _noroot_point(lo: Fraction, hi: Fraction, polys: list[Ints]) -> Fraction:
-    for x in _probes(lo, hi):
-        if all(_signs(polys, x)):
-            return x
-
-
 def _value_dyadic(q: Ints, num: int, j: int) -> int:
     """2^(j deg) q(num / 2^j): homogenised Horner with shifts for the powers."""
     acc, shift = q[-1], 0
@@ -282,6 +287,17 @@ def _value_dyadic(q: Ints, num: int, j: int) -> int:
         shift += j
         acc = acc * num + (c << shift)
     return acc
+
+
+def _dyadic(k: int, e: int) -> Fraction:
+    """k 2^e."""
+    return Fraction(k << e) if e >= 0 else Fraction(k, 1 << -e)
+
+
+def _signs_dyadic(chain: list[Ints], k: int, e: int) -> list[int]:
+    """The signs of the chain's elements at k 2^e."""
+    num, j = (k << e, 0) if e >= 0 else (k, -e)
+    return [(v > 0) - (v < 0) for v in (_value_dyadic(q, num, j) for q in chain)]
 
 
 def _first_level(x: int, y: int) -> int:
@@ -376,34 +392,46 @@ def isolate_squarefree(p: Poly, width: Fraction = DEFAULT_WIDTH) -> list[Isolate
 def _isolate(chain: list[Ints], width: Fraction) -> list[IsolatedRoot]:
     """isolate_squarefree on the Sturm chain of a square-free polynomial."""
     p = chain[0]
-    # Cauchy: every root is smaller in magnitude than the bound
-    b = 1 + Fraction(max(abs(c) for c in p[:-1]), abs(p[-1]))
     r = _root_bound(p)
-    out = []
-    # (x, y, V(x), V(y)): (x, y] holds V(x) - V(y) roots
-    stack = [(-b, b, _variations_at_infinity(chain, -1), _variations_at_infinity(chain, 1))]
+    while r < width:  # a first cell, r wide, is then no narrower than a result
+        r *= 2
+    t = r.numerator.bit_length() - r.denominator.bit_length()  # r = 2^t
+    # the chain's signs at -r, 0 and r; as no root reaches r, V(+-r) and
+    # the sign of p there are those at +-infinity
+    left, mid, right = (
+        _signs_at_infinity(chain, -1), _signs_dyadic(chain, 0, 0), _signs_at_infinity(chain, 1)
+    )
+    v0 = _variations(mid)
+    out = [] if mid[0] else [IsolatedRoot(Fraction(0), Fraction(0))]
+    # (k, e, V(x), V(y), sign p(x), sign p(y)) for the cell [x, y] = [k 2^e, (k+1) 2^e]
+    stack = [
+        (-1, t, _variations(left), v0, left[0], mid[0]),
+        (0, t, v0, _variations(right), mid[0], right[0]),
+    ]
     while stack:
-        x, y, vx, vy = stack.pop()
-        if vx - vy == 1:
-            out.append(IsolatedRoot(*_refine(p, x, y, width)))
-        elif vx - vy > 1:
-            # _noroot_point's split: the first probe where p does not
-            # vanish.  No root lies at |m| >= r, so then (m, y] or (x, m]
-            # holds none and V(m) is V(y) or V(x)
-            for m in _probes(x, y):
-                if m >= r:
-                    vm = vy
-                elif m <= -r:
-                    vm = vx
-                else:
-                    head = _sign(p, m)
-                    if not head:
-                        continue
-                    vm = variations_at(chain, m, head)
-                break
-            stack.append((x, m, vx, vm))
-            stack.append((m, y, vm, vy))
+        k, e, vx, vy, sx, sy = stack.pop()
+        count = vx - vy - (not sy)  # in (x, y): (x, y] holds V(x) - V(y), y too if a root
+        if not count:
+            continue
+        if count == 1 and sx and sy:
+            out.append(IsolatedRoot(*_refine(p, _dyadic(k, e), _dyadic(k + 1, e), width)))
+            continue
+        k, e = 2 * k, e - 1  # split at the midpoint (k+1) 2^e of the children
+        signs = _signs_dyadic(chain, k + 1, e)
+        vm, sm = _variations(signs), signs[0]
+        if not sm:
+            out.append(IsolatedRoot(_dyadic(k + 1, e), _dyadic(k + 1, e)))
+        stack.append((k + 1, e, vm, vy, sm, sy))
+        stack.append((k, e, vx, vm, sx, sm))
     out.sort(key=lambda r: (r.lo, r.hi))
+    # neighbouring cells share an end, which is no root, when their roots
+    # lie within the width on either side of it: halve each such cell until
+    # it keeps clear of the shared end
+    cells = [r for r in out if not r.exact]
+    shared = {r.hi for r in cells} & {r.lo for r in cells}
+    for i, r in enumerate(out):
+        while r.lo in shared or r.hi in shared:
+            r = out[i] = IsolatedRoot(*_refine(p, r.lo, r.hi, (r.hi - r.lo) / 2))
     return out
 
 

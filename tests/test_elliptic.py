@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from bicheb import elliptic
 from bicheb.bipartite import QuarticCoeffs
 from bicheb.elliptic import (
     BRANCH_ARCCOS,
@@ -219,6 +220,38 @@ def test_render_json_schema():
     assert payload["G"]["convention"] == "g"
     assert payload["residual_zero"] is True
     assert all(set(iv) >= {"lo", "hi", "sigma"} for iv in payload["intervals"])
+
+
+@pytest.mark.parametrize(
+    "lo, hi, text",
+    [
+        # the cell of 1 - sqrt3: the float of its middle is -0.7320508075688767
+        (F(-206053984011467, 2**48), F(-103026992005733, 2**47), "-0.73205080756887"),
+        (F(-1, 2**48), F(0), "-0.00000000000000"),
+        (1 - F(1, 2**48), F(1), "0.99999999999999"),  # an end on a decimal
+        (F(1), F(2), "1"),
+        (F(5, 4), F(3, 2), "1"),  # 1.2 .. 1.4 below 3/2
+        (F(33, 32), F(17, 16), "1.0"),
+        (F(-17, 16), F(-33, 32), "-1.0"),
+    ],
+)
+def test_certified_digits(lo, hi, text):
+    assert elliptic._certified_digits(lo, hi) == text
+
+
+@pytest.mark.parametrize("n", [3, 6, 33])
+def test_printed_endpoints_are_certified_digits(n):
+    # every point of the cell, the root among them, truncates to the printed
+    # text, and to no longer one
+    cf = decide(n, WORKED)
+    ends = {e for piece in cf.pieces for e in (piece.lo, piece.hi) if e and not e.exact}
+    assert ends
+    for e in ends:
+        text = elliptic._endpoint_str(e, True)
+        d = len(text.split(".")[1])
+        t, a, b = abs(F(text)), *sorted((abs(e.lo), abs(e.hi)))
+        assert t <= a and b <= t + F(1, 10**d), (e, text)
+        assert not (math.floor(a * 10 ** (d + 1)) == math.ceil(b * 10 ** (d + 1)) - 1)
 
 
 def test_render_refusal_lists_divisors():

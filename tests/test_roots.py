@@ -1,4 +1,3 @@
-import contextlib
 import functools
 import json
 import math
@@ -398,12 +397,16 @@ def test_qir_on_a_start_narrower_than_the_width():
 
 
 
-# -- the root bound and the pruned descent -----------------------------------------------
+# -- the root bound and the canonical cells -----------------------------------------------
+
+
+def power_of_two(v):
+    return v > 0 and all(u & (u - 1) == 0 for u in (v.numerator, v.denominator))
 
 
 def assert_roots_inside_the_bound(p):
     r = roots._root_bound(p.ints)
-    assert r > 0 and all(v & (v - 1) == 0 for v in (r.numerator, r.denominator))  # 2^k
+    assert power_of_two(r)
     sp = sympy.Poly([sympy.Rational(c) for c in reversed(p.coeffs)], sympy.Symbol("x"))
     R = sympy.Rational(r)
     assert sp.eval(R) != 0 and sp.eval(-R) != 0
@@ -449,9 +452,11 @@ def test_root_bound_edge_cases(p):
     assert_roots_inside_the_bound(p)
 
 
-def unpruned_isolate(chain, width):
-    """The descent before pruning: V is evaluated at +-B and at every split
-    point.  The oracle the pruned roots._isolate must match call by call."""
+def cauchy_isolate(chain, width):
+    """The descent before canonical cells: split the Cauchy interval (-B, B)
+    at the first of _probes where p does not vanish, evaluating V at +-B
+    and at every split point, and refine each one-root interval on its own
+    grid.  The oracle every canonical cell must meet."""
     p = chain[0]
     b = 1 + F(max(abs(c) for c in p[:-1]), abs(p[-1]))
     out = []
@@ -461,74 +466,127 @@ def unpruned_isolate(chain, width):
         if vx - vy == 1:
             out.append(roots.IsolatedRoot(*roots._refine(p, x, y, width)))
         elif vx - vy > 1:
-            m = roots._noroot_point(x, y, [p])
+            m = next(m for m in roots._probes(x, y) if roots._sign(p, m))
             vm = roots.variations_at(chain, m)
             stack += [(x, m, vx, vm), (m, y, vm, vy)]
     out.sort(key=lambda iv: (iv.lo, iv.hi))
     return out
 
 
-def descent(p, isolate=None, width=roots.DEFAULT_WIDTH):
-    """real_roots(p, width) with isolate in place of roots._isolate when
-    given: the roots, the arguments of every _refine call, and each chain
-    evaluation as (root bound of the chain's polynomial, point)."""
-    refined, evaluated = [], []
-    refine, variations = roots._refine, roots.variations_at
-
-    def refine_spy(*args):
-        refined.append(args)
-        return refine(*args)
-
-    def variations_spy(chain, x, *args):
-        evaluated.append((roots._root_bound(chain[0]), x))
-        return variations(chain, x, *args)
-
-    with contextlib.ExitStack() as stack:
-        stack.enter_context(mock.patch.object(roots, "_refine", refine_spy))
-        stack.enter_context(mock.patch.object(roots, "variations_at", variations_spy))
-        if isolate:
-            stack.enter_context(mock.patch.object(roots, "_isolate", isolate))
-        found = real_roots(p, width)
-    return found, refined, evaluated
+def cauchy_roots(p, width=roots.DEFAULT_WIDTH):
+    with mock.patch.object(roots, "_isolate", cauchy_isolate):
+        return real_roots(p, width)
 
 
-def assert_descends_like_the_oracle(p, width=roots.DEFAULT_WIDTH):
-    found, refined, evaluated = descent(p, width=width)
-    want, want_refined, want_evaluated = descent(p, unpruned_isolate, width)
-    assert found == want
-    assert refined == want_refined
-    assert all(-r < x < r for r, x in evaluated), p
-    assert len(evaluated) <= len(want_evaluated)
-    return len(evaluated), len(want_evaluated)
+def closed_count(chain, lo, hi):
+    """Distinct roots of the chain's polynomial in [lo, hi]."""
+    return count_roots_halfopen(chain, lo, hi) + (roots._sign(chain[0], lo) == 0)
 
 
-@settings(max_examples=50, deadline=None, derandomize=True, database=None)
-@given(factored(), st.sampled_from(WIDTHS))
-def test_pruned_descent_equals_the_unpruned_one(p, width):
-    assert_descends_like_the_oracle(p, width)
+def parent(lo, hi):
+    """The dyadic cell of twice the width that holds the cell [lo, hi]."""
+    w = 2 * (hi - lo)
+    lo = math.floor(lo / w) * w
+    return lo, lo + w
 
 
-def test_pruned_descent_equals_the_unpruned_one_on_the_snapshot():
+def canonical_cell(chain, r, width):
+    """The largest dyadic cell, no wider than width, that holds r's cell
+    and no second root of the chain's polynomial."""
+    lo, hi = r.lo, r.hi
+    while 2 * (hi - lo) <= width and closed_count(chain, *parent(lo, hi)) == 1:
+        lo, hi = parent(lo, hi)
+    return lo, hi
+
+
+def assert_canonical(p, width=roots.DEFAULT_WIDTH):
+    found = real_roots(p, width)
+    want = cauchy_roots(p, width)
+    assert len(found) == len(want), p
+    for r, w in zip(found, want):
+        assert (r.exact, r.multiplicity) == (w.exact, w.multiplicity), p
+        if r.exact:
+            assert r.lo == w.lo
+        else:
+            assert max(r.lo, w.lo) < min(r.hi, w.hi), (p, r, w)  # the cells meet
+    for a, b in zip(found, found[1:]):
+        assert a.hi < b.lo, p
+    sqf = Poly.one()
+    for f, _ in squarefree_decomposition(p):
+        sqf = sqf * f
+    chain = sturm_chain(sqf)
+    cells = {r: canonical_cell(chain, r, width) for r in found if not r.exact}
+    shared = {hi for _, hi in cells.values()} & {lo for lo, _ in cells.values()}
+    for r, cell in cells.items():
+        w = r.hi - r.lo
+        assert power_of_two(w) and w <= width and (r.lo / w).denominator == 1, (p, r)
+        assert closed_count(chain, r.lo, r.hi) == 1, (p, r)
+        # the canonical cell, or, when it shares an end with a neighbour's,
+        # its largest subcell that keeps clear of that end
+        assert not shared & {r.lo, r.hi}, (p, r)
+        assert (r.lo, r.hi) == cell or shared & set(parent(r.lo, r.hi)), (p, r)
+    bound = roots._root_bound
+    for k in (1, 5):
+        with mock.patch.object(roots, "_root_bound", lambda q: bound(q) * 2**k):
+            assert real_roots(p, width) == found, (p, k)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.one_of(factored(), sparse()), st.sampled_from(WIDTHS))
+def test_canonical_cells_meet_the_cauchy_descent(p, width):
+    assert_canonical(p, width)
+
+
+def test_canonical_cells_meet_the_cauchy_descent_on_the_snapshot():
     for p in snapshot_polys().values():
-        assert_descends_like_the_oracle(p)
+        assert_canonical(p)
 
 
 @pytest.mark.parametrize("big", [10**6, 10**12, 2**200])
-def test_pruned_descent_with_a_root_at_zero_under_a_large_cauchy_bound(big):
-    # the probe at 0 is a root, so every split falls back to a third of
-    # its interval and the descent walks down towards 0 in root-free steps;
-    # B is about big, r about 2 big^(1/4)
+def test_canonical_cells_with_a_root_at_zero_under_a_large_cauchy_bound(big):
+    # 0 is the first split point, and the Cauchy descent walks down towards
+    # it in root-free steps from B, about big
     p = _x(1) * Poly((F(-2), F(0), F(1))) * (_x(4) + Poly((F(big),)))
-    pruned, unpruned = assert_descends_like_the_oracle(p)
+    assert_canonical(p)
     assert [r.exact for r in real_roots(p)] == [False, True, False]
-    assert 2 * pruned < unpruned
 
 
-def test_pruned_descent_halves_the_chain_evaluations_on_a_completion():
-    # F_1 in c1 at s = 20: every evaluation inside (-r, r), 16 against 66
+@pytest.mark.parametrize(
+    "p",
+    [
+        Poly((F(-1, 2**100), F(0), F(1))),  # roots +-2^-50, below the width
+        Poly((F(-3, 2**90), F(0), F(1))),
+        Poly.from_roots([F(1, 2), F(3, 4), F(-5, 8)]) * Poly((F(-3), F(0), F(1))),  # grid points
+        Poly.from_roots([F(1, 2**49), F(3, 2**50)]) * Poly((F(-2), F(0), F(1))),
+        # irrational roots 2^-60.5 either side of 1 and 1/2: their first
+        # cells share the grid point, and both are halved until they part
+        Poly((F(2) - F(1, 2**120), F(-4), F(2))),
+        Poly((F(1, 4) - F(1, 2**121), F(-1), F(1))) * Poly((F(-3), F(0), F(1))),
+        Poly((F(-1, 2**80), F(-1), F(2**81), F(2**81))),
+    ],
+)
+@pytest.mark.parametrize("width", WIDTHS)
+def test_canonical_cells_edge_cases(p, width):
+    assert_canonical(p, width)
+
+
+def test_chain_evaluations_on_a_completion():
+    # F_1 in c1 at s = 20: 19 evaluations against 66 on the Cauchy descent
     p = f1_polynomial(20, 1, {2: F(-5), 3: F(0), 4: F(4)})
-    pruned, unpruned = assert_descends_like_the_oracle(p)
-    assert 2 * pruned < unpruned
+    count = Counter()
+
+    def spy(name, fn):
+        def wrapper(*args):
+            count[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    with mock.patch.object(roots, "_signs_dyadic", spy("dyadic", roots._signs_dyadic)):
+        found = real_roots(p)
+    with mock.patch.object(roots, "variations_at", spy("cauchy", roots.variations_at)):
+        cauchy_roots(p)
+    assert 2 * count["dyadic"] < count["cauchy"], count
 
 
 if __name__ == "__main__":
