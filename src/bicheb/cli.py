@@ -33,7 +33,7 @@ from .bipartite import (
     solve_c1,
 )
 from .elliptic import ClosedForm, IntervalNotValid, Refusal, decide, numeric_check, render, render_refusal
-from .partitions import format_fk
+from .partitions import fk_terms, format_fk
 from .poly import Poly, horner
 from .quadrature import ToleranceNotReached
 from .scalars import parse_rational
@@ -265,20 +265,7 @@ def cmd_fk(args) -> int:
         return EXIT_YES
     table = fk_table(args.s)
     if args.json:
-        payload = []
-        for k in table.ks():
-            payload.append(
-                {
-                    "s": args.s,
-                    "k": k,
-                    "terms": [
-                        {"parts": list(lam.parts), "coeff": str(coeff)}
-                        for lam, coeff in sorted(
-                            table[k].items(), key=lambda item: item[0].parts, reverse=True
-                        )
-                    ],
-                }
-            )
+        payload = [{"s": args.s, "k": k, "terms": fk_terms(table, k)} for k in table.ks()]
         print(json.dumps(payload, indent=2))
     else:
         for k in table.ks():

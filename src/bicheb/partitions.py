@@ -258,10 +258,7 @@ def format_fk(table: FkTable, k: int) -> str:
     )
     terms = []
     for key in sorted(row):
-        n = row[key]
-        g = math.gcd(n, den)
-        num, d = n // g, den // g
-        coeff = f"{num}/{d}" if d != 1 else f"{num}"
+        coeff = _coeff(row[key], den)
         if not key:
             terms.append(coeff)
             continue
@@ -269,3 +266,21 @@ def format_fk(table: FkTable, k: int) -> str:
         mono = (one[m1] + two[m2] + three[m3] + four[m4])[:-1]
         terms.append(mono if coeff == "1" else f"({coeff})*{mono}")
     return f"F_{k} = " + " + ".join(terms)
+
+
+def fk_terms(table: FkTable, k: int) -> list[dict]:
+    """F_k's terms as {"parts": [...], "coeff": "n/d"}, in descending parts
+    order: descending key order, by format_fk's argument."""
+    row, base, den = table.rows[k], table.s + 1, table.dens[k]
+    terms = []
+    for key in sorted(row, reverse=True):
+        m1, m2, m3, m4 = _counts(key, base)
+        parts = [4] * m4 + [3] * m3 + [2] * m2 + [1] * m1
+        terms.append({"parts": parts, "coeff": _coeff(row[key], den)})
+    return terms
+
+
+def _coeff(n: int, den: int) -> str:
+    """n / den in lowest terms, as str(Fraction(n, den)) prints it."""
+    g = math.gcd(n, den)
+    return f"{n // g}/{den // g}" if den != g else f"{n // g}"

@@ -135,6 +135,32 @@ def test_fk_text_builds_no_partition_and_no_fraction(monkeypatch):
     assert (code, buf.getvalue()) == (want["exit"], want["stdout"])
 
 
+@pytest.mark.parametrize("s", ["6", "17"])
+def test_fk_json_builds_no_partition_and_no_fraction(monkeypatch, s):
+    def unbuilt(*args):
+        raise AssertionError(f"built from {args}")
+
+    argv = ["fk", "--s", s, "--json"]
+    want = next(e for e in json.loads(GOLDEN.read_text()) if e["argv"] == argv)
+    monkeypatch.setattr(partitions, "_counted", unbuilt)
+    monkeypatch.setattr(partitions, "Fraction", unbuilt)
+    bipartite.fk_table.cache_clear()
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    assert (code, buf.getvalue()) == (want["exit"], want["stdout"])
+
+
+def test_fk_json_terms_equal_the_fraction_view():
+    for s in range(1, 31):
+        table = fk_table_by_recurrence(s)
+        for k in table.ks():
+            want = sorted(table[k].items(), key=lambda item: item[0].parts, reverse=True)
+            assert partitions.fk_terms(table, k) == [
+                {"parts": list(lam.parts), "coeff": str(coeff)} for lam, coeff in want
+            ]
+
+
 def test_tracker_decodes_row_1_only(monkeypatch):
     decoded = []
     counted = partitions._counted
