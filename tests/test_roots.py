@@ -554,8 +554,9 @@ def test_canonical_cells_with_a_root_at_zero_under_a_large_cauchy_bound(big):
 @pytest.mark.parametrize(
     "p",
     [
-        Poly((F(-1, 2**100), F(0), F(1))),  # roots +-2^-50, below the width
+        Poly((F(-1, 2**99), F(0), F(1))),  # roots +-2^-49.5, below the width
         Poly((F(-3, 2**90), F(0), F(1))),
+        Poly((F(-1), F(1), F(0), F(1024))),  # one real root, about 0.098, r = 1/4
         Poly.from_roots([F(1, 2), F(3, 4), F(-5, 8)]) * Poly((F(-3), F(0), F(1))),  # grid points
         Poly.from_roots([F(1, 2**49), F(3, 2**50)]) * Poly((F(-2), F(0), F(1))),
         # irrational roots 2^-60.5 either side of 1 and 1/2: their first
@@ -583,7 +584,7 @@ def test_chain_evaluations_on_a_completion():
         return wrapper
 
     with mock.patch.object(roots, "_signs_dyadic", spy("dyadic", roots._signs_dyadic)):
-        found = real_roots(p)
+        real_roots(p)
     with mock.patch.object(roots, "variations_at", spy("cauchy", roots.variations_at)):
         cauchy_roots(p)
     assert 2 * count["dyadic"] < count["cauchy"], count
