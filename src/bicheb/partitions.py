@@ -16,10 +16,11 @@ constructions are provided:
 
 Their exact equality is one of the artifact's acceptance properties.
 An FkTable holds integer rows: numerators keyed by part counts over one
-denominator per F_k.  format_fk prints a row directly; the Partition ->
-Fraction view of a row is built on first access, for the continuation
-tracker (row 1 only) and the dual-route check.  The decision and the
-completion read F_1 from the integer recurrence in bipartite instead.
+denominator per F_k.  format_fk and fk_terms (the JSON terms) read a
+row directly; the Partition -> Fraction view of a row is built on first
+access, for the continuation tracker (row 1 only) and the dual-route
+check.  The decision and the completion read F_1 from the integer
+recurrence in bipartite instead.
 """
 
 from __future__ import annotations
@@ -269,8 +270,8 @@ def format_fk(table: FkTable, k: int) -> str:
 
 
 def fk_terms(table: FkTable, k: int) -> list[dict]:
-    """F_k's terms as {"parts": [...], "coeff": "n/d"}, in descending parts
-    order: descending key order, by format_fk's argument."""
+    """F_k's terms as {"parts": [...], "coeff": "n/d"}, in descending key
+    order, which is descending parts order (see format_fk)."""
     row, base, den = table.rows[k], table.s + 1, table.dens[k]
     terms = []
     for key in sorted(row, reverse=True):
