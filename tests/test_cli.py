@@ -81,6 +81,18 @@ def test_verify_subcommand(capsys):
     assert "max error" in out
 
 
+def test_verify_next_to_a_root(capsys):
+    # 1 is a root of p, 1e-12 left of the interval: an extrapolating rule
+    # (QUADPACK's QAGS) mistakes it for an endpoint singularity and
+    # reports an error of 8.2e-7 on a correct closed form
+    code, out, _ = run(
+        capsys,
+        "verify", "--n", "3", "--p=-2,-3,2,2", "--interval", "1.000000000001,1.9",
+    )
+    assert code == 0
+    assert float(out.split("max error ")[1].split()[0]) <= 1e-9
+
+
 def test_verify_bad_interval(capsys):
     code, _, err = run(
         capsys,
