@@ -17,14 +17,12 @@ from .bipartite import (
     PathResult,
     QuarticCoeffs,
     build_solution,
-    classify_shape,
     coefficients_from_recurrence,
     compose_outer,
     conditions,
     continuation,
     fk_table,
     identity_residual,
-    ode_residual,
     solve_c1,
 )
 from .elliptic import (
@@ -38,7 +36,6 @@ from .elliptic import (
     numeric_check,
     render,
     render_refusal,
-    validity_intervals,
 )
 from .multipartite import (
     MultipartiteSystem,
@@ -46,9 +43,7 @@ from .multipartite import (
     OutsideData,
     coefficients_general,
     integration_constant,
-    qcube,
     solvability_residuals,
-    tc,
 )
 from .partitions import (
     FkTable,
@@ -60,7 +55,7 @@ from .partitions import (
     partition_coeff,
     partitions_bounded,
 )
-from .poly import LaurentPoly, Poly, chebyshev_t, sinh_chebyshev
+from .poly import Poly, chebyshev_t, sinh_chebyshev
 from .quadrature import Integrand, RegionViolation, ToleranceNotReached, integrate_adaptive
 from .roots import IsolatedRoot, real_roots, squarefree_decomposition
 from .scalars import parse_rational

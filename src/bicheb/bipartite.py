@@ -43,8 +43,8 @@ from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .partitions import FkTable, fk_table_by_recurrence
-from .poly import LaurentPoly, Poly, chebyshev_t, horner, sinh_chebyshev
-from .roots import IsolatedRoot, count_roots_halfopen, polys_gcd, real_roots, sturm_chain
+from .poly import Poly, chebyshev_t, horner, sinh_chebyshev
+from .roots import IsolatedRoot, real_roots
 from .scalars import is_square, rational_sqrt, reconstruct_rational
 
 
@@ -103,15 +103,18 @@ class QuarticCoeffs:
     def poly(self) -> Poly:
         return Poly((self.c4, self.c3, self.c2, self.c1, Fraction(1)))
 
-    def ptilde(self) -> LaurentPoly:
-        """p(x) / x^2, the divided quartic with a two-term Laurent tail."""
-        return LaurentPoly(self.poly(), 2)
-
 
 # largest inner degree s a command accepts (fk, construct and perturb --s,
 # complete's divisor): at s = 60 fk prints 3 MB of text in about 0.2 s (15 MB
 # of JSON in about 1.5 s); time and size grow faster than s^4 beyond it
 FK_MAX_S = 60
+
+# largest n that decide and complete scan: a prime n runs the recurrence at
+# s = n, in time and memory that grow as n^2 (0.3 s at n = 4000)
+SCAN_MAX_N = 5040
+# largest n whose closed form is built: isolating the roots of G', of degree
+# n - 1, takes time that grows about as n^4 (2.8 s at n = 240, 14 s at 360)
+COMPOSE_MAX_N = 240
 
 
 @lru_cache(maxsize=64)
@@ -255,20 +258,6 @@ def f1_polynomial(s: int, target: int, fixed: dict[int, Fraction]) -> Poly:
         digits.append(((packed + half) & mask) - half)  # the signed low slot
         packed = (packed - digits[-1]) >> w
     return Poly(digits).scale(Fraction(1, math.prod(e[1:s])))
-
-
-def ode_residual(s: int, c: QuarticCoeffs, u: Poly) -> LaurentPoly:
-    """Laurent residual 2 s^2 u - (2 u'' ptilde + u' ptilde') of the divided ODE.
-
-    Zero iff u solves the divided equation including its negative-power
-    tail; the x^-1 coefficient is -2 * aux and the x^1 coefficient is
-    -2 (s^2 - 1) F_1 when u comes from the recurrence.
-    """
-    pt = c.ptilde()
-    lhs = LaurentPoly(u.scale(2 * s * s), 0)
-    rhs = LaurentPoly(u.derivative().derivative().scale(2), 0) * pt
-    rhs = rhs + LaurentPoly(u.derivative(), 0) * pt.derivative()
-    return lhs - rhs
 
 
 def branch_of(d) -> Branch:
@@ -452,76 +441,6 @@ def _parity_compose(outer: Poly, u: Poly, m2, convention: str) -> Poly:
     return u * G if odd else G
 
 
-@dataclass(frozen=True)
-class ShapeResult:
-    """Outcome of the graph-shape classification."""
-
-    bipartite: bool
-    exceptional_at: Fraction | None = None
-    above: bool | None = None
-    reason: str | None = None
-
-    def __bool__(self):
-        return self.bipartite
-
-
-def classify_shape(G: Poly, convention: str, m2) -> ShapeResult:
-    """Decide whether G has the bipartite graph shape for lines y = +-m.
-
-    Needs deg(G) - 1 distinct real simple critical points, exactly one of
-    them off the lines (|value| > m), located at x = 0; every other
-    critical value must sit exactly on a line.  All checks are exact.
-    """
-    if G.degree < 1:
-        raise ValueError("classification needs a nonconstant polynomial")
-    M = Fraction(m2) if convention == "g" else Fraction(1)
-    n = G.degree
-    dG = G.derivative()
-    crits = real_roots(dG)
-    if any(r.multiplicity > 1 for r in crits):
-        return ShapeResult(False, reason="degenerate critical point")
-    if len(crits) != n - 1:
-        return ShapeResult(
-            False, reason=f"only {len(crits)} of {n - 1} critical points are real"
-        )
-    h = G * G - Poly((M,))
-    # G' has n - 1 simple roots, so it is square-free and so is w
-    w = polys_gcd(dG, h)
-    chain = sturm_chain(w) if w.degree > 0 else None
-    off_line = [r for r in crits if not _vanishes_on(w, chain, r)]
-    if len(off_line) != 1:
-        return ShapeResult(
-            False,
-            reason=(
-                "no exceptional extremum"
-                if not off_line
-                else f"{len(off_line)} extrema lie off the lines"
-            ),
-        )
-    exc = off_line[0]
-    at_zero = exc.exact and exc.lo == 0
-    if not at_zero:
-        return ShapeResult(False, reason="exceptional extremum not at the origin")
-    h0 = h.eval(Fraction(0))
-    if h0 <= 0:
-        return ShapeResult(False, reason="extremum at the origin is not outside the lines")
-    return ShapeResult(True, exceptional_at=Fraction(0), above=G.eval(Fraction(0)) > 0)
-
-
-def _vanishes_on(w: Poly, chain, r: IsolatedRoot) -> bool:
-    """Does w (with Sturm chain `chain`, None when w is constant) vanish at
-    the root of G' isolated by r?
-
-    w divides the square-free G', so the isolating endpoints are never
-    roots of w.
-    """
-    if chain is None:
-        return False
-    if r.exact:
-        return w.eval(r.lo) == 0
-    return count_roots_halfopen(chain, r.lo, r.hi) > 0
-
-
 def solve_c1(s: int, c2, c3, c4) -> list[IsolatedRoot]:
     """All real roots of F_1 viewed as a univariate polynomial in c1."""
     return real_roots(f1_polynomial(s, 1, {2: c2, 3: c3, 4: c4}))
@@ -561,12 +480,6 @@ class PathResult:
     aux_at_target: Fraction | None
     solution: BipartiteSolution | None
     message: str
-
-    def certified(self, lo: float = -2.0, hi: float = 2.0, tol: float = 1e-9) -> bool:
-        """Exact verification, or numeric certification of the tracked system."""
-        if self.f1_exact_zero:
-            return True
-        return self.reached and self.ode_polypart_residual_bound(lo, hi) <= tol
 
     def ode_polypart_residual_bound(self, lo: float = -2.0, hi: float = 2.0) -> float:
         """Upper bound for sup over [lo, hi] of the divided-ODE residual.

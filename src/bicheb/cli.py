@@ -22,7 +22,9 @@ from fractions import Fraction
 
 from . import elliptic, multipartite
 from .bipartite import (
+    COMPOSE_MAX_N,
     FK_MAX_S,
+    SCAN_MAX_N,
     QuarticCoeffs,
     UNIT_AMPLITUDE,
     UNIT_LEADING,
@@ -407,6 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
+    n_help = f"outer degree, at most {SCAN_MAX_N}; a closed form needs n <= {COMPOSE_MAX_N}"
+
     def add_common(p):
         p.add_argument("--json", action="store_true", help="JSON output")
         p.add_argument(
@@ -416,14 +420,14 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     d = sub.add_parser("decide", help="decide elementary integrability")
-    d.add_argument("--n", type=int, required=True)
+    d.add_argument("--n", type=int, required=True, help=n_help)
     d.add_argument("--p", required=True, help="c1,c2,c3,c4")
     d.add_argument("--verbose", action="store_true")
     add_common(d)
     d.set_defaults(fn=cmd_decide)
 
     i = sub.add_parser("integrate", help="decide and render the antiderivative")
-    i.add_argument("--n", type=int, required=True)
+    i.add_argument("--n", type=int, required=True, help=n_help)
     i.add_argument("--p", required=True)
     i.add_argument("--format", choices=("text", "latex", "json"), default="text")
     i.add_argument("--emit-samples", metavar="CSV")
@@ -431,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     i.set_defaults(fn=cmd_integrate)
 
     v = sub.add_parser("verify", help="numeric check against quadrature")
-    v.add_argument("--n", type=int, required=True)
+    v.add_argument("--n", type=int, required=True, help=n_help)
     v.add_argument("--p", required=True)
     v.add_argument("--interval", required=True, help="a,b")
     v.add_argument("--tol", type=float, default=1e-8)
@@ -457,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     comp = sub.add_parser("complete", help="solve F_1 = 0 for a missing coefficient")
     comp.add_argument(
         "--n", type=int, required=True,
-        help=f"outer degree; the divisor s it selects must be at most {FK_MAX_S}",
+        help=f"{n_help}; the divisor s it selects must be at most {FK_MAX_S}",
     )
     comp.add_argument("--fix", required=True, help="e.g. c2=-5,c3=0,c4=4")
     comp.add_argument("--solve", required=True, help="target coefficient, e.g. c1")

@@ -30,12 +30,15 @@ sgn G) and log.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from .bipartite import (
+    COMPOSE_MAX_N,
     FK_MAX_S,
+    SCAN_MAX_N,
     Branch,
     BipartiteSolution,
     QuarticCoeffs,
@@ -140,16 +143,17 @@ def _certified_digits(lo: Fraction, hi: Fraction) -> str:
     printed digit is then a digit of the root the cell isolates.
     """
     sign, a, b = ("-", -hi, -lo) if hi <= 0 else ("", lo, hi)
-
-    def agree(d: int) -> bool:
-        # floor(a 10^d) and ceil(b 10^d) - 1: the truncations at a and just below b
-        scale = 10**d
-        return a.numerator * scale // a.denominator == -(-b.numerator * scale // b.denominator) - 1
-
-    d = 0
-    while agree(d + 1):
-        d += 1
-    digits = str(a.numerator * 10**d // a.denominator).rjust(d + 1, "0")
+    # L and H, the truncations at a and just below b at a scale 10^D finer
+    # than the cell, have one length, since a and b share an integer part.
+    # Dropping a digit of each gives the truncations at 10^(D-1), so the
+    # digits that every point of the cell shares are their common prefix.
+    w = b - a
+    D = len(str(w.denominator // w.numerator))  # 10^-D < b - a
+    scale = 10**D
+    L = str(a.numerator * scale // a.denominator).zfill(D + 1)
+    H = str(-(-b.numerator * scale // b.denominator) - 1).zfill(D + 1)
+    digits = os.path.commonprefix((L, H))
+    d = len(digits) - (len(L) - D)  # the digits after the point
     return f"{sign}{digits[:-d]}.{digits[-d:]}" if d else f"{sign}{digits}"
 
 
@@ -219,12 +223,6 @@ class ClosedForm:
         return identity_residual(
             self.G, self.convention, self.c.poly(), self.n, self.m2, br
         )
-
-    def g_over_m(self) -> Poly:
-        """Exact g/m; under convention 'g' a ValueError unless m is rational."""
-        if self.convention == "g-over-m":
-            return self.G
-        return self.G.scale(1 / rational_sqrt(self.m2))
 
     # -- numeric evaluation -------------------------------------------------
 
@@ -296,10 +294,14 @@ def decide(n: int, c: QuarticCoeffs) -> ClosedForm | Refusal:
     decision.  If its discriminant is negative with n/s even the result
     is a refusal (the hyperbolic family needs an odd outer degree).  The
     returned ClosedForm carries an exactly verified identity; the
-    refusal carries every divisor's condition values.
+    refusal carries every divisor's condition values.  Raises ValueError
+    when n exceeds SCAN_MAX_N, before the scan, and when a closed form is
+    due at an n above COMPOSE_MAX_N, before it is composed.
     """
     if n < 1:
         raise ValueError("n must be positive")
+    if n > SCAN_MAX_N:
+        raise ValueError(f"n must be at most {SCAN_MAX_N}, the bound of the divisor scan, got {n}")
     diags: list[DivisorDiagnostics] = []
     hit: int | None = None
     fatal: str | None = None
@@ -326,21 +328,14 @@ def decide(n: int, c: QuarticCoeffs) -> ClosedForm | Refusal:
     return _closed_form(n, hit, c, tuple(diags))
 
 
-def closed_form_for_divisor(n: int, s: int, c: QuarticCoeffs) -> ClosedForm:
-    """Build the closed form for one chosen divisor, bypassing the scan.
-
-    Raises ConditionsNotMet / EvenOuterOnHyperbolic when s is not
-    actually admissible; used to compare antiderivatives emitted through
-    different divisors of the same n.
-    """
-    if s < 2 or n % s:
-        raise ValueError("s must be a divisor of n, at least 2")
-    return _closed_form(n, s, c, ())
-
-
 def _closed_form(
     n: int, s: int, c: QuarticCoeffs, diags: tuple[DivisorDiagnostics, ...]
 ) -> ClosedForm:
+    if n > COMPOSE_MAX_N:
+        raise ValueError(
+            f"s={s} meets the conditions, but n must be at most {COMPOSE_MAX_N}, "
+            f"the bound of the closed form, got {n}"
+        )
     sol = build_solution(s, c)
     G, convention = compose_outer(sol.u, sol.m2, n // s, sol.branch)
     p = c.poly()
@@ -427,12 +422,6 @@ def _strictly_inside(r: IsolatedRoot, lo, hi) -> bool:
     lo_ok = lo is None or r.lo > lo.hi
     hi_ok = hi is None or r.hi < hi.lo
     return lo_ok and hi_ok
-
-
-def validity_intervals(p: Poly, branch: str):
-    """Sign regions of p required by a branch tag (arccos: p<0, else p>0)."""
-    sign = -1 if branch == BRANCH_ARCCOS else 1
-    return sign_regions(p, sign)
 
 
 def numeric_check(
@@ -580,7 +569,8 @@ def complete_coefficient(
     isolated exactly; rational roots get a full exact decision, which may
     still refuse (a root of F_1 alone does not guarantee the auxiliary
     condition).  Raises ClassNotCovered when no divisor qualifies, and
-    ValueError when s exceeds FK_MAX_S, before F_1 is built.
+    ValueError when n exceeds SCAN_MAX_N or s exceeds FK_MAX_S, before
+    F_1 is built.
     """
     if target not in (1, 2, 3, 4):
         raise ValueError("target must identify one of c1..c4")
@@ -588,6 +578,8 @@ def complete_coefficient(
         raise ValueError("fixed must carry exactly the other three coefficients")
     if n < 1:
         raise ValueError("n must be positive")
+    if n > SCAN_MAX_N:
+        raise ValueError(f"n must be at most {SCAN_MAX_N}, the bound of the divisor scan, got {n}")
     fixed = {k: Fraction(v) for k, v in fixed.items()}
     if force_s is not None:
         if force_s < 2 or n % force_s:

@@ -102,13 +102,6 @@ def _desc(poly: Poly) -> list[Fraction]:
     return [poly[poly.degree - k] for k in range(poly.degree + 1)]
 
 
-def qcube(q: Poly) -> list[Fraction]:
-    """Descending coefficients td_0..td_{3 ell} of q^3 (td_0 = 1)."""
-    if not q or q.leading() != 1:
-        raise ValueError("q must be monic")
-    return _desc(q**3)
-
-
 def _tc_sums(c: list, d: list) -> tuple[list, list]:
     """A_i = sum_k (4i - 3k) c_k d_{i-k} and B_i = sum_k c_k d_{i-k}.
 
@@ -129,16 +122,6 @@ def _tc_sums(c: list, d: list) -> tuple[list, list]:
 def _tc_from_sums(A: list, B: list, i: int, j: int):
     """tc(i, j) = (i + j) (A_i + 2 j B_i), for i within range of the sums."""
     return (i + j) * (A[i] + 2 * j * B[i])
-
-
-def tc(i: int, j: int, p: Poly, q: Poly) -> Fraction:
-    """(i+j) * sum_{k=0}^{i} (4i + 2j - 3k) c_k d_{i-k}.
-
-    c and d are the descending coefficients of p and q, taken as zero out
-    of range; tc(0, j) = 2 j^2 always.
-    """
-    A, B = _tc_sums(_desc(p), _desc(q))
-    return Fraction(_tc_from_sums(A, B, i, j)) if i < len(A) else Fraction(0)
 
 
 def _scaled_desc(poly: Poly, D: int) -> list[int]:
@@ -172,19 +155,11 @@ class MultipartiteSystem:
     def u(self) -> Poly:
         return Poly(self.a)
 
-    @property
-    def tdq(self) -> list[Fraction]:
-        return qcube(self.q)
-
     def solvable(self) -> bool:
         ok = all(v == 0 for v in self.neg_residuals)
         if self.pinned_origin:
             ok = ok and self.origin_residual == 0
         return ok
-
-    def constants(self) -> tuple[Fraction, Fraction]:
-        """(c, m^2) of the constant-adjusted identity; needs a solvable system."""
-        return integration_constant(self.s, self.p, self.q, self.u)
 
 
 def coefficients_general(

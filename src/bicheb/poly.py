@@ -19,10 +19,6 @@ for printing and tests, is built on first access.
 Float coefficient lists for the continuation tracker, the quadrature
 oracle and display are plain lists evaluated by ``horner``; they never
 enter ``Poly``.
-
-``LaurentPoly`` is the minimal negative-power companion needed for the
-divided form p(x)/x^2 of a quartic and its derivative (tails never go
-below x^-3 here, but the representation poly(x) * x^(-shift) is general).
 """
 
 from __future__ import annotations
@@ -249,12 +245,6 @@ class Poly:
         ints = self.ints if k > 0 else tuple(-v for v in self.ints)
         return _make(self.content * abs(k), ints)
 
-    def shift_up(self, k: int) -> "Poly":
-        """Multiply by x^k."""
-        if not self.ints:
-            return self
-        return _make(self.content, (0,) * k + self.ints)
-
     def __eq__(self, other):
         other = _as_poly(other)
         if other is NotImplemented:
@@ -394,73 +384,6 @@ def _as_poly(v):
     if isinstance(v, (int, Fraction)):
         return _make(Fraction(abs(v)), (1 if v > 0 else -1,)) if v else _ZERO
     return NotImplemented
-
-
-class LaurentPoly:
-    """poly(x) * x^(-shift): just enough Laurent structure for p/x^2 work."""
-
-    __slots__ = ("poly", "shift")
-
-    def __init__(self, poly: Poly, shift: int = 0):
-        # normalize: drop common factors of x between poly and the shift
-        while shift > 0 and poly and not poly.ints[0]:
-            poly = _make(poly.content, poly.ints[1:])
-            shift -= 1
-        self.poly = poly
-        self.shift = max(shift, 0) if poly else 0
-
-    def coeff(self, k: int):
-        """Coefficient of x^k (k may be negative)."""
-        return self.poly[k + self.shift]
-
-    def __add__(self, other):
-        other = _as_laurent(other)
-        s = max(self.shift, other.shift)
-        a = self.poly.shift_up(s - self.shift)
-        b = other.poly.shift_up(s - other.shift)
-        return LaurentPoly(a + b, s)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LaurentPoly(-self.poly, self.shift)
-
-    def __sub__(self, other):
-        return self + (-_as_laurent(other))
-
-    def __mul__(self, other):
-        other = _as_laurent(other)
-        return LaurentPoly(self.poly * other.poly, self.shift + other.shift)
-
-    __rmul__ = __mul__
-
-    def derivative(self) -> "LaurentPoly":
-        s = self.shift
-        out = [c * (k - s) for k, c in enumerate(self.poly.coeffs)]
-        return LaurentPoly(Poly(out), s + 1)
-
-    def poly_part(self) -> Poly:
-        """Coefficients of the nonnegative powers."""
-        return Poly(self.poly.coeffs[self.shift:])
-
-    def tail(self) -> list:
-        """Coefficients of x^-1, x^-2, ... down to the lowest power."""
-        return [self.poly[self.shift - j] for j in range(1, self.shift + 1)]
-
-    def is_zero(self) -> bool:
-        return not self.poly
-
-    def __eq__(self, other):
-        return (self - _as_laurent(other)).is_zero()
-
-    def __repr__(self):
-        return f"LaurentPoly({self.poly.format()}, x^-{self.shift})"
-
-
-def _as_laurent(v):
-    if isinstance(v, LaurentPoly):
-        return v
-    return LaurentPoly(_as_poly(v), 0)
 
 
 def chebyshev_t(n: int) -> Poly:

@@ -52,7 +52,7 @@ def test_criterion_01_symmetric_quartic_reproduction():
     cf = decide(2, SYMMETRIC)
     elapsed = time.perf_counter() - t0
     assert isinstance(cf, ClosedForm)
-    assert cf.g_over_m() == Poly((F(-5, 3), F(0), F(2, 3)))  # (2x^2-5)/3
+    assert cf.G.scale(1 / rational_sqrt(cf.m2)) == Poly((F(-5, 3), F(0), F(2, 3)))  # (2x^2-5)/3
     assert rational_sqrt(cf.m2) == F(3, 2)
     assert elapsed < 0.1
     _announce(1, f"g/m = (2x^2-5)/3, m = 3/2, decided in {elapsed * 1e3:.2f} ms")

@@ -1,4 +1,5 @@
 import random
+from dataclasses import dataclass
 from fractions import Fraction as F
 
 import pytest
@@ -14,17 +15,16 @@ from bicheb.bipartite import (
     UNIT_AMPLITUDE,
     _recurrence,
     build_solution,
-    classify_shape,
     coefficients_from_recurrence,
     compose_outer,
     conditions,
     continuation,
     f1_polynomial,
     identity_residual,
-    ode_residual,
     solve_c1,
 )
 from bicheb.poly import Poly, chebyshev_t
+from bicheb.roots import IsolatedRoot, count_roots_halfopen, polys_gcd, real_roots, sturm_chain
 
 WORKED = QuarticCoeffs.of(-2, -3, 2, 2)  # x^4 - 2x^3 - 3x^2 + 2x + 2
 SYMMETRIC = QuarticCoeffs.of(0, -5, 0, 4)  # (x^2-1)(x^2-4)
@@ -127,19 +127,21 @@ def test_aux_x3_coefficient_oracle():
 
 
 def test_laurent_residual_carries_both_conditions():
+    # R = 2 s^2 u - (2 u'' p/x^2 + u' (p/x^2)') is the divided ODE's residual,
+    # with the Laurent tail x^-3, x^-2, x^-1; x^3 R is a polynomial
     rng = random.Random(11)
+    x = Poly.x()
     for s in (2, 3, 4, 5):
         for _ in range(4):
             c = rand_quartic(rng)
             a, f1 = coefficients_from_recurrence(s, c)
             aux = conditions(s, c).aux
-            res = ode_residual(s, c, Poly(a))
-            assert res.coeff(-1) == -2 * aux
-            assert res.coeff(1) == -2 * (s * s - 1) * f1
-            assert res.coeff(-2) == 0 and res.coeff(-3) == 0
-            for k in range(0, s + 3):
-                if k != 1:
-                    assert res.coeff(k) == 0
+            u, p = Poly(a), c.poly()
+            du = u.derivative()
+            x3R = (x * x * x * u).scale(2 * s * s) - (x * p * du.derivative()).scale(2)
+            x3R = x3R - (x * p.derivative() - p.scale(2)) * du
+            # x^-1 carries aux, x^1 carries F_1, every other power vanishes
+            assert x3R == Poly((0, 0, -2 * aux, 0, -2 * (s * s - 1) * f1))
 
 
 # -- discriminant ------------------------------------------------------------
@@ -299,6 +301,81 @@ def test_no_m_fixes_aux_failure():
 
 
 # -- shape classification ------------------------------------------------------
+#
+# The paper's graph-shape definition of a bipartite polynomial, checked
+# exactly: an oracle for what the construction emits.
+
+
+@dataclass(frozen=True)
+class ShapeResult:
+    """Outcome of the graph-shape classification."""
+
+    bipartite: bool
+    exceptional_at: F | None = None
+    above: bool | None = None
+    reason: str | None = None
+
+    def __bool__(self):
+        return self.bipartite
+
+
+def classify_shape(G: Poly, convention: str, m2) -> ShapeResult:
+    """Decide whether G has the bipartite graph shape for lines y = +-m.
+
+    Needs deg(G) - 1 distinct real simple critical points, exactly one of
+    them off the lines (|value| > m), located at x = 0; every other
+    critical value must sit exactly on a line.  All checks are exact.
+    """
+    if G.degree < 1:
+        raise ValueError("classification needs a nonconstant polynomial")
+    M = F(m2) if convention == "g" else F(1)
+    n = G.degree
+    dG = G.derivative()
+    crits = real_roots(dG)
+    if any(r.multiplicity > 1 for r in crits):
+        return ShapeResult(False, reason="degenerate critical point")
+    if len(crits) != n - 1:
+        return ShapeResult(
+            False, reason=f"only {len(crits)} of {n - 1} critical points are real"
+        )
+    h = G * G - Poly((M,))
+    # G' has n - 1 simple roots, so it is square-free and so is w
+    w = polys_gcd(dG, h)
+    chain = sturm_chain(w) if w.degree > 0 else None
+    off_line = [r for r in crits if not _vanishes_on(w, chain, r)]
+    if len(off_line) != 1:
+        return ShapeResult(
+            False,
+            reason=(
+                "no exceptional extremum"
+                if not off_line
+                else f"{len(off_line)} extrema lie off the lines"
+            ),
+        )
+    exc = off_line[0]
+    at_zero = exc.exact and exc.lo == 0
+    if not at_zero:
+        return ShapeResult(False, reason="exceptional extremum not at the origin")
+    h0 = h.eval(F(0))
+    if h0 <= 0:
+        return ShapeResult(False, reason="extremum at the origin is not outside the lines")
+    return ShapeResult(True, exceptional_at=F(0), above=G.eval(F(0)) > 0)
+
+
+def _vanishes_on(w: Poly, chain, r: IsolatedRoot) -> bool:
+    """Does w (with Sturm chain `chain`, None when w is constant) vanish at
+    the root of G' isolated by r?
+
+    w divides the square-free G', so the isolating endpoints are never
+    roots of w.
+    """
+    if chain is None:
+        return False
+    if r.exact:
+        return w.eval(r.lo) == 0
+    return count_roots_halfopen(chain, r.lo, r.hi) > 0
+
+
 
 
 def test_classify_bipartite_worked():
@@ -474,4 +551,4 @@ def test_continuation_certified_numeric_bound():
     for k in (1, 2, 3):
         r = continuation(4, F(-2), F(1, 100), F(1, 100), k)
         assert r.reached
-        assert r.certified(-2.0, 2.0, 1e-9)
+        assert r.f1_exact_zero or (r.reached and r.ode_polypart_residual_bound(-2.0, 2.0) <= 1e-9)

@@ -162,6 +162,34 @@ def test_complete_s_is_bounded_before_any_table_is_built(monkeypatch, capsys):
         elliptic.complete_coefficient(cli.FK_MAX_S, {2: F(-5), 3: F(0), 4: F(4)}, 1)
 
 
+def test_n_is_bounded_before_the_scan_and_before_the_composition(monkeypatch, capsys):
+    def unreached(*args):
+        raise AssertionError("work started")
+
+    scan, compose = cli.SCAN_MAX_N, cli.COMPOSE_MAX_N
+    p = "--p=0,-3,0,-5"  # meets the conditions at s = 2
+    monkeypatch.setattr(elliptic, "divisors_from_two", unreached)
+    for argv in (("decide", "--n", str(scan + 1), p),
+                 ("integrate", "--n", str(scan + 1), p),
+                 ("verify", "--n", str(scan + 1), p, "--interval", "1,2"),
+                 ("complete", "--n", str(scan + 2), "--fix", "c2=-5,c3=0,c4=4", "--solve", "c1")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: n must be at most {scan}, the bound of the divisor scan, got {argv[2]}\n"
+    monkeypatch.undo()
+    monkeypatch.setattr(elliptic, "build_solution", unreached)
+    monkeypatch.setattr(elliptic, "compose_outer", unreached)
+    n = str(compose + 2)
+    for argv in (("decide", "--n", n, p), ("integrate", "--n", n, p, "--format", "json")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == (f"error: s=2 meets the conditions, but n must be at most {compose}, "
+                       f"the bound of the closed form, got {n}\n")
+    # a refusal stays cheap below the scan bound
+    code, out, err = run(capsys, "decide", "--n", "2520", "--p=-3/2,2,1/2,-3", "--json")
+    assert (code, err) == (3, "") and json.loads(out)["status"] == "decided-no"
+
+
 def test_construct_and_perturb_s_are_bounded_before_any_work(monkeypatch, capsys):
     def unreached(*args):
         raise AssertionError("work started")

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bicheb import elliptic
 from bicheb.bipartite import QuarticCoeffs
@@ -14,16 +16,15 @@ from bicheb.elliptic import (
     ClosedForm,
     IntervalNotValid,
     Refusal,
-    closed_form_for_divisor,
     complete_coefficient,
     decide,
     numeric_check,
     render,
     render_refusal,
     sign_regions,
-    validity_intervals,
 )
 from bicheb.poly import Poly, horner
+from bicheb.scalars import rational_sqrt
 
 WORKED = QuarticCoeffs.of(-2, -3, 2, 2)
 SYMMETRIC = QuarticCoeffs.of(0, -5, 0, 4)
@@ -40,7 +41,7 @@ def test_decide_symmetric_quartic():
     assert isinstance(cf, ClosedForm)
     assert cf.s == 2 and cf.branch == BRANCH_ARCCOS
     assert cf.m2 == F(9, 4)
-    assert cf.g_over_m() == Poly((F(-5, 3), F(0), F(2, 3)))
+    assert cf.G.scale(1 / rational_sqrt(cf.m2)) == Poly((F(-5, 3), F(0), F(2, 3)))
 
 
 def test_decide_worked_circular():
@@ -100,7 +101,7 @@ def test_decide_smallest_divisor_preferred():
 
 
 def test_validity_intervals_worked():
-    regions = validity_intervals(WORKED.poly(), BRANCH_ARCCOS)
+    regions = sign_regions(WORKED.poly(), -1)
     assert len(regions) == 2
     (lo1, hi1), (lo2, hi2) = regions
     assert lo1.exact and lo1.lo == -1
@@ -110,13 +111,13 @@ def test_validity_intervals_worked():
 
 
 def test_validity_intervals_everywhere_positive():
-    regions = validity_intervals(HYPER.poly(), BRANCH_ARCSINH)
+    regions = sign_regions(HYPER.poly(), 1)
     assert regions == [(None, None)]
     assert sign_regions(LOG.poly(), -1) == []
 
 
 def test_validity_intervals_log():
-    regions = validity_intervals(LOG.poly(), BRANCH_LOG)
+    regions = sign_regions(LOG.poly(), 1)
     assert regions == [(None, None)]
 
 
@@ -181,7 +182,7 @@ def test_numeric_check_rejects_wrong_region():
 def test_divisor_consistency_modulo_sign_and_constant():
     # both s = 2 and s = 4 are admissible for n = 4 over (x^2-1)(x^2-4)
     cf2 = decide(4, SYMMETRIC)
-    cf4 = closed_form_for_divisor(4, 4, SYMMETRIC)
+    cf4 = elliptic._closed_form(4, 4, SYMMETRIC, ())
     assert cf2.s == 2 and cf4.s == 4
     assert not cf4.residual()
     p2 = cf2.piece_for(1.2, 1.5)
@@ -237,6 +238,44 @@ def test_render_json_schema():
 )
 def test_certified_digits(lo, hi, text):
     assert elliptic._certified_digits(lo, hi) == text
+    assert certified_digits_by_search(lo, hi) == text
+
+
+def certified_digits_by_search(lo, hi):
+    """The digit-by-digit search, the reference for _certified_digits: one
+    comparison of the truncations at a and just below b per digit."""
+    sign, a, b = ("-", -hi, -lo) if hi <= 0 else ("", lo, hi)
+
+    def agree(d):
+        # floor(a 10^d) and ceil(b 10^d) - 1: the truncations at a and just below b
+        scale = 10**d
+        return a.numerator * scale // a.denominator == -(-b.numerator * scale // b.denominator) - 1
+
+    d = 0
+    while agree(d + 1):
+        d += 1
+    digits = str(a.numerator * 10**d // a.denominator).rjust(d + 1, "0")
+    return f"{sign}{digits[:-d]}.{digits[-d:]}" if d else f"{sign}{digits}"
+
+
+@st.composite
+def dyadic_cells(draw):
+    """A cell (k/2^e, (k+1)/2^e) no wider than 1, on either side of 0,
+    often next to a short decimal, where truncations carry."""
+    e = draw(st.integers(0, 64))
+    if draw(st.booleans()):
+        m, j = draw(st.integers(0, 10**6)), draw(st.integers(0, 20))
+        k = max(m * 2**e // 10**j + draw(st.integers(-2, 1)), 0)
+    else:
+        k = draw(st.integers(0, 2**72))
+    lo, hi = F(k, 2**e), F(k + 1, 2**e)
+    return (-hi, -lo) if draw(st.booleans()) else (lo, hi)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(dyadic_cells())
+def test_certified_digits_match_the_digit_search(cell):
+    assert elliptic._certified_digits(*cell) == certified_digits_by_search(*cell)
 
 
 @pytest.mark.parametrize("n", [3, 6, 33])
@@ -340,10 +379,8 @@ def test_hyperbolic_with_irrational_m():
     cf = decide(2, c)
     assert cf.branch == BRANCH_ARCSINH and cf.m2 == F(3, 4)
     assert numeric_check(cf, (0.0, 1.5), 1e-10) <= 1e-8
-    # the odd outer degree keeps G = g, and g/m is not rational
+    # the odd outer degree keeps G = g, rational although m is not
     assert cf.convention == "g"
-    with pytest.raises(ValueError, match="not a rational square"):
-        cf.g_over_m()
     cf6 = decide(6, c)
     assert not cf6.residual()
     assert numeric_check(cf6, (-1.0, 1.0), 1e-10) <= 1e-8

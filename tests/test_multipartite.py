@@ -18,10 +18,11 @@ from bicheb.multipartite import (
     NoConsistentConstants,
     OutsideData,
     coefficients_general,
+    _desc,
+    _tc_from_sums,
+    _tc_sums,
     integration_constant,
-    qcube,
     solvability_residuals,
-    tc,
 )
 from bicheb.partitions import distinct_perms, partitions_bounded
 from bicheb.poly import Poly, chebyshev_t
@@ -40,6 +41,26 @@ def rand_quartic(rng):
     return QuarticCoeffs.of(
         *[F(rng.randint(-10, 10), rng.randint(1, 4)) for _ in range(4)]
     )
+
+
+# -- the weights of the recurrence ------------------------------------------------
+
+
+def qcube(q: Poly) -> list[F]:
+    """Descending coefficients td_0..td_{3 ell} of q^3 (td_0 = 1)."""
+    if not q or q.leading() != 1:
+        raise ValueError("q must be monic")
+    return _desc(q**3)
+
+
+def tc(i: int, j: int, p: Poly, q: Poly) -> F:
+    """(i+j) * sum_{k=0}^{i} (4i + 2j - 3k) c_k d_{i-k}.
+
+    c and d are the descending coefficients of p and q, taken as zero out
+    of range; tc(0, j) = 2 j^2 always.
+    """
+    A, B = _tc_sums(_desc(p), _desc(q))
+    return F(_tc_from_sums(A, B, i, j)) if i < len(A) else F(0)
 
 
 # -- closed-form oracle ----------------------------------------------------------
@@ -393,14 +414,8 @@ def test_compose_worked_inner_to_degree_six():
     sys6 = coefficients_general(6, p, X)
     assert sys6.solvable()
     # the recurrence solution is monic: u = T_2(v)/2, so the lines shrink to 1/2
-    assert sys6.constants() == (F(0), F(1, 4))
+    assert integration_constant(6, p, X, sys6.u) == (F(0), F(1, 4))
     assert sys6.u == G.scale(F(1, 2))
-
-
-def test_system_exposes_qcube_and_constants():
-    sys_ = coefficients_general(3, WORKED.poly(), X)
-    assert sys_.tdq == [F(1), F(0), F(0), F(0)]
-    assert sys_.constants() == (F(0), F(1))
 
 
 def test_compose_outer_values():

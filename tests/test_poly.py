@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bicheb.poly import LaurentPoly, Poly, chebyshev_t, sinh_chebyshev
+from bicheb.poly import Poly, chebyshev_t, sinh_chebyshev
 
 
 def rand_poly(rng, max_deg=8):
@@ -99,29 +99,6 @@ def test_sinh_chebyshev_odd_and_increasing():
         dp = p.derivative()
         # even polynomial with positive coefficients: positive everywhere
         assert all(c >= 0 for c in dp.coeffs) and dp[0] > 0
-
-
-def test_laurent_quartic_tail():
-    p = Poly((F(2), F(2), F(-3), F(-2), F(1)))  # worked quartic
-    pt = LaurentPoly(p, 2)
-    assert pt.coeff(2) == 1
-    assert pt.coeff(-1) == 2
-    assert pt.coeff(-2) == 2
-    assert pt.tail() == [F(2), F(2)]
-    dpt = pt.derivative()
-    assert dpt.coeff(1) == 2
-    assert dpt.coeff(-2) == -2  # d/dx of c3/x
-    assert dpt.coeff(-3) == -4  # d/dx of c4/x^2
-    assert dpt.tail() == [F(0), F(-2), F(-4)]
-
-
-def test_laurent_mul_matches_poly():
-    p = Poly((F(1), F(2), F(3)))
-    q = Poly((F(-1), F(1)))
-    a = LaurentPoly(p, 1) * LaurentPoly(q, 2)
-    b = LaurentPoly(p * q, 3)
-    assert a == b
-    assert (a - b).is_zero()
 
 
 def test_poly_format():
