@@ -558,11 +558,22 @@ def _f1_float(s: int, c2: float, c3: float, c4: float) -> list[float]:
     return [out.get(e, 0.0) for e in range(max(out, default=0) + 1)]
 
 
-def _newton(f: list[float], x0: float, tol: float, max_iter: int = 60):
+# continuation tracker: the first and largest tau step, the step below which
+# tracking gives up, the distance at which two tracked roots have collided,
+# and Newton's residual tolerance (relative to the largest coefficient) and
+# iteration cap
+INITIAL_STEP = 1 / 16
+MIN_STEP = 1e-10
+COLLISION_DIST = 1e-6
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 60
+
+
+def _newton(f: list[float], x0: float, tol: float):
     scale = max(1.0, max(abs(c) for c in f))
     df = _fderiv(f)
     x = x0
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         fx = horner(f, x)
         if abs(fx) <= tol * scale:
             return x, True
@@ -579,16 +590,12 @@ def continuation(
     target_c3,
     target_c4,
     branch_index: int,
-    initial_step: float = 1 / 16,
-    newton_tol: float = 1e-12,
-    collision_dist: float = 1e-6,
-    min_step: float = 1e-10,
 ) -> PathResult:
     """Track the branch_index-th real root of F_1 from (c3,c4)=(0,0) to targets.
 
     Straight-line homotopy with Euler prediction and Newton correction;
     the step halves when Newton stalls and the path aborts (reporting the
-    largest achieved tau) when tracked roots come within collision_dist
+    largest achieved tau) when tracked roots come within COLLISION_DIST
     of each other.  At tau = 1 an exact rational reconstruction of c1 is
     attempted and, when it verifies F_1 = 0 exactly and aux = 0 as well,
     a fully verified solution is attached.
@@ -609,7 +616,7 @@ def continuation(
 
     f2, f4 = float(c2), float(t4)
     f3 = float(t3)
-    tau, h = 0.0, initial_step
+    tau, h = 0.0, INITIAL_STEP
     message = "reached tau = 1"
     reached = True
     while tau < 1.0:
@@ -625,20 +632,20 @@ def continuation(
             pred = r
             if df != 0:
                 pred = r - (horner(f_next, r) - horner(f_cur, r)) / df
-            x, good = _newton(f_next, pred, newton_tol)
+            x, good = _newton(f_next, pred, NEWTON_TOL)
             if not good:
                 ok = False
                 break
             new_roots.append(x)
         if not ok:
             h = step / 2
-            if h < min_step:
+            if h < MIN_STEP:
                 message = "step size underflow during Newton correction"
                 reached = False
                 break
             continue
         collided = any(
-            abs(a - b) < collision_dist
+            abs(a - b) < COLLISION_DIST
             for i, a in enumerate(new_roots)
             for b in new_roots[i + 1 :]
         )
@@ -648,7 +655,7 @@ def continuation(
             break
         roots = new_roots
         tau = tau_next
-        h = min(max(h * 2, initial_step / 8), initial_step)
+        h = min(max(h * 2, INITIAL_STEP / 8), INITIAL_STEP)
 
     c1f = roots[sel]
     f_now = _f1_float(s, f2, tau * f3, tau * f4)

@@ -51,11 +51,12 @@ MULTI_MAX_S = 1000
 
 @contextlib.contextmanager
 def _exact_digits():
-    """Lift Python's int-to-str digit limit while a result is formatted.
+    """Lift Python's int-to-str digit limit while a command runs.
 
     Refusals print every divisor's exact d, which passes the default 4300
-    digits from about n = 840 on.  Inputs are parsed outside this block, so
-    the limit still guards the slow conversion of huge argv numbers.
+    digits from about n = 840 on, and fk --eval and multi values pass it
+    on long inputs.  Input numbers stay bounded: parse_rational checks
+    them against the default itself, and argparse parses ints before.
     """
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
@@ -104,45 +105,38 @@ def _parse_coeff_name(text: str, flag: str) -> int:
     return int(name[1])
 
 
-def _print_decision_text(out, verbose: bool) -> None:
+def _decision_text(out, verbose: bool) -> str:
     if isinstance(out, Refusal):
-        print(render_refusal(out, "text"))
-        return
-    print(
+        return render_refusal(out)
+    lines = [
         f"decided: yes  n={out.n}  s={out.s}  branch={out.branch}  "
-        f"d={out.d}  m2={out.m2}"
-    )
-    print(f"G ({out.convention}) = {out.G.format()}")
-    print(f"residual_zero: {out.residual_zero}")
-    print(render(out, "text"))
+        f"d={out.d}  m2={out.m2}",
+        f"G ({out.convention}) = {out.G.format()}",
+        f"residual_zero: {out.residual_zero}",
+        render(out, "text"),
+    ]
     if verbose:
-        print("divisor diagnostics:")
-        for dv in out.divisors:
-            print(f"  {dv.line()}")
+        lines.append("divisor diagnostics:")
+        lines += [f"  {dv.line()}" for dv in out.divisors]
+    return "\n".join(lines)
 
 
-def cmd_decide(args) -> int:
-    c = _parse_quartic(args.p, args.rationalize)
-    out = decide(args.n, c)
-    with _exact_digits():
-        if args.json:
-            print(json.dumps(out.as_dict(), indent=2))
-        else:
-            _print_decision_text(out, args.verbose)
-    return EXIT_YES if isinstance(out, ClosedForm) else EXIT_NO
+# Each cmd_* returns (exit code, output): a JSON payload under --json, else text.
 
 
-def cmd_integrate(args) -> int:
-    c = _parse_quartic(args.p, args.rationalize)
-    out = decide(args.n, c)
-    with _exact_digits():
-        if isinstance(out, Refusal):
-            print(render_refusal(out, args.format if args.format == "json" else "text"))
-            return EXIT_NO
-        print(render(out, args.format))
+def cmd_decide(args):
+    out = decide(args.n, _parse_quartic(args.p, args.rationalize))
+    code = EXIT_YES if isinstance(out, ClosedForm) else EXIT_NO
+    return code, out.as_dict() if args.json else _decision_text(out, args.verbose)
+
+
+def cmd_integrate(args):
+    out = decide(args.n, _parse_quartic(args.p, args.rationalize))
+    if isinstance(out, Refusal):
+        return EXIT_NO, out.as_dict() if args.json else render_refusal(out)
     if args.emit_samples:
         _emit_samples(out, args.emit_samples)
-    return EXIT_YES
+    return EXIT_YES, out.as_dict() if args.json else render(out, args.format)
 
 
 def _emit_samples(cf: ClosedForm, path: str, count: int = 200) -> None:
@@ -165,7 +159,7 @@ def _emit_samples(cf: ClosedForm, path: str, count: int = 200) -> None:
             w.writerow([x, x / rad**0.5, cf.antiderivative(piece, x)])
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     c = _parse_quartic(args.p, args.rationalize)
     try:
         lo_s, hi_s = args.interval.split(",")
@@ -176,25 +170,21 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--tol must be a positive finite number, got {args.tol}")
     out = decide(args.n, c)
     if isinstance(out, Refusal):
-        with _exact_digits():
-            print(render_refusal(out, "text"))
-        return EXIT_NO
+        return EXIT_NO, render_refusal(out)
     try:
         err = numeric_check(out, interval, args.tol)
     except IntervalNotValid as exc:
-        print(f"interval not valid: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    ok = err <= args.tol
-    print(
+        raise IntervalNotValid(f"interval not valid: {exc}") from None
+    if args.emit_samples:
+        _emit_samples(out, args.emit_samples)
+    code = EXIT_YES if err <= args.tol else EXIT_NO
+    return code, (
         f"numeric check on [{interval[0]!r}, {interval[1]!r}]: "
         f"max error {err:.3e} (tol {args.tol:.1e})"
     )
-    if args.emit_samples:
-        _emit_samples(out, args.emit_samples)
-    return EXIT_YES if ok else EXIT_NO
 
 
-def cmd_construct(args) -> int:
+def cmd_construct(args):
     if args.s > FK_MAX_S:
         raise ValueError(f"construct --s must be at most {FK_MAX_S}, got {args.s}")
     c2 = _parse_value(args.c2, args.rationalize)
@@ -215,30 +205,24 @@ def cmd_construct(args) -> int:
             skipped.append({"c1": str(r.lo), "note": str(exc)})
             continue
         built.append(sol)
+    code = EXIT_YES if built else EXIT_NO
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "s": args.s,
-                    "solutions": [s.as_dict() for s in built],
-                    "skipped": skipped,
-                },
-                indent=2,
-            )
-        )
-    else:
-        print(f"s={args.s}: {len(roots)} real F_1 root(s) in c1")
-        for sol in built:
-            print(
-                f"  c1={sol.c.c1}: u = {sol.u_text()}  m2={sol.shown_m2()}  d={sol.d}  "
-                f"branch={sol.branch.value}  residual_zero={not sol.residual()}"
-            )
-        for sk in skipped:
-            print(f"  c1={sk['c1']}: skipped ({sk['note']})")
-    return EXIT_YES if built else EXIT_NO
+        return code, {
+            "s": args.s,
+            "solutions": [s.as_dict() for s in built],
+            "skipped": skipped,
+        }
+    lines = [f"s={args.s}: {len(roots)} real F_1 root(s) in c1"]
+    lines += [
+        f"  c1={sol.c.c1}: u = {sol.u_text()}  m2={sol.shown_m2()}  d={sol.d}  "
+        f"branch={sol.branch.value}  residual_zero={not sol.residual()}"
+        for sol in built
+    ]
+    lines += [f"  c1={sk['c1']}: skipped ({sk['note']})" for sk in skipped]
+    return code, "\n".join(lines)
 
 
-def cmd_fk(args) -> int:
+def cmd_fk(args):
     if not 1 <= args.s <= FK_MAX_S:
         raise ValueError(f"fk --s must be between 1 and {FK_MAX_S}, got {args.s}")
     if args.eval is not None:
@@ -251,31 +235,19 @@ def cmd_fk(args) -> int:
             cond = conditions(args.s, QuarticCoeffs.from_list(c))
             values = [cond.a[0], cond.f1, *cond.a[2:]]
         if args.json:
-            print(
-                json.dumps(
-                    {
-                        "s": args.s,
-                        "c": [str(v) for v in c],
-                        "F": [str(v) for v in values],
-                    },
-                    indent=2,
-                )
-            )
-        else:
-            for k, v in enumerate(values):
-                print(f"F_{k} = {v}")
-        return EXIT_YES
+            return EXIT_YES, {
+                "s": args.s,
+                "c": [str(v) for v in c],
+                "F": [str(v) for v in values],
+            }
+        return EXIT_YES, "\n".join(f"F_{k} = {v}" for k, v in enumerate(values))
     table = fk_table(args.s)
     if args.json:
-        payload = [{"s": args.s, "k": k, "terms": fk_terms(table, k)} for k in table.ks()]
-        print(json.dumps(payload, indent=2))
-    else:
-        for k in table.ks():
-            print(format_fk(table, k))
-    return EXIT_YES
+        return EXIT_YES, [{"s": args.s, "k": k, "terms": fk_terms(table, k)} for k in table.ks()]
+    return EXIT_YES, "\n".join(format_fk(table, k) for k in table.ks())
 
 
-def cmd_complete(args) -> int:
+def cmd_complete(args):
     fixed = {}
     for item in args.fix.split(","):
         key, _, val = item.partition("=")
@@ -285,18 +257,17 @@ def cmd_complete(args) -> int:
         fixed[k] = _parse_value(val, args.rationalize)
     target = _parse_coeff_name(args.solve, "--solve")
     result = elliptic.complete_coefficient(args.n, fixed, target, force_s=args.force_s)
-    with _exact_digits():
-        if args.json:
-            print(json.dumps(result.as_dict(), indent=2))
-        else:
-            print(f"n={args.n}, s={result.s}, solving F_1 = 0 for c{target}")
-            for e in result.entries:
-                root = str(e.root.lo) if e.root.exact else f"({e.root.lo}, {e.root.hi})"
-                print(f"  c{target} = {root}: {e.note}")
-    return EXIT_YES if result.entries else EXIT_NO
+    code = EXIT_YES if result.entries else EXIT_NO
+    if args.json:
+        return code, result.as_dict()
+    lines = [f"n={args.n}, s={result.s}, solving F_1 = 0 for c{target}"]
+    for e in result.entries:
+        root = str(e.root.lo) if e.root.exact else f"({e.root.lo}, {e.root.hi})"
+        lines.append(f"  c{target} = {root}: {e.note}")
+    return code, "\n".join(lines)
 
 
-def cmd_multi(args) -> int:
+def cmd_multi(args):
     if args.s > MULTI_MAX_S:
         raise ValueError(f"multi --s must be at most {MULTI_MAX_S}, got {args.s}")
     rat = args.rationalize
@@ -328,19 +299,6 @@ def cmd_multi(args) -> int:
         if sys_.pinned_origin
         else sys_.neg_residuals
     )
-    payload = {
-        "s": args.s,
-        "p": [str(v) for v in p.coeffs],
-        "q": [str(v) for v in q.coeffs],
-        "a": [str(v) for v in sys_.a],
-        "negative_residuals": [str(v) for v in sys_.neg_residuals],
-        "condition_residuals": [str(v) for v in lem],
-        "origin_pinned": sys_.pinned_origin,
-        "origin_residual": None
-        if sys_.origin_residual is None
-        else str(sys_.origin_residual),
-        "solvable": sys_.solvable(),
-    }
     constants = None
     if sys_.solvable():
         try:
@@ -348,23 +306,37 @@ def cmd_multi(args) -> int:
             constants = {"c": str(cval), "m2": str(m2)}
         except multipartite.NoConsistentConstants as exc:
             constants = {"error": str(exc)}
-    payload["constants"] = constants
+    code = EXIT_YES if sys_.solvable() else EXIT_NO
     if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(f"s={args.s}  p = {p.format()}  q = {q.format()}")
-        print(f"u = {sys_.u.format()}")
-        print(f"negative-index residuals: {[str(v) for v in sys_.neg_residuals]}")
-        print(f"condition residuals:      {[str(v) for v in lem]}")
-        if sys_.pinned_origin:
-            print(f"origin residual (q(0)=0): {sys_.origin_residual}")
-        if constants:
-            print(f"constants: {constants}")
-        print(f"solvable: {sys_.solvable()}")
-    return EXIT_YES if sys_.solvable() else EXIT_NO
+        return code, {
+            "s": args.s,
+            "p": [str(v) for v in p.coeffs],
+            "q": [str(v) for v in q.coeffs],
+            "a": [str(v) for v in sys_.a],
+            "negative_residuals": [str(v) for v in sys_.neg_residuals],
+            "condition_residuals": [str(v) for v in lem],
+            "origin_pinned": sys_.pinned_origin,
+            "origin_residual": None
+            if sys_.origin_residual is None
+            else str(sys_.origin_residual),
+            "solvable": sys_.solvable(),
+            "constants": constants,
+        }
+    lines = [
+        f"s={args.s}  p = {p.format()}  q = {q.format()}",
+        f"u = {sys_.u.format()}",
+        f"negative-index residuals: {[str(v) for v in sys_.neg_residuals]}",
+        f"condition residuals:      {[str(v) for v in lem]}",
+    ]
+    if sys_.pinned_origin:
+        lines.append(f"origin residual (q(0)=0): {sys_.origin_residual}")
+    if constants:
+        lines.append(f"constants: {constants}")
+    lines.append(f"solvable: {sys_.solvable()}")
+    return code, "\n".join(lines)
 
 
-def cmd_perturb(args) -> int:
+def cmd_perturb(args):
     if args.s > FK_MAX_S:
         raise ValueError(f"perturb --s must be at most {FK_MAX_S}, got {args.s}")
     result = continuation(
@@ -374,22 +346,22 @@ def cmd_perturb(args) -> int:
         _parse_value(args.target_c4, args.rationalize),
         args.branch,
     )
+    code = EXIT_YES if result.reached else EXIT_NO
     if args.json:
-        print(json.dumps(result.as_dict(), indent=2))
-    else:
-        print(
-            f"s={args.s} branch={args.branch}: tau*={result.tau_star:.6g} "
-            f"c1={result.c1_final!r} ({result.message})"
-        )
-        if result.c1_exact is not None:
-            print(f"  exact c1 = {result.c1_exact}, aux = {result.aux_at_target}")
-        if result.solution is not None:
-            print(f"  u = {result.solution.u.format()}  m2={result.solution.m2}")
-        if result.reached and result.c1_exact is None:
-            bound = result.ode_polypart_residual_bound()
-            print(f"  certified-numeric: |F_1| = {result.f1_residual:.2e}, "
-                  f"ODE residual bound on [-2,2] = {bound:.2e}")
-    return EXIT_YES if result.reached else EXIT_NO
+        return code, result.as_dict()
+    lines = [
+        f"s={args.s} branch={args.branch}: tau*={result.tau_star:.6g} "
+        f"c1={result.c1_final!r} ({result.message})"
+    ]
+    if result.c1_exact is not None:
+        lines.append(f"  exact c1 = {result.c1_exact}, aux = {result.aux_at_target}")
+    if result.solution is not None:
+        lines.append(f"  u = {result.solution.u.format()}  m2={result.solution.m2}")
+    if result.reached and result.c1_exact is None:
+        bound = result.ode_polypart_residual_bound()
+        lines.append(f"  certified-numeric: |F_1| = {result.f1_residual:.2e}, "
+                     f"ODE residual bound on [-2,2] = {bound:.2e}")
+    return code, "\n".join(lines)
 
 
 @functools.cache
@@ -411,8 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     n_help = f"outer degree, at most {SCAN_MAX_N}; a closed form needs n <= {COMPOSE_MAX_N}"
 
-    def add_common(p):
-        p.add_argument("--json", action="store_true", help="JSON output")
+    def add_common(p, json_output=True):
+        if json_output:
+            p.add_argument("--json", action="store_true", help="JSON output")
         p.add_argument(
             "--rationalize",
             action="store_true",
@@ -429,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     i = sub.add_parser("integrate", help="decide and render the antiderivative")
     i.add_argument("--n", type=int, required=True, help=n_help)
     i.add_argument("--p", required=True)
-    i.add_argument("--format", choices=("text", "latex", "json"), default="text")
+    i.add_argument("--format", choices=("text", "latex"), default="text")
     i.add_argument("--emit-samples", metavar="CSV")
     add_common(i)
     i.set_defaults(fn=cmd_integrate)
@@ -440,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--interval", required=True, help="a,b")
     v.add_argument("--tol", type=float, default=1e-8)
     v.add_argument("--emit-samples", metavar="CSV")
-    add_common(v)
+    add_common(v, json_output=False)
     v.set_defaults(fn=cmd_verify)
 
     cst = sub.add_parser("construct", help="build inner polynomials for given c2,c3,c4")
@@ -505,10 +478,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        with _exact_digits():
+            code, output = args.fn(args)
+            # text is a str; a JSON payload is a dict or a list
+            print(output if isinstance(output, str) else json.dumps(output, indent=2))
     except (ValueError, ZeroDivisionError, OSError, ToleranceNotReached) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return code
 
 
 if __name__ == "__main__":

@@ -74,6 +74,10 @@ class ClassNotCovered(ValueError):
     """No divisor of n guarantees a real completion for the target index."""
 
 
+class ComposeBoundExceeded(ValueError):
+    """A divisor meets the conditions, but n is above COMPOSE_MAX_N."""
+
+
 def divisors_from_two(n: int) -> list[int]:
     return [s for s in range(2, n + 1) if n % s == 0]
 
@@ -295,8 +299,9 @@ def decide(n: int, c: QuarticCoeffs) -> ClosedForm | Refusal:
     is a refusal (the hyperbolic family needs an odd outer degree).  The
     returned ClosedForm carries an exactly verified identity; the
     refusal carries every divisor's condition values.  Raises ValueError
-    when n exceeds SCAN_MAX_N, before the scan, and when a closed form is
-    due at an n above COMPOSE_MAX_N, before it is composed.
+    when n exceeds SCAN_MAX_N, before the scan, and ComposeBoundExceeded
+    when a closed form is due at an n above COMPOSE_MAX_N, before it is
+    composed.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -332,7 +337,7 @@ def _closed_form(
     n: int, s: int, c: QuarticCoeffs, diags: tuple[DivisorDiagnostics, ...]
 ) -> ClosedForm:
     if n > COMPOSE_MAX_N:
-        raise ValueError(
+        raise ComposeBoundExceeded(
             f"s={s} meets the conditions, but n must be at most {COMPOSE_MAX_N}, "
             f"the bound of the closed form, got {n}"
         )
@@ -459,11 +464,7 @@ def _m_string(m2: Fraction, latex: bool) -> str:
 
 
 def render(cf: ClosedForm, fmt: str = "text") -> str:
-    """Deterministic serialization of a closed form (text, latex, or json)."""
-    if fmt == "json":
-        import json
-
-        return json.dumps(cf.as_dict(), indent=2)
+    """Deterministic serialization of a closed form (text or latex)."""
     if fmt not in ("text", "latex"):
         raise ValueError(f"unknown format {fmt!r}")
     latex = fmt == "latex"
@@ -498,11 +499,7 @@ def render(cf: ClosedForm, fmt: str = "text") -> str:
     return "\n".join(lines)
 
 
-def render_refusal(r: Refusal, fmt: str = "text") -> str:
-    if fmt == "json":
-        import json
-
-        return json.dumps(r.as_dict(), indent=2)
+def render_refusal(r: Refusal) -> str:
     lines = [f"no elementary form of degree n={r.n}: {r.reason}"]
     lines += [f"  {dv.line()}" for dv in r.divisors]
     return "\n".join(lines)
@@ -568,7 +565,8 @@ def complete_coefficient(
     even s for c1, s = 3 mod 4 for c2, s = 5 mod 8 for c4.  Roots are
     isolated exactly; rational roots get a full exact decision, which may
     still refuse (a root of F_1 alone does not guarantee the auxiliary
-    condition).  Raises ClassNotCovered when no divisor qualifies, and
+    condition), or whose closed form may be due above COMPOSE_MAX_N: that
+    root's note then names the divisor and the bound.  Raises ClassNotCovered when no divisor qualifies, and
     ValueError when n exceeds SCAN_MAX_N or s exceeds FK_MAX_S, before
     F_1 is built.
     """
@@ -608,7 +606,11 @@ def complete_coefficient(
             vals = dict(fixed)
             vals[target] = root.lo
             c = QuarticCoeffs.of(vals[1], vals[2], vals[3], vals[4])
-            outcome = decide(n, c)
+            try:
+                outcome = decide(n, c)
+            except ComposeBoundExceeded as exc:
+                entries.append(CompletionEntry(root, c, None, str(exc)))
+                continue
             note = "decided-yes" if isinstance(outcome, ClosedForm) else "decided-no"
             entries.append(CompletionEntry(root, c, outcome, note))
         else:

@@ -147,11 +147,6 @@ def _variations(signs) -> int:
     return count
 
 
-def variations_at(chain: list[Ints], x: Fraction) -> int:
-    """Sign changes along the chain at x."""
-    return _variations(_signs(chain, Fraction(x)))
-
-
 def _signs_at_infinity(chain: list[Ints], sign: int) -> list[int]:
     """The signs of the chain's elements at sign * infinity: those of their
     leading terms."""
@@ -174,11 +169,6 @@ def _root_bound(p: Ints) -> Fraction:
     lead = abs(p[-1])
     e = [-(-_ceil_log2(abs(c), lead) // i) for i, c in enumerate(reversed(p[:-1]), 1) if c]
     return Fraction(2) ** (max(e) + 1) if e else Fraction(1)  # else p = a_d x^d
-
-
-def count_roots_halfopen(chain: list[Ints], lo: Fraction, hi: Fraction) -> int:
-    """Distinct real roots of the chain's base polynomial in (lo, hi]."""
-    return variations_at(chain, lo) - variations_at(chain, hi)
 
 
 def _positive(a: Ints) -> Ints:
@@ -230,11 +220,6 @@ def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
         (Poly([Fraction(c, f[-1]) for c in f]), m)
         for f, m in _squarefree(chain[0], chain[-1])
     ]
-
-
-def polys_gcd(a: Poly, b: Poly) -> Poly:
-    """A gcd of nonzero rational a and b, with coprime integer coefficients."""
-    return Poly(_gcd(a.ints, b.ints))
 
 
 @dataclass(frozen=True)

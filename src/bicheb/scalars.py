@@ -10,8 +10,13 @@ from __future__ import annotations
 
 import math
 import re
-import sys
 from fractions import Fraction
+
+# the interpreter's default int-to-str limit: the CLI lifts the limit while
+# a command runs, so a longer run of input digits is refused here
+MAX_DIGITS = 4300
+# the largest denominator reconstruct_rational tries
+RECONSTRUCT_MAX_DEN = 10**6
 
 
 def parse_rational(text: str) -> Fraction:
@@ -19,22 +24,22 @@ def parse_rational(text: str) -> Fraction:
 
     Decimals are rationalized exactly: "0.01" -> 1/100, "1e-3" -> 1/1000.
     Anything else, "nan" and "inf" included, raises a ValueError that
-    names the text.  A run of digits longer than Python's int-to-str
-    limit raises one that names the limit and shows the text's start.
+    names the text.  A run of more than MAX_DIGITS digits raises one that
+    names the bound and shows the text's start, before any conversion.
     """
     text = text.strip()
+    if len(text) > MAX_DIGITS:  # a shorter text holds no longer run
+        digits = max(map(len, re.findall(r"\d+", text)), default=0)
+        if digits > MAX_DIGITS:
+            raise ValueError(
+                f"{text[:20] + '...'!r} has a run of {digits} digits; "
+                f"numbers are limited to {MAX_DIGITS} digits"
+            )
     try:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"{text!r} has a zero denominator") from None
     except ValueError:
-        limit = sys.get_int_max_str_digits()
-        digits = max(map(len, re.findall(r"\d+", text)), default=0)
-        if 0 < limit < digits:
-            raise ValueError(
-                f"{text[:20] + '...'!r} has a run of {digits} digits; "
-                f"numbers are limited to {limit} digits"
-            ) from None
         raise ValueError(
             f"{text!r} is not a rational number (a/b, integer or decimal)"
         ) from None
@@ -80,7 +85,7 @@ def simplest_in_interval(lo: Fraction, hi: Fraction) -> Fraction:
     return f + 1 / simplest_in_interval(1 / (hi - f), 1 / (lo - f))
 
 
-def reconstruct_rational(x: float, max_den: int = 10**6) -> Fraction | None:
+def reconstruct_rational(x: float) -> Fraction | None:
     """Candidate exact rational for a float, or None.
 
     Tries escalating denominator bounds and accepts the first candidate
@@ -89,7 +94,7 @@ def reconstruct_rational(x: float, max_den: int = 10**6) -> Fraction | None:
     """
     target = Fraction(x)
     bound = 1
-    while bound <= max_den:
+    while bound <= RECONSTRUCT_MAX_DEN:
         cand = target.limit_denominator(bound)
         if abs(float(cand) - x) <= 1e-11 * max(1.0, abs(x)):
             return cand

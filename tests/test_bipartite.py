@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_roots import count_roots_halfopen, polys_gcd
 
 from bicheb.bipartite import (
     Branch,
@@ -24,7 +25,7 @@ from bicheb.bipartite import (
     solve_c1,
 )
 from bicheb.poly import Poly, chebyshev_t
-from bicheb.roots import IsolatedRoot, count_roots_halfopen, polys_gcd, real_roots, sturm_chain
+from bicheb.roots import IsolatedRoot, real_roots, sturm_chain
 
 WORKED = QuarticCoeffs.of(-2, -3, 2, 2)  # x^4 - 2x^3 - 3x^2 + 2x + 2
 SYMMETRIC = QuarticCoeffs.of(0, -5, 0, 4)  # (x^2-1)(x^2-4)

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -180,7 +181,7 @@ def test_n_is_bounded_before_the_scan_and_before_the_composition(monkeypatch, ca
     monkeypatch.setattr(elliptic, "build_solution", unreached)
     monkeypatch.setattr(elliptic, "compose_outer", unreached)
     n = str(compose + 2)
-    for argv in (("decide", "--n", n, p), ("integrate", "--n", n, p, "--format", "json")):
+    for argv in (("decide", "--n", n, p), ("integrate", "--n", n, p, "--json")):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
         assert err == (f"error: s=2 meets the conditions, but n must be at most {compose}, "
@@ -238,6 +239,60 @@ def test_large_n_refusal_prints_exact_values(capsys):
     assert err == (f"error: '{'1' * 20}...' has a run of {limit + 1} digits; "
                    f"numbers are limited to {limit} digits\n")
     assert sys.get_int_max_str_digits() == limit
+
+
+B = "1/" + "7" * 80
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    (("fk", "--s", "60", f"--eval={B},-3,{B},2"), 0),
+    (("multi", "--s", "100", "--p-coeffs", f"1,{B},-5,0,4", "--q-coeffs", "1,0"), 3),
+], ids=["fk", "multi"])
+def test_values_print_past_the_digit_limit(capsys, argv, exit_code):
+    limit = sys.get_int_max_str_digits()
+    for fmt in ((), ("--json",)):
+        code, out, err = run(capsys, *argv, *fmt)
+        assert (code, err) == (exit_code, "")
+        assert max(map(len, re.findall(r"\d+", out))) > limit
+        assert sys.get_int_max_str_digits() == limit
+    json.loads(out)
+
+
+def test_digit_limit_is_restored_after_an_error(monkeypatch, capsys):
+    limit = sys.get_int_max_str_digits()
+    seen = []
+
+    def failing(n, c):
+        seen.append(sys.get_int_max_str_digits())
+        raise ValueError("no decision")
+
+    monkeypatch.setattr(cli, "decide", failing)
+    assert run(capsys, "decide", "--n", "2", "--p", "0,-3,1,1") == (1, "", "error: no decision\n")
+    assert seen == [0] and sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize("n, p", [("3", "--p=-2,-3,2,2"), ("6", "--p=0,-3,1,1")])
+def test_integrate_json_is_decide_json(capsys, n, p):
+    decided = run(capsys, "decide", "--n", n, p, "--json")
+    assert run(capsys, "integrate", "--n", n, p, "--json") == decided
+    assert decided[0] in (0, 3) and json.loads(decided[1])["n"] == int(n)
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--n", "3", "--p=-2,-3,2,2", "--interval=-0.95,-0.75", "--json"),
+    ("integrate", "--n", "3", "--p=-2,-3,2,2", "--format", "json"),
+])
+def test_dropped_json_flags_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "") and "usage:" in err
+
+
+def test_complete_keeps_a_root_whose_closed_form_is_above_the_bound(capsys):
+    code, out, err = run(capsys, "complete", "--n", "242", "--fix", "c2=-3,c3=0,c4=-5",
+                         "--solve", "c1", "--force-s", "2")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == (f"  c1 = 0: s=2 meets the conditions, but n must be at most "
+                                   f"{cli.COMPOSE_MAX_N}, the bound of the closed form, got 242")
 
 
 def test_parser_is_built_once_per_process(monkeypatch, capsys):

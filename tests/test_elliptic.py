@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction as F
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bicheb import elliptic
-from bicheb.bipartite import QuarticCoeffs
+from bicheb.bipartite import COMPOSE_MAX_N, QuarticCoeffs
 from bicheb.elliptic import (
     BRANCH_ARCCOS,
     BRANCH_ARCSINH,
@@ -202,7 +203,7 @@ def test_divisor_consistency_modulo_sign_and_constant():
 def test_render_deterministic():
     cf = decide(3, WORKED)
     assert render(cf, "text") == render(cf, "text")
-    assert render(cf, "json") == render(cf, "json")
+    assert json.dumps(cf.as_dict(), indent=2) == json.dumps(cf.as_dict(), indent=2)
     text = render(cf, "text")
     assert "arccos" in text and "(1/3)" in text
     latex = render(cf, "latex")
@@ -210,10 +211,8 @@ def test_render_deterministic():
 
 
 def test_render_json_schema():
-    import json
-
     cf = decide(2, SYMMETRIC)
-    payload = json.loads(render(cf, "json"))
+    payload = json.loads(json.dumps(cf.as_dict(), indent=2))
     assert payload["status"] == "decided-yes"
     assert set(payload) >= {"n", "s", "branch", "d", "m2", "G", "intervals",
                             "residual_zero", "numeric_error"}
@@ -295,16 +294,27 @@ def test_printed_endpoints_are_certified_digits(n):
 
 def test_render_refusal_lists_divisors():
     out = decide(2, AUX_FAIL)
-    txt = render_refusal(out, "text")
+    txt = render_refusal(out)
     assert "aux=1" in txt
-    import json
-
-    payload = json.loads(render_refusal(out, "json"))
+    payload = json.loads(json.dumps(out.as_dict(), indent=2))
     assert payload["status"] == "decided-no"
     assert payload["divisors"][0]["F1"] == "0"
 
 
 # -- coefficient completion ------------------------------------------------------------
+
+
+def test_complete_keeps_every_root_when_one_closed_form_is_above_the_bound():
+    # every c1 re-decides at n = 242; c1 = 0 meets the conditions at s = 2
+    res = complete_coefficient(242, {2: F(-3), 3: F(0), 4: F(-5)}, 1, force_s=22)
+    assert len(res.entries) == 15
+    (hit,) = [e for e in res.entries if e.root.exact]
+    assert (hit.root.lo, hit.c, hit.outcome) == (0, QuarticCoeffs.of(0, -3, 0, -5), None)
+    assert hit.note == (f"s=2 meets the conditions, but n must be at most {COMPOSE_MAX_N}, "
+                        "the bound of the closed form, got 242")
+    assert all(e.note.startswith("irrational root") for e in res.entries if e is not hit)
+    with pytest.raises(elliptic.ComposeBoundExceeded, match="got 242"):
+        decide(242, hit.c)
 
 
 def test_complete_even_class():

@@ -1,25 +1,24 @@
 """Every public name of bicheb is used by the program or by the benchmark.
 
-A name in ``bicheb.__all__`` passes when a module of ``src/bicheb`` other
-than ``__init__.py`` reads it, as a name or an attribute, outside the
-name's own top-level definition, or when a file of ``perfbench/`` names it,
-as an identifier or a string.  A name that only the tests call belongs in
-the tests, as an oracle or not at all.
+A public name is one that a top-level definition of a ``src/bicheb``
+module binds, without a leading underscore.  It passes when another
+statement of ``src/bicheb`` reads it, as a name or an attribute, or when a
+file of ``perfbench/`` names it, as an identifier or a string.  A name that
+only the tests call belongs in the tests, as an oracle or not at all.
 """
 
 import ast
 from pathlib import Path
 
-import bicheb
-
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _defines(stmt: ast.stmt, name: str) -> bool:
+def _bound(stmt: ast.stmt) -> set[str]:
+    """The names a top-level statement defines."""
     if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-        return stmt.name == name
+        return {stmt.name}
     targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
-    return any(isinstance(t, ast.Name) and t.id == name for t in targets)
+    return {t.id for t in targets if isinstance(t, ast.Name)}
 
 
 def _read(node: ast.AST) -> set[str]:
@@ -45,16 +44,17 @@ def _bench_words() -> set[str]:
 
 def test_every_public_name_is_used_outside_the_tests():
     statements = [
-        (stmt, _read(stmt))
-        for path in (ROOT / "src" / "bicheb").glob("*.py")
-        if path.name != "__init__.py"
+        (path.stem, _bound(stmt), _read(stmt))
+        for path in sorted((ROOT / "src" / "bicheb").glob("*.py"))
         for stmt in ast.parse(path.read_text()).body
     ]
     bench = _bench_words()
     unused = [
-        name
-        for name in bicheb.__all__
-        if name not in bench
-        and not any(name in read and not _defines(stmt, name) for stmt, read in statements)
+        f"{module}.{name}"
+        for module, bound, _ in statements
+        for name in sorted(bound)
+        if not name.startswith("_")
+        and name not in bench
+        and not any(name in read and name not in own for _, own, read in statements)
     ]
     assert unused == []

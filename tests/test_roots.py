@@ -18,13 +18,30 @@ from bicheb.elliptic import ClosedForm, decide
 from bicheb import roots
 from bicheb.poly import Poly
 from bicheb.roots import (
-    count_roots_halfopen,
     isolate_squarefree,
     real_roots,
     squarefree_decomposition,
     sturm_chain,
-    variations_at,
 )
+
+
+# Sturm counts and gcds over the private integer helpers: oracles for the
+# descent and the shape classification in tests/test_bipartite.py
+
+
+def variations_at(chain, x):
+    """Sign changes along the chain at x."""
+    return roots._variations(roots._signs(chain, F(x)))
+
+
+def count_roots_halfopen(chain, lo, hi):
+    """Distinct real roots of the chain's base polynomial in (lo, hi]."""
+    return variations_at(chain, lo) - variations_at(chain, hi)
+
+
+def polys_gcd(a, b):
+    """A gcd of nonzero rational a and b, with coprime integer coefficients."""
+    return Poly(roots._gcd(a.ints, b.ints))
 
 
 def roots_of(p, **kw):
@@ -460,14 +477,14 @@ def cauchy_isolate(chain, width):
     p = chain[0]
     b = 1 + F(max(abs(c) for c in p[:-1]), abs(p[-1]))
     out = []
-    stack = [(-b, b, roots.variations_at(chain, -b), roots.variations_at(chain, b))]
+    stack = [(-b, b, variations_at(chain, -b), variations_at(chain, b))]
     while stack:
         x, y, vx, vy = stack.pop()
         if vx - vy == 1:
             out.append(roots.IsolatedRoot(*roots._refine(p, x, y, width)))
         elif vx - vy > 1:
             m = next(m for m in roots._probes(x, y) if roots._sign(p, m))
-            vm = roots.variations_at(chain, m)
+            vm = variations_at(chain, m)
             stack += [(x, m, vx, vm), (m, y, vm, vy)]
     out.sort(key=lambda iv: (iv.lo, iv.hi))
     return out
@@ -585,7 +602,7 @@ def test_chain_evaluations_on_a_completion():
 
     with mock.patch.object(roots, "_signs_dyadic", spy("dyadic", roots._signs_dyadic)):
         real_roots(p)
-    with mock.patch.object(roots, "variations_at", spy("cauchy", roots.variations_at)):
+    with mock.patch(f"{__name__}.variations_at", spy("cauchy", variations_at)):
         cauchy_roots(p)
     assert 2 * count["dyadic"] < count["cauchy"], count
 

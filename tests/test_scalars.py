@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from bicheb.scalars import (
+    MAX_DIGITS,
     is_square,
     parse_rational,
     rational_sqrt,
@@ -27,12 +28,20 @@ def test_parse_rational_forms():
 
 def test_parse_rational_past_the_digit_limit():
     limit = sys.get_int_max_str_digits()
-    for text in ("7" * (limit + 1), "-1/" + "3" * (limit + 1), "0." + "5" * (limit + 1)):
-        with pytest.raises(ValueError) as info:
-            parse_rational(text)
-        assert str(info.value) == (f"{text[:20] + '...'!r} has a run of {limit + 1} digits; "
-                                   f"numbers are limited to {limit} digits")
-    assert parse_rational("7" * limit) == int("7" * limit)
+    try:
+        # under the interpreter's default, and lifted as the CLI runs a command
+        for interpreter_limit in (4300, 0):
+            sys.set_int_max_str_digits(interpreter_limit)
+            for text in ("7" * (MAX_DIGITS + 1), "-1/" + "3" * (MAX_DIGITS + 1),
+                         "0." + "5" * (MAX_DIGITS + 1)):
+                with pytest.raises(ValueError) as info:
+                    parse_rational(text)
+                assert str(info.value) == (
+                    f"{text[:20] + '...'!r} has a run of {MAX_DIGITS + 1} digits; "
+                    f"numbers are limited to {MAX_DIGITS} digits")
+            assert parse_rational("7" * MAX_DIGITS) == int("7" * MAX_DIGITS)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_is_square_and_sqrt():
