@@ -50,6 +50,15 @@ def cases() -> list[list[str]]:
                       (360, "-3/2,2,1/2,-3", ["--json"]), (720, "-3/2,2,1/2,-3", ["--json"]),
                       (720, "1/2,-3,0,-1", [])):
         out.append(["decide", "--n", str(n), f"--p={p}", *fmt])
+    # arccosh where p > 0 with a double root at 0, and a non-square m^2 under
+    # the "g" convention, as text and latex
+    out += [
+        ["decide", "--n", "4", "--p=0,1,0,0"],
+        ["decide", "--n", "4", "--p=0,1,0,0", "--json"],
+        ["integrate", "--n", "4", "--p=0,1,0,0", "--format", "latex"],
+        ["integrate", "--n", "2", "--p=0,-3,0,1"],
+        ["integrate", "--n", "2", "--p=0,-3,0,1", "--format", "latex"],
+    ]
     out += [
         ["decide", "--n", "6", "--p=-2,-3,2,2", "--verbose"],
         ["construct", "--s", "3", "--c2=-3", "--c3", "2", "--c4", "2", "--json"],

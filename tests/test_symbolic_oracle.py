@@ -11,6 +11,7 @@ absent (it is an oracle, not a dependency).
 import contextlib
 import io
 import json
+from fractions import Fraction as F
 
 import pytest
 
@@ -48,6 +49,10 @@ CASES = [
     (4, (0, -5, 0, 4), 1, ["11/10", "3/2", "155/100"]),
     (2, (0, -2, 0, 1), 1, ["-1/2", "1/4", "3/4"]),
     (9, (-2, -3, 2, 2), 1, ["-93/100", "-87/100", "-82/100"]),
+    # arccosh: p = x^2 (x^2 + 1) split at its double root, and p > 0 everywhere
+    (4, (0, 1, 0, 0), 0, ["-3", "-1", "-1/10"]),
+    (4, (0, 1, 0, 0), 1, ["1/10", "1", "3"]),
+    (6, (0, F(3, 2), 0, F(1, 2)), 0, ["-2", "-1/2", "1/3", "2"]),
 ]
 
 
