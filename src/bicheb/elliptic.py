@@ -459,7 +459,9 @@ def numeric_check(
 
 def _m_string(m2: Fraction, latex: bool) -> str:
     if is_square(m2):
-        return str(rational_sqrt(m2))
+        m = rational_sqrt(m2)
+        # text parenthesises a fraction as Poly.format does: (g)/(1/4)
+        return str(m) if latex or m.denominator == 1 else f"({m})"
     return (rf"\sqrt{{{m2}}}" if latex else f"sqrt({m2})")
 
 

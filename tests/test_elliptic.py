@@ -210,6 +210,14 @@ def test_render_deterministic():
     assert r"\arccos" in latex
 
 
+def test_render_divides_by_a_fractional_m_in_parentheses():
+    # m^2 = 1/16: the argument is (g)/(1/4) = 4g, never (g)/1/4 = g/4
+    cf = decide(2, QuarticCoeffs.of(0, F(3, 2), 0, F(1, 2)))
+    assert "arccosh((x^2 + (3/4))/(1/4))" in render(cf, "text")
+    assert r"\frac{x^{2} + \frac{3}{4}}{1/4}" in render(cf, "latex")
+    assert "/(3/2)) + C" in render(decide(2, SYMMETRIC), "text")
+
+
 def test_render_json_schema():
     cf = decide(2, SYMMETRIC)
     payload = json.loads(json.dumps(cf.as_dict(), indent=2))

@@ -58,6 +58,8 @@ def cases() -> list[list[str]]:
         ["integrate", "--n", "4", "--p=0,1,0,0", "--format", "latex"],
         ["integrate", "--n", "2", "--p=0,-3,0,1"],
         ["integrate", "--n", "2", "--p=0,-3,0,1", "--format", "latex"],
+        # m = 1/4: the text divides by (1/4)
+        ["decide", "--n", "2", "--p=0,3/2,0,1/2"],
     ]
     out += [
         ["decide", "--n", "6", "--p=-2,-3,2,2", "--verbose"],
