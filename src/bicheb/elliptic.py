@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -41,6 +41,7 @@ from .bipartite import (
     SCAN_MAX_N,
     Branch,
     BipartiteSolution,
+    IdentityResidualNonzero,
     QuarticCoeffs,
     build_solution,
     compose_outer,
@@ -58,11 +59,12 @@ BRANCH_ARCCOSH = "CircularArccosh"
 BRANCH_ARCSINH = "HyperbolicArcsinh"
 BRANCH_LOG = "Logarithmic"
 
-_FN_FOR_TAG = {
-    BRANCH_ARCCOS: "arccos",
-    BRANCH_ARCCOSH: "arccosh",
-    BRANCH_ARCSINH: "arcsinh",
-    BRANCH_LOG: "log",
+# branch tag and function of each family where p > 0; the circular family
+# takes (BRANCH_ARCCOS, "arccos") where p < 0 if p is negative anywhere
+_WHERE_P_POSITIVE = {
+    Branch.CIRCULAR: (BRANCH_ARCCOSH, "arccosh"),
+    Branch.HYPERBOLIC: (BRANCH_ARCSINH, "arcsinh"),
+    Branch.LOGARITHMIC: (BRANCH_LOG, "log"),
 }
 
 
@@ -111,10 +113,7 @@ class Refusal:
     c: QuarticCoeffs
     reason: str
     divisors: tuple[DivisorDiagnostics, ...]
-
-    @property
-    def decided(self) -> bool:
-        return False
+    decided = False
 
     def as_dict(self) -> dict:
         return {
@@ -123,12 +122,6 @@ class Refusal:
             "reason": self.reason,
             "divisors": [dv.as_dict() for dv in self.divisors],
         }
-
-
-def _endpoint_float(e: Optional[IsolatedRoot], low_side: bool) -> float:
-    if e is None:
-        return -math.inf if low_side else math.inf
-    return e.value()
 
 
 def _endpoint_str(e: Optional[IsolatedRoot], low_side: bool) -> str:
@@ -169,13 +162,7 @@ class Piece:
     hi: Optional[IsolatedRoot]
     sigma: int
     fn: str
-    inner_sign: int = 1
-
-    def lo_float(self) -> float:
-        return _endpoint_float(self.lo, True)
-
-    def hi_float(self) -> float:
-        return _endpoint_float(self.hi, False)
+    inner_sign: int
 
     def contains_strict(self, a: float, b: float) -> bool:
         """Conservative containment: [a, b] strictly inside the certified piece."""
@@ -192,7 +179,7 @@ class Piece:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClosedForm:
     """A verified elementary antiderivative of x / sqrt(+-p(x))."""
 
@@ -205,13 +192,10 @@ class ClosedForm:
     G: Poly
     convention: str
     solution: BipartiteSolution
-    pieces: list[Piece]
-    divisors: tuple[DivisorDiagnostics, ...] = field(default_factory=tuple)
-    residual_zero: bool = False  # outcome of the exact identity check
-
-    @property
-    def decided(self) -> bool:
-        return True
+    pieces: tuple[Piece, ...]
+    divisors: tuple[DivisorDiagnostics, ...]
+    decided = True
+    residual_zero = True  # _closed_form raises IdentityResidualNonzero otherwise
 
     @property
     def N(self) -> int:
@@ -257,15 +241,12 @@ class ClosedForm:
         )
 
     def default_check_interval(self) -> tuple[float, float] | None:
-        """Middle third of the widest piece (clipped when unbounded)."""
+        """Middle third of the widest piece (clipped to [-8, 8])."""
         best = None
         for piece in self.pieces:
-            lo, hi = piece.lo_float(), piece.hi_float()
-            lo = max(lo, -8.0)
-            hi = min(hi, 8.0)
-            if hi - lo <= 1e-6:
-                continue
-            if best is None or (hi - lo) > (best[1] - best[0]):
+            lo = -8.0 if piece.lo is None else max(piece.lo.value(), -8.0)
+            hi = 8.0 if piece.hi is None else min(piece.hi.value(), 8.0)
+            if hi - lo > 1e-6 and (best is None or hi - lo > best[1] - best[0]):
                 best = (lo, hi)
         if best is None:
             return None
@@ -344,48 +325,33 @@ def _closed_form(
     sol = build_solution(s, c)
     G, convention = compose_outer(sol.u, sol.m2, n // s, sol.branch)
     p = c.poly()
-    if sol.branch is Branch.CIRCULAR:
-        neg = sign_regions(p, -1)
-        if neg:
-            tag, regions = BRANCH_ARCCOS, neg
-        else:
-            tag, regions = BRANCH_ARCCOSH, sign_regions(p, 1)
-    elif sol.branch is Branch.HYPERBOLIC:
-        tag, regions = BRANCH_ARCSINH, sign_regions(p, 1)
+    if identity_residual(G, convention, p, n, sol.m2, sol.branch):
+        raise IdentityResidualNonzero(
+            f"internal error: composed identity residual nonzero for n={n}, s={s}, c={c}"
+        )
+    gaps = sign_regions(p)
+    neg = [(lo, hi) for lo, hi, sign in gaps if sign < 0]
+    if sol.branch is Branch.CIRCULAR and neg:
+        tag, fn, regions = BRANCH_ARCCOS, "arccos", neg
     else:
-        tag, regions = BRANCH_LOG, sign_regions(p, 1)
-    cf = ClosedForm(
-        n=n,
-        s=s,
-        c=c,
-        branch=tag,
-        d=sol.d,
-        m2=sol.m2,
-        G=G,
-        convention=convention,
-        solution=sol,
-        pieces=[],
-        divisors=diags,
-    )
-    cf.residual_zero = not cf.residual()
-    if not cf.residual_zero:
-        raise AssertionError("internal error: composed identity residual nonzero")
-    cf.pieces = _build_pieces(cf, regions)
-    return cf
+        tag, fn = _WHERE_P_POSITIVE[sol.branch]
+        regions = [(lo, hi) for lo, hi, sign in gaps if sign > 0]
+    pieces = _build_pieces(G, fn, regions)
+    return ClosedForm(n, s, c, tag, sol.d, sol.m2, G, convention, sol, pieces, diags)
 
 
-def sign_regions(p: Poly, sign: int):
-    """Maximal open intervals between consecutive real roots with sign*p > 0.
+def sign_regions(p: Poly) -> list[tuple[Optional[IsolatedRoot], Optional[IsolatedRoot], int]]:
+    """Every open gap between consecutive real roots of p, with p's sign on it.
 
-    Endpoints are isolated roots (None for +-infinity); the sign between
-    two roots is evaluated exactly at the middle of the gap between their
-    intervals, whose ends are no roots of p.
+    Returns (lo, hi, sign) triples in ascending order; endpoints are
+    isolated roots (None for +-infinity).  The sign is evaluated exactly
+    at the middle of the gap between the two intervals, whose ends are no
+    roots of p.
     """
     bounds: list[Optional[IsolatedRoot]] = [None, *real_roots(p), None]
     return [
-        (lo, hi)
+        (lo, hi, sign_at(p, sum(_gap(lo, hi)) / 2))
         for lo, hi in zip(bounds, bounds[1:])
-        if sign * sign_at(p, sum(_gap(lo, hi)) / 2) > 0
     ]
 
 
@@ -398,11 +364,10 @@ def _gap(lo: Optional[IsolatedRoot], hi: Optional[IsolatedRoot]) -> tuple[Fracti
     return a, b
 
 
-def _build_pieces(cf: ClosedForm, regions) -> list[Piece]:
-    fn = _FN_FOR_TAG[cf.branch]
-    dG, x_poly = cf.G.derivative(), Poly.x()
+def _build_pieces(G: Poly, fn: str, regions) -> tuple[Piece, ...]:
+    dG, x_poly = G.derivative(), Poly.x()
     cuts: list[IsolatedRoot] = []
-    if cf.branch in (BRANCH_ARCCOS, BRANCH_ARCCOSH):
+    if fn in ("arccos", "arccosh"):
         for r in real_roots(dG):
             at_zero = r.exact and r.lo == 0
             odd = r.multiplicity % 2 == 1
@@ -416,11 +381,11 @@ def _build_pieces(cf: ClosedForm, regions) -> list[Piece]:
         inner = [r for r in cuts if _strictly_inside(r, lo, hi)]
         ends: list[Optional[IsolatedRoot]] = [lo] + inner + [hi]
         for a, b in zip(ends, ends[1:]):
-            sx, sg, sdg = noroot_signs(*_gap(a, b), x_poly, cf.G, dG)
+            sx, sg, sdg = noroot_signs(*_gap(a, b), x_poly, G, dG)
             sxdg = sx * sdg  # sgn x * sgn G'
             sigma = {"arccos": -sxdg, "arcsinh": sxdg}.get(fn, sxdg * sg)
             pieces.append(Piece(a, b, sigma, fn, sg if fn == "arccosh" else 1))
-    return pieces
+    return tuple(pieces)
 
 
 def _strictly_inside(r: IsolatedRoot, lo, hi) -> bool:

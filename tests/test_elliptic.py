@@ -11,6 +11,7 @@ from bicheb import elliptic
 from bicheb.bipartite import COMPOSE_MAX_N, QuarticCoeffs
 from bicheb.elliptic import (
     BRANCH_ARCCOS,
+    BRANCH_ARCCOSH,
     BRANCH_ARCSINH,
     BRANCH_LOG,
     ClassNotCovered,
@@ -25,6 +26,7 @@ from bicheb.elliptic import (
     sign_regions,
 )
 from bicheb.poly import Poly, horner
+from bicheb.roots import real_roots
 from bicheb.scalars import rational_sqrt
 
 WORKED = QuarticCoeffs.of(-2, -3, 2, 2)
@@ -102,9 +104,9 @@ def test_decide_smallest_divisor_preferred():
 
 
 def test_validity_intervals_worked():
-    regions = sign_regions(WORKED.poly(), -1)
-    assert len(regions) == 2
-    (lo1, hi1), (lo2, hi2) = regions
+    gaps = sign_regions(WORKED.poly())
+    assert [sign for _, _, sign in gaps] == [1, -1, 1, -1, 1]
+    (lo1, hi1, _), (lo2, hi2, _) = gaps[1], gaps[3]
     assert lo1.exact and lo1.lo == -1
     assert abs(hi1.value() - (1 - math.sqrt(3))) < 1e-9
     assert lo2.exact and lo2.lo == 1
@@ -112,17 +114,41 @@ def test_validity_intervals_worked():
 
 
 def test_validity_intervals_everywhere_positive():
-    regions = sign_regions(HYPER.poly(), 1)
-    assert regions == [(None, None)]
-    assert sign_regions(LOG.poly(), -1) == []
+    assert sign_regions(HYPER.poly()) == [(None, None, 1)]
 
 
 def test_validity_intervals_log():
-    regions = sign_regions(LOG.poly(), 1)
-    assert regions == [(None, None)]
+    assert sign_regions(LOG.poly()) == [(None, None, 1)]
+
+
+def test_validity_intervals_double_root():
+    # p = x^2 (x^2 + 1): one double root, p > 0 on both sides
+    (lo, hi, s1), (lo2, hi2, s2) = sign_regions(Poly((0, 0, 1, 0, 1)))
+    assert lo is None and hi2 is None and s1 == s2 == 1
+    assert hi == lo2 and hi.exact and hi.lo == 0 and hi.multiplicity == 2
+
+
+def test_arccosh_form_isolates_p_and_g_prime_once_each(monkeypatch):
+    degrees = []
+
+    def counting(q):
+        degrees.append(q.degree)
+        return real_roots(q)
+
+    monkeypatch.setattr(elliptic, "real_roots", counting)
+    cf = decide(4, QuarticCoeffs.of(0, 1, 0, 0))
+    assert cf.branch == BRANCH_ARCCOSH and len(cf.pieces) == 2
+    assert degrees == [4, 3]  # p, then G' of G = 8x^4 + 8x^2 + 1
 
 
 # -- pieces and signs -------------------------------------------------------------
+
+
+def _float_ends(piece):
+    """The piece's endpoints as floats, infinite where it is unbounded."""
+    lo = -math.inf if piece.lo is None else piece.lo.value()
+    hi = math.inf if piece.hi is None else piece.hi.value()
+    return lo, hi
 
 
 def test_pieces_split_at_interior_stationary_points():
@@ -140,7 +166,7 @@ def test_piece_sign_matches_derivative_everywhere():
                decide(2, LOG), decide(6, HYPER), decide(4, SYMMETRIC)):
         pf = cf.c.poly().float_coeffs()
         for piece in cf.pieces:
-            lo, hi = piece.lo_float(), piece.hi_float()
+            lo, hi = _float_ends(piece)
             lo = max(lo, -4.0)
             hi = min(hi, 4.0)
             if hi - lo < 1e-3:
@@ -385,7 +411,7 @@ def test_log_branch_with_double_roots():
     # p = (x^2 - 1)^2: both roots double, g = x^2 - 1 changes sign inside (-1, 1)
     cf = decide(2, QuarticCoeffs.of(0, -2, 0, 1))
     assert cf.branch == BRANCH_LOG and cf.G == Poly((F(-1), F(0), F(1)))
-    sigmas = {(p.lo_float(), p.hi_float()): p.sigma for p in cf.pieces}
+    sigmas = {_float_ends(p): p.sigma for p in cf.pieces}
     assert sigmas[(-1.0, 1.0)] == -1
     assert sigmas[(1.0, math.inf)] == 1
     assert numeric_check(cf, (-0.5, 0.5), 1e-10) <= 1e-10
@@ -489,6 +515,7 @@ def test_worked_piece_signs_follow_the_exact_rule(n):
         want = {"arccos": -sx * sdg, "arcsinh": sx * sdg}.get(piece.fn, sx * sg * sdg)
         assert piece.sigma == want, (n, piece)
         assert piece.fn != "arccosh" or piece.inner_sign == sg, (n, piece)
-        lo, hi = max(piece.lo_float(), -8.0), min(piece.hi_float(), 8.0)
+        lo, hi = _float_ends(piece)
+        lo, hi = max(lo, -8.0), min(hi, 8.0)
         third = (hi - lo) / 3
         assert numeric_check(cf, (lo + third, hi - third), 1e-12) <= 1e-10, (n, piece)
