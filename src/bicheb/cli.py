@@ -38,7 +38,7 @@ from .elliptic import ClosedForm, IntervalNotValid, Refusal, decide, numeric_che
 from .partitions import fk_terms, format_fk
 from .poly import Poly, horner
 from .quadrature import ToleranceNotReached
-from .scalars import parse_rational
+from .scalars import NumberTooLong, parse_rational
 
 EXIT_YES = 0
 EXIT_USAGE = 1
@@ -56,7 +56,8 @@ def _exact_digits():
     Refusals print every divisor's exact d, which passes the default 4300
     digits from about n = 840 on, and fk --eval and multi values pass it
     on long inputs.  Input numbers stay bounded: parse_rational checks
-    them against the default itself, and argparse parses ints before.
+    their digit runs and decimal exponents against the default itself,
+    and argparse parses ints before.
     """
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
@@ -79,6 +80,8 @@ def _parse_endpoint(text: str) -> float:
     """An --interval endpoint: an exact rational, used as a finite float."""
     try:
         return float(parse_rational(text))
+    except NumberTooLong:
+        raise
     except (ValueError, OverflowError):
         raise ValueError(
             "--interval endpoints must be finite rationals (a/b, integer or "

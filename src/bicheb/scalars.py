@@ -19,22 +19,39 @@ MAX_DIGITS = 4300
 RECONSTRUCT_MAX_DEN = 10**6
 
 
+class NumberTooLong(ValueError):
+    """A number's digit run or decimal exponent is past MAX_DIGITS."""
+
+
+_EXPONENT = re.compile(r"e([-+]?\d[\d_]*)\Z", re.IGNORECASE)
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "a/b", integer, or decimal strings into an exact Fraction.
 
     Decimals are rationalized exactly: "0.01" -> 1/100, "1e-3" -> 1/1000.
     Anything else, "nan" and "inf" included, raises a ValueError that
-    names the text.  A run of more than MAX_DIGITS digits raises one that
-    names the bound and shows the text's start, before any conversion.
+    names the text.  A run of more than MAX_DIGITS digits, or a decimal
+    exponent above MAX_DIGITS in absolute value, raises NumberTooLong,
+    which names the bound and shows the text's start, before any
+    conversion.
     """
     text = text.strip()
+    shown = repr(text if len(text) <= 20 else text[:20] + "...")
     if len(text) > MAX_DIGITS:  # a shorter text holds no longer run
         digits = max(map(len, re.findall(r"\d+", text)), default=0)
         if digits > MAX_DIGITS:
-            raise ValueError(
-                f"{text[:20] + '...'!r} has a run of {digits} digits; "
+            raise NumberTooLong(
+                f"{shown} has a run of {digits} digits; "
                 f"numbers are limited to {MAX_DIGITS} digits"
             )
+    exponent = _EXPONENT.search(text)
+    if exponent and abs(int(exponent[1])) > MAX_DIGITS:
+        # Fraction would build 10^|exponent| before anything else
+        raise NumberTooLong(
+            f"{shown} has a decimal exponent past {MAX_DIGITS}; "
+            f"exponents are limited to {MAX_DIGITS} in absolute value"
+        )
     try:
         return Fraction(text)
     except ZeroDivisionError:

@@ -489,6 +489,13 @@ BAD_INPUTS = [
      "--interval endpoints must be finite rationals"),
     (("decide", "--n", "3", "--p=a,0,0,0"),
      "'a' is not a rational number (a/b, integer or decimal)"),
+    # Fraction would build 10^4301 first; the bound is checked on short texts too
+    (("decide", "--n", "3", "--p=1e4301,0,0,0"),
+     "'1e4301' has a decimal exponent past 4300; exponents are limited to 4300"),
+    (("decide", "--n", "3", "--p=1e-4301,0,0,0"),
+     "'1e-4301' has a decimal exponent past 4300; exponents are limited to 4300"),
+    (("verify", "--n", "2", "--p=0,-2,0,2", "--interval=1e-4301,1"),
+     "'1e-4301' has a decimal exponent past 4300; exponents are limited to 4300"),
     (("construct", "--s", "2", "--c2=abc", "--c3", "0", "--c4", "1"),
      "'abc' is not a rational number (a/b, integer or decimal)"),
     (("complete", "--n", "4", "--fix", "c2=x,c3=0,c4=0", "--solve", "c1"),

@@ -5,6 +5,7 @@ import pytest
 
 from bicheb.scalars import (
     MAX_DIGITS,
+    NumberTooLong,
     is_square,
     parse_rational,
     rational_sqrt,
@@ -42,6 +43,17 @@ def test_parse_rational_past_the_digit_limit():
             assert parse_rational("7" * MAX_DIGITS) == int("7" * MAX_DIGITS)
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_parse_rational_bounds_the_decimal_exponent():
+    assert parse_rational(f"1e{MAX_DIGITS}") == 10**MAX_DIGITS
+    assert parse_rational(f"-2.5E-{MAX_DIGITS}") == F(-5, 2 * 10**MAX_DIGITS)
+    for text in (f"1e{MAX_DIGITS + 1}", f"1e-{MAX_DIGITS + 1}", f" 0.5E+{MAX_DIGITS + 1} "):
+        with pytest.raises(NumberTooLong) as info:
+            parse_rational(text)
+        assert str(info.value) == (
+            f"{text.strip()!r} has a decimal exponent past {MAX_DIGITS}; "
+            f"exponents are limited to {MAX_DIGITS} in absolute value")
 
 
 def test_is_square_and_sqrt():
