@@ -39,7 +39,9 @@ def parse_rational(text: str) -> Fraction:
     text = text.strip()
     shown = repr(text if len(text) <= 20 else text[:20] + "...")
     if len(text) > MAX_DIGITS:  # a shorter text holds no longer run
-        digits = max(map(len, re.findall(r"\d+", text)), default=0)
+        # Fraction reads "1_000" as 1000, so underscores do not end a run
+        runs = re.findall(r"\d[\d_]*", text)
+        digits = max((len(run) - run.count("_") for run in runs), default=0)
         if digits > MAX_DIGITS:
             raise NumberTooLong(
                 f"{shown} has a run of {digits} digits; "

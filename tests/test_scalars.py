@@ -34,7 +34,7 @@ def test_parse_rational_past_the_digit_limit():
         for interpreter_limit in (4300, 0):
             sys.set_int_max_str_digits(interpreter_limit)
             for text in ("7" * (MAX_DIGITS + 1), "-1/" + "3" * (MAX_DIGITS + 1),
-                         "0." + "5" * (MAX_DIGITS + 1)):
+                         "0." + "5" * (MAX_DIGITS + 1), "1" + "_1" * MAX_DIGITS):
                 with pytest.raises(ValueError) as info:
                     parse_rational(text)
                 assert str(info.value) == (
