@@ -121,13 +121,6 @@ def test_validity_intervals_log():
     assert sign_regions(LOG.poly()) == [(None, None, 1)]
 
 
-def test_validity_intervals_double_root():
-    # p = x^2 (x^2 + 1): one double root, p > 0 on both sides
-    (lo, hi, s1), (lo2, hi2, s2) = sign_regions(Poly((0, 0, 1, 0, 1)))
-    assert lo is None and hi2 is None and s1 == s2 == 1
-    assert hi == lo2 and hi.exact and hi.lo == 0 and hi.multiplicity == 2
-
-
 def test_arccosh_form_isolates_p_and_g_prime_once_each(monkeypatch):
     degrees = []
 
