@@ -42,7 +42,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Sequence
 
-from .partitions import FkTable, fk_table_by_recurrence
+from .partitions import FkTable, _counts, fk_table_by_recurrence
 from .poly import Poly, chebyshev_t, horner, sinh_chebyshev
 from .roots import IsolatedRoot, real_roots
 from .scalars import is_square, rational_sqrt, reconstruct_rational
@@ -288,6 +288,7 @@ class BipartiteSolution:
     d: Fraction
     branch: Branch
     normalization: str
+    residual_zero = True  # build_solution raises IdentityResidualNonzero otherwise
 
     @cached_property
     def u(self) -> Poly:
@@ -330,7 +331,7 @@ class BipartiteSolution:
             "d": str(self.d),
             "branch": self.branch.value,
             "normalization": self.normalization,
-            "residual_zero": not self.residual(),
+            "residual_zero": self.residual_zero,
         }
 
 
@@ -543,18 +544,21 @@ def _fmul(a: list[float], b: list[float]) -> list[float]:
 def _f1_float(s: int, c2: float, c3: float, c4: float) -> list[float]:
     """F_1 as a polynomial in c1 with float coefficients, for the tracker.
 
-    The float image of the table's F_1 entry, not of ``f1_polynomial``:
-    each monomial's other parts multiply in floats, in table order.
+    The float image of the table's F_1 row, not of ``f1_polynomial``: each
+    coefficient n / den is correctly rounded, as float(Fraction(n, den))
+    is, and each monomial's other parts multiply in floats (c4, c3, then
+    c2), in row order.
     """
-    fixed = {2: c2, 3: c3, 4: c4}
+    table = fk_table(s)
+    base, den = s + 1, table.dens[1]
     out: dict[int, float] = {}
-    for lam, coeff in fk_table(s)[1].items():
+    for key, n in table.rows[1].items():
+        m1, m2, m3, m4 = _counts(key, base)
         rest = 1.0
-        for p in lam.parts:
-            if p != 1:
-                rest *= fixed[p]
-        e = lam.parts.count(1)
-        out[e] = out.get(e, 0.0) + float(coeff) * rest
+        for c, m in ((c4, m4), (c3, m3), (c2, m2)):
+            for _ in range(m):
+                rest *= c
+        out[m1] = out.get(m1, 0.0) + n / den * rest
     return [out.get(e, 0.0) for e in range(max(out, default=0) + 1)]
 
 
@@ -617,13 +621,13 @@ def continuation(
     f2, f4 = float(c2), float(t4)
     f3 = float(t3)
     tau, h = 0.0, INITIAL_STEP
+    f_cur = _f1_float(s, f2, tau * f3, tau * f4)
     message = "reached tau = 1"
     reached = True
     while tau < 1.0:
         step = min(h, 1.0 - tau)
         tau_next = tau + step
         f_next = _f1_float(s, f2, tau_next * f3, tau_next * f4)
-        f_cur = _f1_float(s, f2, tau * f3, tau * f4)
         df_cur = _fderiv(f_cur)
         new_roots = []
         ok = True
@@ -653,14 +657,11 @@ def continuation(
             message = f"root collision at tau = {tau_next:.6g}"
             reached = False
             break
-        roots = new_roots
-        tau = tau_next
+        roots, tau, f_cur = new_roots, tau_next, f_next
         h = min(max(h * 2, INITIAL_STEP / 8), INITIAL_STEP)
 
-    c1f = roots[sel]
-    f_now = _f1_float(s, f2, tau * f3, tau * f4)
-    c1f, _ = _newton(f_now, c1f, 1e-15)
-    f1_res = abs(horner(f_now, c1f))
+    c1f, _ = _newton(f_cur, roots[sel], 1e-15)
+    f1_res = abs(horner(f_cur, c1f))
 
     c1_exact = None
     f1_exact_zero = False

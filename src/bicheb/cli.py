@@ -218,7 +218,7 @@ def cmd_construct(args):
     lines = [f"s={args.s}: {len(roots)} real F_1 root(s) in c1"]
     lines += [
         f"  c1={sol.c.c1}: u = {sol.u_text()}  m2={sol.shown_m2()}  d={sol.d}  "
-        f"branch={sol.branch.value}  residual_zero={not sol.residual()}"
+        f"branch={sol.branch.value}  residual_zero={sol.residual_zero}"
         for sol in built
     ]
     lines += [f"  c1={sk['c1']}: skipped ({sk['note']})" for sk in skipped]
@@ -296,10 +296,12 @@ def cmd_multi(args):
                 )
         p, q = Poly(list(reversed(pc))), Poly(list(reversed(qc)))
     sys_ = multipartite.coefficients_general(args.s, p, q)
-    # unpinned, the run already holds the conditions; rerun only when q(0) = 0
+    # the run holds the unpinned conditions unless the pin changed it, which
+    # is when the j = 1 step wanted a nonzero a_1 (origin_residual neither
+    # None nor 0)
     lem = (
         multipartite.solvability_residuals(args.s, p, q)
-        if sys_.pinned_origin
+        if sys_.origin_residual
         else sys_.neg_residuals
     )
     constants = None

@@ -110,7 +110,6 @@ class Refusal:
     """Decided-no outcome with the exact per-divisor condition values."""
 
     n: int
-    c: QuarticCoeffs
     reason: str
     divisors: tuple[DivisorDiagnostics, ...]
     decided = False
@@ -310,7 +309,7 @@ def decide(n: int, c: QuarticCoeffs) -> ClosedForm | Refusal:
         diags.append(DivisorDiagnostics(s, cond.f1, cond.aux, cond.d, note))
     if hit is None:
         reason = fatal or "no divisor s of n satisfies F_1 = 0 and aux = 0"
-        return Refusal(n, c, reason, tuple(diags))
+        return Refusal(n, reason, tuple(diags))
     return _closed_form(n, hit, c, tuple(diags))
 
 

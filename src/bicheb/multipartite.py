@@ -73,14 +73,6 @@ class OutsideData:
         if len(alphas) != 2 * len(betas) + 2:
             raise ValueError("need r = 2*ell + 2 crossings for ell exceptional points")
 
-    @property
-    def r(self) -> int:
-        return len(self.alphas)
-
-    @property
-    def ell(self) -> int:
-        return len(self.betas)
-
     def p(self) -> Poly:
         return Poly.from_roots(self.alphas)
 
@@ -143,9 +135,6 @@ class MultipartiteSystem:
     (zero iff that pin is consistent).
     """
 
-    s: int
-    p: Poly
-    q: Poly
     a: list[Fraction]
     neg_residuals: list[Fraction]
     pinned_origin: bool
@@ -218,9 +207,6 @@ def coefficients_general(
         else:
             N[j] = step(j)
     return MultipartiteSystem(
-        s=s,
-        p=p,
-        q=q,
         a=[Fraction(N[j], D ** (s - j) * P[j]) for j in range(s + 1)],
         neg_residuals=[
             Fraction(step(-j), D ** (s + j) * P[0]) for j in range(1, 3 * ell + 1)
@@ -242,39 +228,16 @@ def solvability_residuals(s: int, p: Poly, q: Poly) -> list[Fraction]:
 
 
 def integration_constant(s: int, p: Poly, q: Poly, u: Poly):
-    """Solve for (c, m^2) in  s^2 q^2 (u^2 - m^2) = p u'^2 + c q^2.
+    """(c, m^2) = (0, m^2) with  s^2 q^2 (u^2 - m^2) = p u'^2.
 
-    u must satisfy the divided ODE; then s^2 q^2 u^2 - p u'^2 is an exact
-    constant multiple of q^2, the lowest-degree matching of the undivided
-    identity determines m^2, and c is the leftover constant (c = 0 means
-    the true multipartite identity holds).  Raises NoConsistentConstants
-    when no exact pair exists.
+    The identity says W = s^2 q^2 u^2 - p u'^2 is s^2 m^2 times q^2, and
+    q^2 is monic, so m^2 = lc(W) / s^2.  One exact check of the identity
+    with that m^2 decides; NoConsistentConstants is raised when it fails,
+    which is when W is no constant multiple of q^2.  c is always 0.
     """
     _check_pq(p, q)
-    du = u.derivative()
-    W = (q * q * u * u).scale(Fraction(s * s)) - p * du * du
-    quot, rem = W.divmod(q * q)
-    if rem or quot.degree > 0:
-        raise NoConsistentConstants(
-            "s^2 q^2 u^2 - p u'^2 is not a constant multiple of q^2"
-        )
-    c0 = quot[0] if quot else Fraction(0)
-    q0 = q.eval(Fraction(0))
-    if q0 != 0:
-        m2 = u.eval(Fraction(0)) ** 2 - p.eval(Fraction(0)) * du.eval(
-            Fraction(0)
-        ) ** 2 / (Fraction(s * s) * q0 * q0)
-    else:
-        if u[1] != 0:
-            raise NoConsistentConstants(
-                "q(0) = 0 requires u'(0) = 0 for the undivided identity"
-            )
-        dq0 = q.derivative().eval(Fraction(0))
-        m2 = u.eval(Fraction(0)) ** 2 - p.eval(Fraction(0)) * 4 * u[2] ** 2 / (
-            Fraction(s * s) * dq0 * dq0
-        )
-    c = c0 - s * s * m2
-    residual = identity_residual(u, "g", p, s, m2, Branch.CIRCULAR, q) - (q * q).scale(c)
-    if residual:
+    W = identity_residual(u, "g", p, s, 0, Branch.CIRCULAR, q)
+    m2 = W.leading() / (s * s) if W else Fraction(0)
+    if identity_residual(u, "g", p, s, m2, Branch.CIRCULAR, q):
         raise NoConsistentConstants("no exact (c, m^2) pair satisfies the identity")
-    return c, m2
+    return Fraction(0), m2

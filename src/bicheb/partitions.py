@@ -17,10 +17,10 @@ constructions are provided:
 Their exact equality is one of the artifact's acceptance properties.
 An FkTable holds integer rows: numerators keyed by part counts over one
 denominator per F_k.  format_fk and fk_terms (the JSON terms) read a
-row directly; the Partition -> Fraction view of a row is built on first
-access, for the continuation tracker (row 1 only) and the dual-route
-check.  The decision and the completion read F_1 from the integer
-recurrence in bipartite instead.
+row directly, and so does the continuation tracker (row 1 only); the
+Partition -> Fraction view of a row is for the dual-route check.  The
+decision and the completion read F_1 from the integer recurrence in
+bipartite instead.
 """
 
 from __future__ import annotations
@@ -138,22 +138,17 @@ class FkTable:
     numerator in F_k over the denominator dens[k]; zero coefficients are
     absent (so the all-ones partition never appears in row 0), and F_s is
     the row {0: 1} over 1.  table[k] is that row as a Partition -> reduced
-    Fraction dict, built on first access and kept, in the row's order.
+    Fraction dict, in the row's order, built on each access.
     """
 
     def __init__(self, s: int, rows: dict[int, dict[int, int]], dens: dict[int, int]):
         self.s = s
         self.rows = rows
         self.dens = dens
-        self._views: dict[int, dict[Partition, Fraction]] = {}
 
     def __getitem__(self, k: int) -> dict[Partition, Fraction]:
-        view = self._views.get(k)
-        if view is None:
-            base, den = self.s + 1, self.dens[k]
-            view = {_counted(key, base): Fraction(n, den) for key, n in self.rows[k].items()}
-            self._views[k] = view
-        return view
+        base, den = self.s + 1, self.dens[k]
+        return {_counted(key, base): Fraction(n, den) for key, n in self.rows[k].items()}
 
     @property
     def entries(self) -> dict[int, dict[Partition, Fraction]]:

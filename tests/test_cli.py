@@ -372,10 +372,20 @@ def test_multi_coeff_input(capsys):
     assert "solvable: False" in out
 
 
-@pytest.mark.parametrize("q_root, runs", [("1/2", 1), ("0", 2)])
-def test_multi_runs_the_recurrence_again_only_when_q_vanishes_at_0(
-    monkeypatch, capsys, q_root, runs
+@pytest.mark.parametrize(
+    "argv, runs",
+    [
+        (("--s", "4", "--p-roots", "1,-1,2,-3", "--q-roots", "1/2"), 1),
+        (("--s", "4", "--p-roots", "1,-1,2,-3", "--q-roots", "0"), 2),
+        (("--s", "2", "--p-roots", "1,-1,2,-2", "--q-roots", "0"), 1),
+    ],
+    ids=["1/2-1", "0-2", "0-1"],
+)
+def test_multi_runs_the_recurrence_again_only_when_the_pin_changed_it(
+    monkeypatch, capsys, argv, runs
 ):
+    # q(0) = 0 pins a_1 = 0; the pinned run differs from the unpinned one
+    # only when the j = 1 step wanted a nonzero a_1
     calls = []
     general = multipartite.coefficients_general
 
@@ -384,10 +394,8 @@ def test_multi_runs_the_recurrence_again_only_when_q_vanishes_at_0(
         return general(*args, **kwargs)
 
     monkeypatch.setattr(multipartite, "coefficients_general", counted)
-    code, out, _ = run(
-        capsys, "multi", "--s", "4", "--p-roots", "1,-1,2,-3", "--q-roots", q_root
-    )
-    assert code == 3 and "condition residuals" in out
+    code, out, _ = run(capsys, "multi", *argv)
+    assert code in (0, 3) and "condition residuals" in out
     assert len(calls) == runs
 
 

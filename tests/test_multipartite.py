@@ -3,7 +3,7 @@ from fractions import Fraction as F
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bicheb.bipartite import (
@@ -344,6 +344,79 @@ def test_solvability_residuals_solvable_instances():
 
 
 # -- integration constant ----------------------------------------------------------
+#
+# The old route to m^2 matched the undivided identity at x = 0: the
+# reference for the leading-coefficient route integration_constant takes.
+
+
+def origin_m2(s, p, q, u):
+    """m^2 from s^2 q^2 (u^2 - m^2) = p u'^2 at x = 0, or None.
+
+    When q(0) != 0 that is u(0)^2 - p(0) u'(0)^2 / (s^2 q(0)^2).  When
+    q(0) = 0 it takes the limit by L'Hopital, u'(0) / q(0) -> 2 a_2 / q'(0),
+    which needs u'(0) = 0; None otherwise.
+    """
+    du = u.derivative()
+    q0 = q.eval(F(0))
+    if q0 != 0:
+        return u.eval(F(0)) ** 2 - p.eval(F(0)) * du.eval(F(0)) ** 2 / (s * s * q0 * q0)
+    if u[1] != 0:
+        return None
+    dq0 = q.derivative().eval(F(0))
+    return u.eval(F(0)) ** 2 - p.eval(F(0)) * 4 * u[2] ** 2 / (s * s * dq0 * dq0)
+
+
+HALVES = [F(k, 2) for k in range(-8, 9)]
+# known-yes quartics (c1, c2, c3, c4) and the degrees s <= 8 their
+# compositions reach; each is shifted to q = x - t
+KNOWN_YES = [
+    ((-2, -3, 2, 2), (3, 6)),  # circular
+    ((0, -5, 0, 4), (2, 4, 6, 8)),  # circular
+    ((0, -2, 0, 2), (2, 4, 6, 8)),  # hyperbolic
+    ((0, 2, 0, 1), (2, 4, 6, 8)),  # logarithmic, d = 0
+]
+
+
+@st.composite
+def outside_data_system(draw):
+    """(s, p, q, known_yes): OutsideData with ell <= 2 and s <= 8, or a
+    known-yes quartic shifted by a half-integer t (t = 0 gives q = x)."""
+    if draw(st.booleans()):
+        c, degrees = draw(st.sampled_from(KNOWN_YES))
+        t = draw(st.just(F(0)) | st.sampled_from(HALVES))
+        x_minus_t = Poly((-t, F(1)))
+        p = QuarticCoeffs.of(*c).poly().compose(x_minus_t)
+        return draw(st.sampled_from(degrees)), p, x_minus_t, True
+    ell = draw(st.integers(0, 2))
+    roots = draw(st.lists(st.sampled_from(HALVES), min_size=3 * ell + 2,
+                          max_size=3 * ell + 2, unique=True))
+    data = OutsideData(tuple(roots[: 2 * ell + 2]), tuple(roots[2 * ell + 2 :]))
+    return draw(st.integers(1, 8)), data.p(), data.q(), False
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(outside_data_system())
+@example((3, WORKED.poly(), X, True))
+@example((8, QuarticCoeffs.of(0, -5, 0, 4).poly(), X, True))
+def test_integration_constant_equals_the_origin_oracle(case):
+    s, p, q, known_yes = case
+    sys_ = coefficients_general(s, p, q)
+    assert sys_.solvable() or not known_yes
+    if sys_.solvable():
+        assert integration_constant(s, p, q, sys_.u) == (F(0), origin_m2(s, p, q, sys_.u))
+    else:
+        # u misses the divided ODE, so W is no constant multiple of q^2
+        with pytest.raises(NoConsistentConstants):
+            integration_constant(s, p, q, sys_.u)
+
+
+def test_integration_constant_with_x_squared_dividing_p():
+    # 9 x^2 (T_3^2 - 1) = (x^4 - x^2) T_3'^2 holds with q = x although
+    # T_3'(0) = -3: p(0) = p'(0) = 0 lets u'(0) be nonzero, where the
+    # origin route has no limit
+    p = Poly.from_roots([F(0), F(0), F(1), F(-1)])
+    assert origin_m2(3, p, X, chebyshev_t(3)) is None
+    assert integration_constant(3, p, X, chebyshev_t(3)) == (F(0), F(1))
 
 
 def test_integration_constant_worked():

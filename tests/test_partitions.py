@@ -162,20 +162,27 @@ def test_fk_json_terms_equal_the_fraction_view():
 
 
 def test_tracker_decodes_row_1_only(monkeypatch):
-    decoded = []
-    counted = partitions._counted
+    # the tracker reads F_1's integer row as it is: it touches no other row,
+    # builds no Partition view and makes no Fraction
+    def unexpected(*args):
+        raise AssertionError("the tracker left the integer row")
 
-    def spy(key, base):
-        decoded.append(key)
-        return counted(key, base)
-
-    monkeypatch.setattr(partitions, "_counted", spy)
-    bipartite.fk_table.cache_clear()
     s = 12
+    table = bipartite.fk_table(s)
+    read = []
+
+    class Rows(dict):
+        def __getitem__(self, k):
+            read.append(k)
+            return super().__getitem__(k)
+
+    monkeypatch.setattr(table, "rows", Rows(table.rows))
+    monkeypatch.setattr(partitions, "_counted", unexpected)
+    monkeypatch.setattr(partitions, "Fraction", unexpected)
+    monkeypatch.setattr(bipartite, "Fraction", unexpected)
     _f1_float(s, 0.5, -1.25, 2.0)
-    assert decoded == list(bipartite.fk_table(s).rows[1])
     _f1_float(s, -0.5, 1.25, 3.0)
-    assert len(decoded) == len(bipartite.fk_table(s).rows[1])
+    assert read == [1, 1]
 
 
 table_at = functools.lru_cache(fk_table_by_recurrence)
