@@ -44,7 +44,16 @@ from typing import Sequence
 
 from .partitions import FkTable, _counts, fk_table_by_recurrence
 from .poly import Poly, chebyshev_t, horner, sinh_chebyshev
-from .roots import IsolatedRoot, real_roots
+from .roots import (
+    DEFAULT_WIDTH,
+    IsolatedRoot,
+    _powers,
+    _refine,
+    _sign_pw,
+    _value_dyadic,
+    real_roots,
+    sign_at,
+)
 from .scalars import is_square, rational_sqrt, reconstruct_rational
 
 
@@ -112,8 +121,9 @@ FK_MAX_S = 60
 # largest n that decide and complete scan: a prime n runs the recurrence at
 # s = n, in time and memory that grow as n^2 (0.3 s at n = 4000)
 SCAN_MAX_N = 5040
-# largest n whose closed form is built: isolating the roots of G', of degree
-# n - 1, takes time that grows about as n^4 (2.8 s at n = 240, 14 s at 360)
+# largest n whose closed form is built: decide --n 240 on x^4 - 3x^2 - 5
+# takes about 0.5 s and prints 4 MB, G of degree n once per piece; time and
+# size grow faster than n^2 (about 2 s and 13 MB at n = 360)
 COMPOSE_MAX_N = 240
 
 
@@ -440,6 +450,284 @@ def _parity_compose(outer: Poly, u: Poly, m2, convention: str) -> Poly:
     odd = convention == "g"
     G = Poly(outer.coeffs[odd::2]).compose((u * u).scale(1 / Fraction(m2)))
     return u * G if odd else G
+
+
+# stationary_points answers an irrational root of G' with its cell of the
+# dyadic grid of step 2^-GRID = DEFAULT_WIDTH, the cell real_roots isolates
+# it in
+GRID = DEFAULT_WIDTH.denominator.bit_length() - 1
+
+
+def stationary_points(u: Poly, m2, N: int) -> list[IsolatedRoot]:
+    """real_roots(G') for G = compose_outer(u, m2, N, Branch.CIRCULAR)[0].
+
+    G' is a nonzero constant times u' W(u), where W = W_(N-1) is
+    m^(N-1) U_(N-1)(y/m) = m^(N-1) T_N'(y/m) / N, whose roots are the
+    N - 1 distinct y_k = m cos(k pi/N) (``_outer_values``).  So the real
+    roots of G' are those of u', isolated on their own (degree s - 1), and
+    the solutions of u = y_k, certified on u itself (degree s).
+
+    Between consecutive real roots of u', and out to infinity, u is
+    strictly monotone, so u - y_k has a root inside such a branch iff its
+    ends bracket y_k, and then one, simple.  The bracket is decided
+    exactly: u is exact at a rational root of u', and at an irrational one
+    an enclosure of u (the identity puts u at +-m there) lies on one side
+    of y_k.  Where u = y_k at a rational root of u', that root has one
+    more multiplicity in u - y_k than in u', and the two add (x = 0 for
+    x^4 - 1 at n = 4).  A root inside a branch gets the grid cell
+    [K, K+1] 2^-48 once the exact signs of u - y_k at its two ends differ,
+    or the grid point where u = y_k.  A float guess (``_float_root``)
+    picks K; failing it and its two neighbours, exact bisection on the
+    branch's grid points does.  For a rational y_k the rational-root test
+    of ``_refine`` makes a rational root exact; for an irrational y_k
+    every root is irrational.
+
+    Each irrational root is then alone in its grid cell, the cell that
+    real_roots isolates it in, unless two answers touch or overlap.  Then,
+    and when a cell of u' is narrower than the grid, a bracket or a y_k is
+    undecided or a root is not certified, this returns real_roots(G').
+    Floats only guess: a wrong guess costs time, never a different answer.
+    """
+    crit = real_roots(u.derivative())
+    if N == 1:
+        return crit
+    W, ys = _outer_values(m2, N)
+    if ys is not None:
+        ends = _branch_ends(u, m2, crit)
+        found = list(crit)
+        for y in ys:
+            roots = _Crossings(u, W, y).roots(ends)
+            if roots is None:
+                break
+            found += roots
+        else:
+            out = _disjoint(found)
+            if out is not None:
+                return out
+    return real_roots(compose_outer(u, m2, N, Branch.CIRCULAR)[0].derivative())
+
+
+# cos^2(j pi/12) where it is rational.  By Niven's theorem cos(2 k pi/N) is
+# rational only where 2 k pi/N is a multiple of pi/3 or pi/2, so
+# y_k^2 = m^2 cos^2(k pi/N) is rational only at these j = 12 k/N
+_RATIONAL_COS2 = {2: Fraction(3, 4), 3: Fraction(1, 2), 4: Fraction(1, 4), 6: Fraction(0),
+                  8: Fraction(1, 4), 9: Fraction(1, 2), 10: Fraction(3, 4)}
+
+
+def _outer_values(m2, N: int) -> tuple[Poly | None, list[IsolatedRoot] | None]:
+    """W and its roots y_k = m cos(k pi/N), ascending.
+
+    y_k is exact when it is rational: at the j = 12 k/N of _RATIONAL_COS2
+    where m^2 cos^2(k pi/N) is a rational square.  Every other y_k gets
+    the cell around its float value of relative width about 2^-40, once W
+    has opposite exact signs at its ends.  N - 1 roots in disjoint cells
+    are all the roots of W, one in each.  W is built only for the
+    irrational y_k (None if there are none), and the roots are None when
+    a float value does not certify.
+    """
+    W, out = None, []
+    for k in range(N - 1, 0, -1):
+        j, rest = divmod(12 * k, N)
+        c2 = None if rest else _RATIONAL_COS2.get(j)
+        if c2 is not None and is_square(m2 * c2):
+            lo = hi = rational_sqrt(m2 * c2) * (1 if j < 6 else -1)
+        else:
+            W = W or _parity_compose(
+                chebyshev_t(N).derivative(), Poly.x(), m2, "g" if N % 2 == 0 else "g-over-m"
+            )
+            try:
+                y = math.sqrt(m2) * math.cos(k * math.pi / N)
+                lo, hi = Fraction(y - abs(y) / 2**40), Fraction(y + abs(y) / 2**40)
+            except (OverflowError, ValueError):
+                return W, None
+            if not lo < hi or sign_at(W, lo) * sign_at(W, hi) >= 0:
+                return W, None
+        if out and out[-1].hi >= lo:
+            return W, None
+        out.append(IsolatedRoot(lo, hi))
+    return W, out
+
+
+def _branch_ends(u: Poly, m2, crit: list[IsolatedRoot]) -> list[tuple]:
+    """The ends of u's branches, ascending: -R, the real roots of u' and R.
+
+    Each is (lo, hi, v_lo, v_hi, multiplicity): the end lies in [lo, hi]
+    and u there in [v_lo, v_hi].  R bounds the roots of every u - y with
+    |y| <= m, and u is +-infinity there.  At an irrational root c of u' in
+    the cell [lo, hi], u'(c) = 0 gives |u(lo) - u(c)| <= max |u''| (hi -
+    lo)^2 / 2, and sum k (k-1) |a_k| r^(k-2), r = max(|lo|, |hi|), bounds
+    |u''| on the cell.
+    """
+    lead, a = u.leading(), u.coeffs
+    # Cauchy: every root of u - y has |x| <= 1 + max(|a_k|, |a_0 - y|) / |a_s|
+    R = Fraction(math.ceil(1 + (max(map(abs, a[:-1])) + max(1, m2)) / abs(lead)))
+    below = math.inf if lead * (-1) ** u.degree > 0 else -math.inf
+    ends = [(-R, -R, below, below, 0)]
+    for r in crit:
+        v = u(r.lo)
+        e = 0
+        if not r.exact:
+            x = max(abs(r.lo), abs(r.hi))
+            d2 = sum(k * (k - 1) * abs(c) * x ** (k - 2) for k, c in enumerate(a) if k > 1)
+            e = d2 * (r.hi - r.lo) ** 2 / 2
+        ends.append((r.lo, r.hi, v - e, v + e, r.multiplicity))
+    above = math.inf if lead > 0 else -math.inf
+    return ends + [(R, R, above, above, 0)]
+
+
+class _Crossings:
+    """The solutions of u = y_k, for y_k the root of W in the cell y."""
+
+    def __init__(self, u: Poly, W: Poly | None, y: IsolatedRoot):
+        self.u, self.W, self.y = u, W, y
+        self.exact = y.exact
+        self.signs: dict[int, int] = {}  # sign of u - y_k at K 2^-48, by K
+        if self.exact:
+            self.target = (u - y.lo).ints
+        else:
+            # at x = K 2^-48, u(x) = cn V / (cd 2^shift) for the content cn/cd
+            # and V = _value_dyadic(u.ints, K, GRID): u(x) <= y.lo iff
+            # V ld <= ln, and u(x) >= y.hi iff V hd >= hn
+            shift, (cn, cd) = GRID * u.degree, u.content.as_integer_ratio()
+            (ln, ld), (hn, hd) = y.lo.as_integer_ratio(), y.hi.as_integer_ratio()
+            self.bounds = (ln * cd) << shift, ld * cn, (hn * cd) << shift, hd * cn
+            self.cn, self.q_powers = cn, _powers(cd << shift, W.degree)
+            self.w_lo = sign_at(W, y.lo)
+
+    def roots(self, ends) -> list[IsolatedRoot] | None:
+        """The real roots of u - y_k, as real_roots(u - y_k) gives them when
+        y_k is rational, over u's branches between the ends of
+        ``_branch_ends``; None when one cannot be decided."""
+        signs = [self.sign(v_lo, v_hi) for _, _, v_lo, v_hi, _ in ends]
+        if None in signs:
+            return None
+        out = [IsolatedRoot(lo, lo, mult + 1) for (lo, _, _, _, mult), sg in zip(ends, signs) if sg == 0]
+        for (_, a, *_), (b, *_), sa, sb in zip(ends, ends[1:], signs, signs[1:]):
+            if sa * sb < 0:  # else u is y_k at an end, or on one side of it on the whole branch
+                r = self.root_between(a, b, sa)
+                if r is None:
+                    return None
+                out.append(r)
+        return out
+
+    def sign(self, lo, hi) -> int | None:
+        """The sign of v - y_k for every v in [lo, hi], None if that is not
+        decided.  A rational v inside y's cell is on y_k's side where W
+        has its sign at the cell's end, as the cell holds no other root."""
+        y, exact = self.y, self.exact
+        if hi < y.lo or (hi == y.lo and not exact):
+            return -1
+        if lo > y.hi or (lo == y.hi and not exact):
+            return 1
+        if lo != hi:
+            return None
+        return 0 if exact else -1 if sign_at(self.W, lo) == self.w_lo else 1
+
+    def side(self, K: int) -> int:
+        """The sign of u - y_k at K 2^-48, in integers: against the ends of
+        y's cell, and inside it by the sign of W at u."""
+        if K not in self.signs:
+            if self.exact:
+                v = _value_dyadic(self.target, K, GRID)
+                self.signs[K] = (v > 0) - (v < 0)
+            else:
+                ln, ld, hn, hd = self.bounds
+                V = _value_dyadic(self.u.ints, K, GRID)
+                if V * ld <= ln:
+                    self.signs[K] = -1
+                elif V * hd >= hn:
+                    self.signs[K] = 1
+                else:
+                    w = _sign_pw(self.W.ints, self.cn * V, self.q_powers)
+                    self.signs[K] = -1 if w == self.w_lo else 1
+        return self.signs[K]
+
+    def root_at(self, K: int) -> IsolatedRoot | None:
+        """The root in [K, K+1] 2^-48, if u - y_k vanishes or changes sign there."""
+        s0, s1 = self.side(K), self.side(K + 1)
+        if s0 and s1:
+            return IsolatedRoot(_grid(K), _grid(K + 1)) if s0 != s1 else None
+        x = _grid(K if not s0 else K + 1)
+        return IsolatedRoot(x, x)
+
+    def root_between(self, a: Fraction, b: Fraction, sa: int) -> IsolatedRoot | None:
+        """The root on the branch from a to b, where u - y_k has the sign sa
+        at a and the opposite one at b: the cell of a float guess or of
+        its neighbours, else exact bisection on the grid points in [a, b];
+        None when neither certifies it."""
+        Ka, Kb = -((-a.numerator << GRID) // a.denominator), (b.numerator << GRID) // b.denominator
+        try:
+            f = self.u.float_coeffs()
+            f[0] -= float(self.y.mid)
+        except OverflowError:
+            f = None
+        x = _float_root(f, a, b) if f else math.nan
+        K = math.floor(x * (1 << GRID)) if math.isfinite(x) else Ka
+        r = next(filter(None, map(self.root_at, (K, K - 1, K + 1))), None) if Ka < K < Kb - 1 else None
+        if r is None:
+            if Ka >= Kb or self.side(Ka) != sa or self.side(Kb) != -sa:
+                return None
+            while Kb - Ka > 1:
+                mid = (Ka + Kb) // 2
+                if self.side(mid) == sa:
+                    Ka = mid
+                elif self.side(mid):
+                    Kb = mid
+                else:
+                    return IsolatedRoot(_grid(mid), _grid(mid))
+            r = self.root_at(Ka)
+        if self.exact and not r.exact:
+            # a rational root is some k/lead; when lead < 2^48 the cell holds
+            # at most one, and _refine tests it if there is one
+            lead, K = abs(self.target[-1]), (r.lo.numerator << GRID) // r.lo.denominator
+            if lead >> GRID or (((K * lead) >> GRID) + 1) << GRID < (K + 1) * lead:
+                r = IsolatedRoot(*_refine(self.target, r.lo, r.hi, DEFAULT_WIDTH))
+        return r
+
+
+def _grid(K: int) -> Fraction:
+    return Fraction(K, 1 << GRID)
+
+
+def _float_root(f: list[float], a: Fraction, b: Fraction) -> float:
+    """A float root of the polynomial f in (a, b), across which it changes
+    sign: Newton steps, bisecting when one leaves the bracket.  Only a
+    guess, NaN when the floats overflow."""
+    try:
+        a, b = float(a), float(b)
+    except OverflowError:
+        return math.nan
+    df = _fderiv(f)
+    fa = horner(f, a)
+    x = (a + b) / 2
+    for _ in range(NEWTON_MAX_ITER):
+        fx = horner(f, x)
+        if (fx < 0) == (fa < 0):
+            a = x
+        else:
+            b = x
+        dfx = horner(df, x)
+        step = fx / dfx if dfx else math.inf
+        if abs(step) <= 1e-15 * abs(x):
+            return x - step
+        x = x - step if a < x - step < b else (a + b) / 2
+    return x
+
+
+def _disjoint(found: list[IsolatedRoot]) -> list[IsolatedRoot] | None:
+    """The roots in order, an exact root found twice merged with the
+    multiplicities added; None when two touch or overlap or an inexact
+    one is no grid cell.  The sort is by grid cell only: every neighbour
+    is compared exactly, and out of order means overlapping."""
+    out: list[IsolatedRoot] = []
+    for r in sorted(found, key=lambda r: (r.lo.numerator << GRID) // r.lo.denominator):
+        if out and r.exact and out[-1].exact and r.lo == out[-1].lo:
+            out[-1] = IsolatedRoot(r.lo, r.lo, out[-1].multiplicity + r.multiplicity)
+        elif (out and r.lo <= out[-1].hi) or (not r.exact and r.hi - r.lo != DEFAULT_WIDTH):
+            return None
+        else:
+            out.append(r)
+    return out
 
 
 def solve_c1(s: int, c2, c3, c4) -> list[IsolatedRoot]:

@@ -19,6 +19,11 @@ unsound.
 Within one sign region of p, the circular antiderivative formula is only
 valid between consecutive stationary points of g: where |g| = m the
 arc-function hits its branch point and the correct sign sigma flips.
+Those points come from the composition g = m T_N(u/m)
+(``bipartite.stationary_points``): the roots of u' (degree s - 1) and the
+solutions of u = m cos(k pi/N), certified on u (degree s) in the cells
+real_roots would isolate them in.  G' itself, of degree n - 1, is
+isolated only when that route cannot certify its answer.
 Emitted forms are therefore piecewise, each piece carrying its own sigma
 and, for arccosh, the sign of g on the piece.  Both come from exact signs
 at one rational interior point: the identity n^2 x^2 (G^2 -+ M) = p G'^2
@@ -48,6 +53,7 @@ from .bipartite import (
     conditions,
     f1_polynomial,
     identity_residual,
+    stationary_points,
 )
 from .poly import Poly, horner
 from .quadrature import Integrand, integrate_adaptive
@@ -335,7 +341,8 @@ def _closed_form(
     else:
         tag, fn = _WHERE_P_POSITIVE[sol.branch]
         regions = [(lo, hi) for lo, hi, sign in gaps if sign > 0]
-    pieces = _build_pieces(G, fn, regions)
+    stationary = stationary_points(sol.u, sol.m2, n // s) if sol.branch is Branch.CIRCULAR else []
+    pieces = _build_pieces(G, fn, regions, stationary)
     return ClosedForm(n, s, c, tag, sol.d, sol.m2, G, convention, sol, pieces, diags)
 
 
@@ -363,18 +370,19 @@ def _gap(lo: Optional[IsolatedRoot], hi: Optional[IsolatedRoot]) -> tuple[Fracti
     return a, b
 
 
-def _build_pieces(G: Poly, fn: str, regions) -> tuple[Piece, ...]:
+def _build_pieces(G: Poly, fn: str, regions, stationary: list[IsolatedRoot]) -> tuple[Piece, ...]:
+    """The pieces of each region, cut at the circular branch points among
+    G's stationary points (the real roots of G')."""
     dG, x_poly = G.derivative(), Poly.x()
     cuts: list[IsolatedRoot] = []
-    if fn in ("arccos", "arccosh"):
-        for r in real_roots(dG):
-            at_zero = r.exact and r.lo == 0
-            odd = r.multiplicity % 2 == 1
-            # |g| = m branch points: odd-multiplicity stationary points
-            # away from 0; at 0 the integrand flips too, so only an
-            # even-multiplicity stationary point leaves a kink there.
-            if (odd and not at_zero) or (at_zero and not odd):
-                cuts.append(r)
+    for r in stationary:
+        at_zero = r.exact and r.lo == 0
+        odd = r.multiplicity % 2 == 1
+        # |g| = m branch points: odd-multiplicity stationary points
+        # away from 0; at 0 the integrand flips too, so only an
+        # even-multiplicity stationary point leaves a kink there.
+        if (odd and not at_zero) or (at_zero and not odd):
+            cuts.append(r)
     pieces: list[Piece] = []
     for lo, hi in regions:
         inner = [r for r in cuts if _strictly_inside(r, lo, hi)]

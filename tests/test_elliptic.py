@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bicheb import elliptic
+from bicheb import bipartite, elliptic
 from bicheb.bipartite import COMPOSE_MAX_N, QuarticCoeffs
 from bicheb.elliptic import (
     BRANCH_ARCCOS,
@@ -121,17 +121,36 @@ def test_validity_intervals_log():
     assert sign_regions(LOG.poly()) == [(None, None, 1)]
 
 
-def test_arccosh_form_isolates_p_and_g_prime_once_each(monkeypatch):
+def _isolated_degrees(monkeypatch) -> list[int]:
+    """The degrees of the polynomials real_roots is called on from here on."""
     degrees = []
 
-    def counting(q):
+    def counting(q, *args):
         degrees.append(q.degree)
-        return real_roots(q)
+        return real_roots(q, *args)
 
     monkeypatch.setattr(elliptic, "real_roots", counting)
-    cf = decide(4, QuarticCoeffs.of(0, 1, 0, 0))
-    assert cf.branch == BRANCH_ARCCOSH and len(cf.pieces) == 2
-    assert degrees == [4, 3]  # p, then G' of G = 8x^4 + 8x^2 + 1
+    monkeypatch.setattr(bipartite, "real_roots", counting)
+    return degrees
+
+
+@pytest.mark.parametrize("n, c", [(4, (0, 1, 0, 0)), (10, (0, -5, 0, 4)), (33, (-2, -3, 2, 2))])
+def test_circular_form_isolates_p_and_u_prime_never_g_prime(monkeypatch, n, c):
+    degrees = _isolated_degrees(monkeypatch)
+    cf = decide(n, QuarticCoeffs.of(*c))
+    # p, then u' of degree s - 1; the solutions of u = y_k are certified
+    # on u itself, so neither G' (degree n - 1) nor W_(N-1) is isolated
+    assert degrees == [4, cf.s - 1]
+
+
+@pytest.mark.parametrize("n, c", [(4, (0, 1, 0, 0)), (10, (0, -5, 0, 4)), (33, (-2, -3, 2, 2))])
+def test_the_fallback_to_isolating_g_prime_gives_the_same_form(monkeypatch, n, c):
+    want = render(decide(n, QuarticCoeffs.of(*c)))
+    degrees = _isolated_degrees(monkeypatch)
+    monkeypatch.setattr(bipartite, "_outer_values", lambda m2, N: (None, None))
+    cf = decide(n, QuarticCoeffs.of(*c))
+    assert render(cf) == want
+    assert degrees == [4, cf.s - 1, n - 1]
 
 
 # -- pieces and signs -------------------------------------------------------------

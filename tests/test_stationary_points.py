@@ -1,0 +1,160 @@
+"""stationary_points against its oracle, real_roots(G').
+
+G' is isolated on its own here, as the program did before it took G's
+stationary points from the composition: the answer must be the same list,
+cell for cell, with the same multiplicities.
+"""
+
+import contextlib
+import io
+import json
+import math
+from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from bicheb import bipartite, elliptic
+from bicheb.bipartite import Branch, QuarticCoeffs, build_solution, compose_outer, conditions, stationary_points
+from bicheb.cli import main
+from bicheb.poly import Poly
+from bicheb.roots import real_roots
+
+FIXTURE = Path(__file__).parent / "data" / "golden_cli.json"
+
+QUARTICS = {
+    "WORKED": (-2, -3, 2, 2),
+    "SYMMETRIC": (0, -5, 0, 4),
+    "M_QUARTER": (0, F(3, 2), 0, F(1, 2)),
+    "PLUS_ONE": (0, -3, 0, 1),
+    "MINUS_FIVE": (0, -3, 0, -5),
+}
+# x^4 - 3x^2 - 5 under x -> 2^-40 x: the roots of G' lie about 2^-40 apart
+TINY = (0, F(-3, 2**80), 0, F(-5, 2**160))
+
+
+def oracle(u, m2, N):
+    return real_roots(compose_outer(u, m2, N, Branch.CIRCULAR)[0].derivative())
+
+
+def cells(roots):
+    return [(r.lo, r.hi, r.multiplicity) for r in roots]
+
+
+def circular(n, c):
+    """(u, m^2, N) of the closed form decide(n, c) builds, None if it is not
+    circular."""
+    q = QuarticCoeffs.of(*c)
+    s = next((s for s in range(2, n + 1) if n % s == 0 and conditions(s, q).met), None)
+    if s is None:
+        return None
+    sol = build_solution(s, q)
+    return (sol.u, sol.m2, n // s) if sol.branch is Branch.CIRCULAR else None
+
+
+def image(c, lam, reflect):
+    """x -> lam x (c_k -> lam^k c_k), then optionally (c1, c3) -> (-c1, -c3)."""
+    out = [F(v) * lam ** (k + 1) for k, v in enumerate(c)]
+    if reflect:
+        out[0], out[2] = -out[0], -out[2]
+    return tuple(out)
+
+
+@pytest.fixture
+def fast_only(monkeypatch):
+    """Fail on the fallback, where stationary_points composes G itself."""
+
+    def refuse(*args):
+        raise AssertionError("stationary_points fell back to isolating G'")
+
+    monkeypatch.setattr(bipartite, "compose_outer", refuse)
+
+
+def test_every_circular_form_of_the_golden_cases(monkeypatch, fast_only):
+    seen = []
+
+    def record(u, m2, N):
+        seen.append((u, m2, N))
+        return stationary_points(u, m2, N)
+
+    monkeypatch.setattr(elliptic, "stationary_points", record)
+    for entry in json.loads(FIXTURE.read_text()):
+        if entry["argv"][0] in ("decide", "integrate", "complete"):
+            with contextlib.redirect_stdout(io.StringIO()):
+                main(list(entry["argv"]))
+    assert len(seen) >= 30
+    for form in seen:
+        assert cells(stationary_points(*form)) == cells(oracle(*form))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(sorted(QUARTICS)),
+    st.integers(2, 60),
+    st.sampled_from([F(1), F(2), F(1, 2), F(3, 2), F(2, 3), F(3), F(1, 3), F(4, 3), F(5, 7)]),
+    st.booleans(),
+)
+def test_matches_the_oracle_on_scaled_and_reflected_families(name, n, lam, reflect):
+    form = circular(n, image(QUARTICS[name], lam, reflect))
+    assume(form is not None)
+    assert cells(stationary_points(*form)) == cells(oracle(*form))
+
+
+@pytest.mark.parametrize("c", [(0, 0, 0, -1), (0, 0, 0, -4)])
+@pytest.mark.parametrize("n", [4, 8, 12])
+def test_a_root_of_u_prime_where_u_is_a_rational_y_k_adds_multiplicities(fast_only, n, c):
+    # u = x^2 and y = 0 at even N: x = 0 is a simple root of u' and a
+    # double root of u, so a triple root of G'
+    form = circular(n, c)
+    got = stationary_points(*form)
+    assert cells(got) == cells(oracle(*form))
+    assert (F(0), F(0), 3) in cells(got)
+
+
+def test_n_240(fast_only):
+    form = circular(240, QUARTICS["MINUS_FIVE"])
+    assert cells(stationary_points(*form)) == cells(oracle(*form))
+
+
+@pytest.mark.parametrize("n", [6, 8, 12])
+def test_roots_2_to_the_minus_40_apart(fast_only, n):
+    form = circular(n, TINY)
+    assert cells(stationary_points(*form)) == cells(oracle(*form))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.fractions(-3, 3, max_denominator=4), min_size=3, max_size=5),
+    st.fractions(F(1, 8), 4, max_denominator=9),
+    st.integers(1, 6),
+)
+def test_any_inner_polynomial_matches_the_oracle(coeffs, m2, N):
+    """The routine needs no identity: for any u, exact answers or the
+    fallback give real_roots(G')."""
+    u = Poly(coeffs)
+    assume(u.degree >= 2)
+    assert cells(stationary_points(u, m2, N)) == cells(oracle(u, m2, N))
+
+
+WRONG_GUESSES = {
+    "five cells off": lambda real: lambda *a: real(*a) + 5 * 2.0**-48,
+    "nan": lambda real: lambda *a: math.nan,
+}
+
+
+@pytest.mark.parametrize("wrong", sorted(WRONG_GUESSES))
+def test_a_wrong_float_root_changes_nothing(monkeypatch, fast_only, wrong):
+    monkeypatch.setattr(bipartite, "_float_root", WRONG_GUESSES[wrong](bipartite._float_root))
+    for n, c in [(33, QUARTICS["WORKED"]), (32, QUARTICS["SYMMETRIC"]), (24, QUARTICS["MINUS_FIVE"]),
+                 (12, (0, 0, 0, -1)), (8, TINY)]:
+        form = circular(n, c)
+        assert cells(stationary_points(*form)) == cells(oracle(*form))
+
+
+def test_a_wrong_float_value_of_y_k_falls_back_and_changes_nothing(monkeypatch):
+    monkeypatch.setattr(bipartite.math, "cos", lambda t: math.nan)
+    for n, c in [(33, QUARTICS["WORKED"]), (32, QUARTICS["SYMMETRIC"])]:
+        form = circular(n, c)
+        assert cells(stationary_points(*form)) == cells(oracle(*form))
