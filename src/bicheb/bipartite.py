@@ -48,7 +48,6 @@ from .roots import (
     DEFAULT_WIDTH,
     IsolatedRoot,
     _powers,
-    _refine,
     _sign_pw,
     _value_dyadic,
     real_roots,
@@ -465,28 +464,19 @@ def stationary_points(u: Poly, m2, N: int) -> list[IsolatedRoot]:
     m^(N-1) U_(N-1)(y/m) = m^(N-1) T_N'(y/m) / N, whose roots are the
     N - 1 distinct y_k = m cos(k pi/N) (``_outer_values``).  So the real
     roots of G' are those of u', isolated on their own (degree s - 1), and
-    the solutions of u = y_k, certified on u itself (degree s).
+    the solutions of u = y_k.
 
-    Between consecutive real roots of u', and out to infinity, u is
-    strictly monotone, so u - y_k has a root inside such a branch iff its
-    ends bracket y_k, and then one, simple.  The bracket is decided
-    exactly: u is exact at a rational root of u', and at an irrational one
-    an enclosure of u (the identity puts u at +-m there) lies on one side
-    of y_k.  Where u = y_k at a rational root of u', that root has one
-    more multiplicity in u - y_k than in u', and the two add (x = 0 for
-    x^4 - 1 at n = 4).  A root inside a branch gets the grid cell
-    [K, K+1] 2^-48 once the exact signs of u - y_k at its two ends differ,
-    or the grid point where u = y_k.  A float guess (``_float_root``)
-    picks K; failing it and its two neighbours, exact bisection on the
-    branch's grid points does.  For a rational y_k the rational-root test
-    of ``_refine`` makes a rational root exact; for an irrational y_k
-    every root is irrational.
+    A rational y_k is exact, and real_roots(u - y_k) (degree s) gives its
+    solutions: rational ones exact, the others in their grid cells, each
+    with its multiplicity in u - y_k.  Where u = y_k at a root of u', the
+    two multiplicities add (x = 0 for x^4 - 1 at n = 4).  An irrational
+    y_k is known only by its cell, and ``_Crossings`` certifies its
+    solutions on u itself, so neither G' nor W is isolated.
 
     Each irrational root is then alone in its grid cell, the cell that
     real_roots isolates it in, unless two answers touch or overlap.  Then,
-    and when a cell of u' is narrower than the grid, a bracket or a y_k is
+    and when a cell is halved or narrower than the grid, a y_k is
     undecided or a root is not certified, this returns real_roots(G').
-    Floats only guess: a wrong guess costs time, never a different answer.
     """
     crit = real_roots(u.derivative())
     if N == 1:
@@ -496,7 +486,7 @@ def stationary_points(u: Poly, m2, N: int) -> list[IsolatedRoot]:
         ends = _branch_ends(u, m2, crit)
         found = list(crit)
         for y in ys:
-            roots = _Crossings(u, W, y).roots(ends)
+            roots = real_roots(u - y.lo) if y.exact else _Crossings(u, W, y).roots(ends)
             if roots is None:
                 break
             found += roots
@@ -551,7 +541,7 @@ def _outer_values(m2, N: int) -> tuple[Poly | None, list[IsolatedRoot] | None]:
 def _branch_ends(u: Poly, m2, crit: list[IsolatedRoot]) -> list[tuple]:
     """The ends of u's branches, ascending: -R, the real roots of u' and R.
 
-    Each is (lo, hi, v_lo, v_hi, multiplicity): the end lies in [lo, hi]
+    Each is (lo, hi, v_lo, v_hi): the end lies in [lo, hi]
     and u there in [v_lo, v_hi].  R bounds the roots of every u - y with
     |y| <= m, and u is +-infinity there.  At an irrational root c of u' in
     the cell [lo, hi], u'(c) = 0 gives |u(lo) - u(c)| <= max |u''| (hi -
@@ -562,7 +552,7 @@ def _branch_ends(u: Poly, m2, crit: list[IsolatedRoot]) -> list[tuple]:
     # Cauchy: every root of u - y has |x| <= 1 + max(|a_k|, |a_0 - y|) / |a_s|
     R = Fraction(math.ceil(1 + (max(map(abs, a[:-1])) + max(1, m2)) / abs(lead)))
     below = math.inf if lead * (-1) ** u.degree > 0 else -math.inf
-    ends = [(-R, -R, below, below, 0)]
+    ends = [(-R, -R, below, below)]
     for r in crit:
         v = u(r.lo)
         e = 0
@@ -570,40 +560,49 @@ def _branch_ends(u: Poly, m2, crit: list[IsolatedRoot]) -> list[tuple]:
             x = max(abs(r.lo), abs(r.hi))
             d2 = sum(k * (k - 1) * abs(c) * x ** (k - 2) for k, c in enumerate(a) if k > 1)
             e = d2 * (r.hi - r.lo) ** 2 / 2
-        ends.append((r.lo, r.hi, v - e, v + e, r.multiplicity))
+        ends.append((r.lo, r.hi, v - e, v + e))
     above = math.inf if lead > 0 else -math.inf
-    return ends + [(R, R, above, above, 0)]
+    return ends + [(R, R, above, above)]
 
 
 class _Crossings:
-    """The solutions of u = y_k, for y_k the root of W in the cell y."""
+    """The solutions of u = y_k, for y_k the irrational root of W in the
+    cell y.
 
-    def __init__(self, u: Poly, W: Poly | None, y: IsolatedRoot):
+    Between consecutive ends of ``_branch_ends`` u is strictly monotone,
+    so u - y_k has a root inside such a branch iff its ends bracket y_k,
+    and then one, simple.  The bracket is decided exactly: u is rational
+    at a rational root of u', so never y_k, and at an irrational one an
+    enclosure of u (the identity puts u at +-m there) lies on one side of
+    y_k.  A root inside a branch is irrational, never a grid point, and
+    gets the grid cell [K, K+1] 2^-48 once the exact signs of u - y_k at
+    its two ends differ.  A float guess (``_float_root``) picks K; failing
+    it and its two neighbours, exact bisection on the branch's grid points
+    does.  Floats only guess: a wrong guess costs time, never a different
+    answer.
+    """
+
+    def __init__(self, u: Poly, W: Poly, y: IsolatedRoot):
         self.u, self.W, self.y = u, W, y
-        self.exact = y.exact
         self.signs: dict[int, int] = {}  # sign of u - y_k at K 2^-48, by K
-        if self.exact:
-            self.target = (u - y.lo).ints
-        else:
-            # at x = K 2^-48, u(x) = cn V / (cd 2^shift) for the content cn/cd
-            # and V = _value_dyadic(u.ints, K, GRID): u(x) <= y.lo iff
-            # V ld <= ln, and u(x) >= y.hi iff V hd >= hn
-            shift, (cn, cd) = GRID * u.degree, u.content.as_integer_ratio()
-            (ln, ld), (hn, hd) = y.lo.as_integer_ratio(), y.hi.as_integer_ratio()
-            self.bounds = (ln * cd) << shift, ld * cn, (hn * cd) << shift, hd * cn
-            self.cn, self.q_powers = cn, _powers(cd << shift, W.degree)
-            self.w_lo = sign_at(W, y.lo)
+        # at x = K 2^-48, u(x) = cn V / (cd 2^shift) for the content cn/cd
+        # and V = _value_dyadic(u.ints, K, GRID): u(x) <= y.lo iff
+        # V ld <= ln, and u(x) >= y.hi iff V hd >= hn
+        shift, (cn, cd) = GRID * u.degree, u.content.as_integer_ratio()
+        (ln, ld), (hn, hd) = y.lo.as_integer_ratio(), y.hi.as_integer_ratio()
+        self.bounds = (ln * cd) << shift, ld * cn, (hn * cd) << shift, hd * cn
+        self.cn, self.q_powers = cn, _powers(cd << shift, W.degree)
+        self.w_lo = sign_at(W, y.lo)
 
     def roots(self, ends) -> list[IsolatedRoot] | None:
-        """The real roots of u - y_k, as real_roots(u - y_k) gives them when
-        y_k is rational, over u's branches between the ends of
-        ``_branch_ends``; None when one cannot be decided."""
-        signs = [self.sign(v_lo, v_hi) for _, _, v_lo, v_hi, _ in ends]
+        """The real roots of u - y_k, in the cells real_roots would give
+        them; None when one cannot be decided."""
+        signs = [self.sign(v_lo, v_hi) for _, _, v_lo, v_hi in ends]
         if None in signs:
             return None
-        out = [IsolatedRoot(lo, lo, mult + 1) for (lo, _, _, _, mult), sg in zip(ends, signs) if sg == 0]
+        out = []
         for (_, a, *_), (b, *_), sa, sb in zip(ends, ends[1:], signs, signs[1:]):
-            if sa * sb < 0:  # else u is y_k at an end, or on one side of it on the whole branch
+            if sa != sb:  # else u is on one side of y_k on the whole branch
                 r = self.root_between(a, b, sa)
                 if r is None:
                     return None
@@ -614,41 +613,32 @@ class _Crossings:
         """The sign of v - y_k for every v in [lo, hi], None if that is not
         decided.  A rational v inside y's cell is on y_k's side where W
         has its sign at the cell's end, as the cell holds no other root."""
-        y, exact = self.y, self.exact
-        if hi < y.lo or (hi == y.lo and not exact):
+        if hi <= self.y.lo:
             return -1
-        if lo > y.hi or (lo == y.hi and not exact):
+        if lo >= self.y.hi:
             return 1
         if lo != hi:
             return None
-        return 0 if exact else -1 if sign_at(self.W, lo) == self.w_lo else 1
+        return -1 if sign_at(self.W, lo) == self.w_lo else 1
 
     def side(self, K: int) -> int:
         """The sign of u - y_k at K 2^-48, in integers: against the ends of
         y's cell, and inside it by the sign of W at u."""
         if K not in self.signs:
-            if self.exact:
-                v = _value_dyadic(self.target, K, GRID)
-                self.signs[K] = (v > 0) - (v < 0)
+            ln, ld, hn, hd = self.bounds
+            V = _value_dyadic(self.u.ints, K, GRID)
+            if V * ld <= ln:
+                self.signs[K] = -1
+            elif V * hd >= hn:
+                self.signs[K] = 1
             else:
-                ln, ld, hn, hd = self.bounds
-                V = _value_dyadic(self.u.ints, K, GRID)
-                if V * ld <= ln:
-                    self.signs[K] = -1
-                elif V * hd >= hn:
-                    self.signs[K] = 1
-                else:
-                    w = _sign_pw(self.W.ints, self.cn * V, self.q_powers)
-                    self.signs[K] = -1 if w == self.w_lo else 1
+                w = _sign_pw(self.W.ints, self.cn * V, self.q_powers)
+                self.signs[K] = -1 if w == self.w_lo else 1
         return self.signs[K]
 
     def root_at(self, K: int) -> IsolatedRoot | None:
-        """The root in [K, K+1] 2^-48, if u - y_k vanishes or changes sign there."""
-        s0, s1 = self.side(K), self.side(K + 1)
-        if s0 and s1:
-            return IsolatedRoot(_grid(K), _grid(K + 1)) if s0 != s1 else None
-        x = _grid(K if not s0 else K + 1)
-        return IsolatedRoot(x, x)
+        """The root in [K, K+1] 2^-48, if u - y_k changes sign there."""
+        return IsolatedRoot(_grid(K), _grid(K + 1)) if self.side(K) != self.side(K + 1) else None
 
     def root_between(self, a: Fraction, b: Fraction, sa: int) -> IsolatedRoot | None:
         """The root on the branch from a to b, where u - y_k has the sign sa
@@ -664,25 +654,14 @@ class _Crossings:
         x = _float_root(f, a, b) if f else math.nan
         K = math.floor(x * (1 << GRID)) if math.isfinite(x) else Ka
         r = next(filter(None, map(self.root_at, (K, K - 1, K + 1))), None) if Ka < K < Kb - 1 else None
-        if r is None:
-            if Ka >= Kb or self.side(Ka) != sa or self.side(Kb) != -sa:
-                return None
-            while Kb - Ka > 1:
-                mid = (Ka + Kb) // 2
-                if self.side(mid) == sa:
-                    Ka = mid
-                elif self.side(mid):
-                    Kb = mid
-                else:
-                    return IsolatedRoot(_grid(mid), _grid(mid))
-            r = self.root_at(Ka)
-        if self.exact and not r.exact:
-            # a rational root is some k/lead; when lead < 2^48 the cell holds
-            # at most one, and _refine tests it if there is one
-            lead, K = abs(self.target[-1]), (r.lo.numerator << GRID) // r.lo.denominator
-            if lead >> GRID or (((K * lead) >> GRID) + 1) << GRID < (K + 1) * lead:
-                r = IsolatedRoot(*_refine(self.target, r.lo, r.hi, DEFAULT_WIDTH))
-        return r
+        if r is not None:
+            return r
+        if Ka >= Kb or self.side(Ka) != sa or self.side(Kb) != -sa:
+            return None
+        while Kb - Ka > 1:
+            mid = (Ka + Kb) // 2
+            Ka, Kb = (mid, Kb) if self.side(mid) == sa else (Ka, mid)
+        return self.root_at(Ka)
 
 
 def _grid(K: int) -> Fraction:

@@ -21,7 +21,8 @@ valid between consecutive stationary points of g: where |g| = m the
 arc-function hits its branch point and the correct sign sigma flips.
 Those points come from the composition g = m T_N(u/m)
 (``bipartite.stationary_points``): the roots of u' (degree s - 1) and the
-solutions of u = m cos(k pi/N), certified on u (degree s) in the cells
+solutions of u = m cos(k pi/N), by real_roots(u - y) (degree s) where
+y = m cos(k pi/N) is rational, and otherwise certified on u in the cells
 real_roots would isolate them in.  G' itself, of degree n - 1, is
 isolated only when that route cannot certify its answer.
 Emitted forms are therefore piecewise, each piece carrying its own sigma
@@ -542,7 +543,7 @@ def complete_coefficient(
     condition), or whose closed form may be due above COMPOSE_MAX_N: that
     root's note then names the divisor and the bound.  Raises ClassNotCovered when no divisor qualifies, and
     ValueError when n exceeds SCAN_MAX_N or s exceeds FK_MAX_S, before
-    F_1 is built.
+    F_1 is built, or when F_1 vanishes identically in the target.
     """
     if target not in (1, 2, 3, 4):
         raise ValueError("target must identify one of c1..c4")
@@ -574,8 +575,12 @@ def complete_coefficient(
             f"complete solves F_1 = 0 at s={s}, of degree up to {(s - 1) // target} "
             f"in c{target}; the divisor s must be at most {FK_MAX_S}"
         )
+    f1 = f1_polynomial(s, target, fixed)
+    if not f1:
+        values = ", ".join(f"c{k} = {v}" for k, v in sorted(fixed.items()))
+        raise ValueError(f"F_1 vanishes identically in c{target} at s = {s} for {values}")
     entries: list[CompletionEntry] = []
-    for root in real_roots(f1_polynomial(s, target, fixed)):
+    for root in real_roots(f1):
         if root.exact:
             vals = dict(fixed)
             vals[target] = root.lo

@@ -405,18 +405,13 @@ def chebyshev_t(n: int) -> Poly:
 def sinh_chebyshev(n: int) -> Poly:
     """Hyperbolic analogue sinh(n * arcsinh(x)), a polynomial iff n is odd.
 
-    Odd-step recurrence: S_{k+2} = 2(1 + 2x^2) S_k - S_{k-2}, seeded with
-    S_{-1} = -x, S_1 = x, on integer vectors.
+    For odd n, T_n(i x) = (-1)^((n-1)/2) i S_n(x).  T_n has only odd
+    powers, with signs alternating from a positive leading one, so S_n's
+    coefficients are the absolute values of T_n's.
     """
     if n < 1 or n % 2 == 0:
         raise ValueError("sinh-Chebyshev polynomials exist only for odd n >= 1")
-    prev, cur = [0, -1], [0, 1]  # indices -1 and 1
-    for _ in range((n - 1) // 2):
-        step = [2 * c for c in cur] + [0, 0]
-        for i, c in enumerate(cur):
-            step[i + 2] += 4 * c
-        prev, cur = cur, _minus(step, prev)
-    return _normal(Fraction(1), cur)
+    return _normal(Fraction(1), [abs(c) for c in chebyshev_t(n).ints])
 
 
 def _minus(a: list[int], b: list[int]) -> list[int]:

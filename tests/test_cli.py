@@ -210,7 +210,9 @@ def test_complete_with_f1_identically_zero_is_an_error(capsys):
     # at s = 4 F_1 has odd weight 3, so with c1 = c3 = c4 = 0 no monomial survives
     code, out, err = run(capsys, "complete", "--n", "4", "--force-s", "4",
                          "--fix", "c1=0,c3=0,c4=0", "--solve", "c2")
-    assert (code, out, err) == (1, "", "error: zero polynomial\n")
+    assert (code, out, err) == (
+        1, "", "error: F_1 vanishes identically in c2 at s = 4 for c1 = 0, c3 = 0, c4 = 0\n"
+    )
 
 
 def test_large_n_refusal_prints_exact_values(capsys):

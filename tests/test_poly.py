@@ -79,6 +79,25 @@ def test_sinh_chebyshev_small():
     assert sinh_chebyshev(5) == Poly((F(0), F(5), F(0), F(20), F(0), F(16)))
 
 
+def _sinh_chebyshev_by_recurrence(n: int) -> Poly:
+    """S_n by the odd-step recurrence S_(k+2) = 2 (1 + 2x^2) S_k - S_(k-2),
+    seeded with S_(-1) = -x and S_1 = x: an oracle independent of T_n."""
+    prev, cur = [0, -1], [0, 1]  # indices -1 and 1
+    for _ in range((n - 1) // 2):
+        step = [2 * c for c in cur] + [0, 0]
+        for i, c in enumerate(cur):
+            step[i + 2] += 4 * c
+        for i, c in enumerate(prev):
+            step[i] -= c
+        prev, cur = cur, step
+    return Poly(cur)
+
+
+def test_sinh_chebyshev_matches_the_odd_step_recurrence():
+    for n in range(1, 200, 2):
+        assert sinh_chebyshev(n) == _sinh_chebyshev_by_recurrence(n)
+
+
 def test_sinh_chebyshev_rejects_even():
     with pytest.raises(ValueError):
         sinh_chebyshev(2)

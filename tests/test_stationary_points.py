@@ -113,6 +113,22 @@ def test_a_root_of_u_prime_where_u_is_a_rational_y_k_adds_multiplicities(fast_on
     assert (F(0), F(0), 3) in cells(got)
 
 
+@pytest.mark.parametrize(
+    "u, m2, N, want",
+    [
+        # y = 0: u = x (3x - 1)(x + 2) vanishes at 1/3 and -2
+        (Poly.x() * Poly([-1, 3]) * Poly([2, 1]), F(1), 2, [F(-2), F(1, 3)]),
+        # y = +-1: u = 9x^2 is 1 at +-1/3
+        (Poly([0, 0, 9]), F(4), 3, [F(-1, 3), F(1, 3)]),
+    ],
+)
+def test_an_off_grid_rational_crossing_comes_out_exact(fast_only, u, m2, N, want):
+    got = stationary_points(u, m2, N)
+    assert cells(got) == cells(oracle(u, m2, N))
+    for x in want:
+        assert (x, x, 1) in cells(got)
+
+
 def test_n_240(fast_only):
     form = circular(240, QUARTICS["MINUS_FIVE"])
     assert cells(stationary_points(*form)) == cells(oracle(*form))
