@@ -47,6 +47,7 @@ from .poly import Poly, chebyshev_t, horner, sinh_chebyshev
 from .roots import (
     DEFAULT_WIDTH,
     IsolatedRoot,
+    _float_root,
     _powers,
     _sign_pw,
     _value_dyadic,
@@ -593,6 +594,9 @@ class _Crossings:
         self.bounds = (ln * cd) << shift, ld * cn, (hn * cd) << shift, hd * cn
         self.cn, self.q_powers = cn, _powers(cd << shift, W.degree)
         self.w_lo = sign_at(W, y.lo)
+        # cd yd (u - y_m) in integers, for y_m = yn/yd the middle of y's cell
+        yn, yd = y.mid.as_integer_ratio()
+        self.u_minus_mid = (cn * yd * u.ints[0] - cd * yn, *(cn * yd * c for c in u.ints[1:]))
 
     def roots(self, ends) -> list[IsolatedRoot] | None:
         """The real roots of u - y_k, in the cells real_roots would give
@@ -647,12 +651,9 @@ class _Crossings:
         None when neither certifies it."""
         Ka, Kb = -((-a.numerator << GRID) // a.denominator), (b.numerator << GRID) // b.denominator
         try:
-            f = self.u.float_coeffs()
-            f[0] -= float(self.y.mid)
-        except OverflowError:
-            f = None
-        x = _float_root(f, a, b) if f else math.nan
-        K = math.floor(x * (1 << GRID)) if math.isfinite(x) else Ka
+            K = math.floor(_float_root(self.u_minus_mid, a, b) * (1 << GRID))
+        except (OverflowError, ValueError):  # the guess is infinite or NaN
+            K = Ka
         r = next(filter(None, map(self.root_at, (K, K - 1, K + 1))), None) if Ka < K < Kb - 1 else None
         if r is not None:
             return r
@@ -666,31 +667,6 @@ class _Crossings:
 
 def _grid(K: int) -> Fraction:
     return Fraction(K, 1 << GRID)
-
-
-def _float_root(f: list[float], a: Fraction, b: Fraction) -> float:
-    """A float root of the polynomial f in (a, b), across which it changes
-    sign: Newton steps, bisecting when one leaves the bracket.  Only a
-    guess, NaN when the floats overflow."""
-    try:
-        a, b = float(a), float(b)
-    except OverflowError:
-        return math.nan
-    df = _fderiv(f)
-    fa = horner(f, a)
-    x = (a + b) / 2
-    for _ in range(NEWTON_MAX_ITER):
-        fx = horner(f, x)
-        if (fx < 0) == (fa < 0):
-            a = x
-        else:
-            b = x
-        dfx = horner(df, x)
-        step = fx / dfx if dfx else math.inf
-        if abs(step) <= 1e-15 * abs(x):
-            return x - step
-        x = x - step if a < x - step < b else (a + b) / 2
-    return x
 
 
 def _disjoint(found: list[IsolatedRoot]) -> list[IsolatedRoot] | None:

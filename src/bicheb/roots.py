@@ -32,20 +32,27 @@ a positive multiple of it, so no conversion runs per call.
 
 Isolating intervals are refined on the dyadic grid of the starting
 interval (lo, hi): at level j its cells have width (hi - lo) / 2^j.
-Refinement is quadratic interval refinement (QIR; Abbott 2006, Kerber &
-Sagraloff 2011): from a cell at level j with N = 2^e subcells, the
+Refinement starts from a float root of p in (lo, hi), a Newton guess on
+p scaled by a power of two, so that no coefficient overflows.  The guess
+picks its cell at the level jw of the result; when the exact integer
+values at that cell's ends have the same sign, the secant through them
+picks another, at most twice.  A cell is taken only when the two exact
+values have opposite signs, and a zero value is the exact root; floats
+only guess.  Failing that, refinement starts from (lo, hi) itself.
+From there it is quadratic interval refinement (QIR; Abbott 2006, Kerber
+& Sagraloff 2011): from a cell at level j with N = 2^e subcells, the
 secant through the exact integer values at the cell ends guesses the
 subcell holding the root, and two exact signs certify it.  On success the
 cell moves to level j + e and N becomes N^2; on failure N falls back to
 its square root, and N = 2 is a plain bisection step.  The result is the
 grid cell at the first level no wider than the requested width (a cell
 found deeper is mapped up to it), or the exact root when it is rational,
-so it is the interval that bisection on the same grid returns.  Rational
-roots come out exactly by the rational-root theorem: a rational root of a
-primitive integer polynomial has a denominator dividing the leading
-coefficient, so it is k/lead for an integer k.  Once lead * (hi - lo) < 1
-the interval holds at most one such point, which is tested once; if it is
-not a root, the root is irrational.
+so it is the interval that bisection on the same grid returns, whatever
+the guess.  Rational roots come out exactly by the rational-root theorem:
+a rational root of a primitive integer polynomial has a denominator
+dividing the leading coefficient, so it is k/lead for an integer k.  Once
+lead * (hi - lo) < 1 the interval holds at most one such point, which is
+tested once; if it is not a root, the root is irrational.
 """
 
 from __future__ import annotations
@@ -55,7 +62,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import Ints, Poly
+from .poly import Ints, Poly, horner
 
 DEFAULT_WIDTH = Fraction(1, 2**48)
 
@@ -295,16 +302,73 @@ def _first_level(x: int, y: int) -> int:
     return j
 
 
+def _float_root(p: Ints, lo: Fraction, hi: Fraction) -> float:
+    """A float root of p in (lo, hi), across which it changes sign: Newton
+    steps on p scaled by a power of two, bisecting when one leaves the
+    bracket.  Only a guess, NaN when the floats overflow."""
+    shift = max(max(abs(c).bit_length() for c in p) - 64, 0)
+    f = [float(c >> shift) for c in p]
+    try:
+        a, b = float(lo), float(hi)
+    except OverflowError:
+        return math.nan
+    df = [c * k for k, c in enumerate(f)][1:]
+    fa = horner(f, a)
+    x = (a + b) / 2
+    for _ in range(60):  # a cap: 60 halvings exhaust a float's precision
+        fx = horner(f, x)
+        if (fx < 0) == (fa < 0):
+            a = x
+        else:
+            b = x
+        dfx = horner(df, x)
+        step = fx / dfx if dfx else math.inf
+        if abs(step) <= 1e-15 * abs(x):
+            return x - step
+        x = x - step if a < x - step < b else (a + b) / 2
+    return x
+
+
+def _guess_cell(q: list[int], a0: int, W: int, den: int, j: int, x: float):
+    """(c, va, vb): a cell c at level j near the float x, with the values
+    va, vb of q at its ends of opposite signs or one of them zero; None
+    when none is found.
+
+    The cell holding x comes first; while the values at a cell's ends have
+    one sign, the secant through them picks the cell where it meets zero,
+    twice at most.  Raises ValueError or OverflowError when x is NaN or
+    infinite.
+    """
+    xn, xd = x.as_integer_ratio()
+    c = ((xn * den - a0 * xd) << j) // (W * xd)
+    values = {}  # the values of q at the grid points a0 2^j + k W, by k
+    for _ in range(3):
+        if not 0 <= c < 1 << j:
+            return None
+        for k in (c, c + 1):
+            if k not in values:
+                values[k] = _value_dyadic(q, (a0 << j) + k * W, j)
+        va, vb = values[c], values[c + 1]
+        if not va or not vb or (va > 0) != (vb > 0):
+            return c, va, vb
+        if va == vb:
+            return None
+        c += va // (va - vb)
+    return None
+
+
 def _refine(p: Ints, lo: Fraction, hi: Fraction, width: Fraction):
     """Shrink an isolating interval of a simple root; may land exactly.
 
     Requires p(lo) and p(hi) nonzero of opposite signs.  Cell c at level
     j is (a0 2^j + c W, a0 2^j + (c+1) W) / (den 2^j), with
     lo = a0/den and W = (hi - lo) den.  The result is the cell at level jw,
-    the first no wider than width, or the exact root when it is rational:
-    QIR runs to max(jw, jt), where jt is the first level with
-    lead * W < den 2^j, tests the one candidate k/lead at the first level
-    it reaches past jt, and maps its final cell up to level jw.
+    the first no wider than width, or the exact root when it is rational.
+    QIR starts from the level-jw cell that ``_guess_cell`` certifies around
+    ``_float_root``'s guess, else from level 0; it runs to max(jw, jt),
+    where jt is the first level with lead * W < den 2^j, tests the one
+    candidate k/lead at the first level it reaches past jt, and maps its
+    final cell up to level jw.
     """
     lead = abs(p[-1])
     den = math.lcm(lo.denominator, hi.denominator)
@@ -317,8 +381,18 @@ def _refine(p: Ints, lo: Fraction, hi: Fraction, width: Fraction):
     jw = _first_level(W * width.denominator, den * width.numerator)
     jt = _first_level(lead * W + 1, den)
     target = max(jw, jt)
-    j = c = 0
-    va, vb = _value_dyadic(q, a0, 0), _value_dyadic(q, a0 + W, 0)
+    try:
+        guess = _guess_cell(q, a0, W, den, jw, _float_root(p, lo, hi))
+    except (OverflowError, ValueError):  # the guess is infinite or NaN
+        guess = None
+    if guess is None:
+        j = c = 0
+        va, vb = _value_dyadic(q, a0, 0), _value_dyadic(q, a0 + W, 0)
+    else:
+        j, (c, va, vb) = jw, guess
+        if not va or not vb:  # the end of the cell where q vanishes is the root
+            x = Fraction((a0 << j) + (c + (not vb)) * W, den << j)
+            return x, x
     e, tested = 2, False
     while True:
         if not tested and j >= jt:

@@ -14,10 +14,12 @@ which prints the argv of every entry whose output changed.
 import contextlib
 import io
 import json
+import math
 from pathlib import Path
 
 import pytest
 
+from bicheb import bipartite, roots
 from bicheb.cli import main
 
 FIXTURE = Path(__file__).parent / "data" / "golden_cli.json"
@@ -132,6 +134,19 @@ def test_fixture_covers_every_case():
 
 @pytest.mark.parametrize("argv", cases(), ids=" ".join)
 def test_cli_output_matches_snapshot(argv):
+    want = load()[" ".join(argv)]
+    got = run(argv)
+    assert got["exit"] == want["exit"]
+    assert got["stdout"] == want["stdout"]
+
+
+@pytest.mark.parametrize(
+    "argv", [a for a in cases() if a[0] in ("decide", "complete")], ids=" ".join
+)
+def test_cli_output_without_a_float_guess_matches_snapshot(monkeypatch, argv):
+    # roots._refine then runs QIR from level 0, and _Crossings bisects exactly
+    for module in (roots, bipartite):
+        monkeypatch.setattr(module, "_float_root", lambda *a: math.nan)
     want = load()[" ".join(argv)]
     got = run(argv)
     assert got["exit"] == want["exit"]

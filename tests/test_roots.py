@@ -368,19 +368,50 @@ def assert_refines_like_bisection(p, width=roots.DEFAULT_WIDTH):
         assert roots._refine(*args) == bisection_refine(*args), args
 
 
+GUESS = roots._float_root
+
+
+def _overflow(*args):
+    raise OverflowError
+
+
+def wrong_guesses(width):
+    """Replacements for roots._float_root: no guess (NaN, an infinity, an
+    OverflowError) or one about five result cells off either side."""
+
+    def off(k):
+        return lambda p, lo, hi: GUESS(p, lo, hi) + k * float(min(width, hi - lo))
+
+    return {
+        "nan": lambda *a: math.nan,
+        "+inf": lambda *a: math.inf,
+        "-inf": lambda *a: -math.inf,
+        "five cells left": off(-5),
+        "five cells right": off(5),
+        "overflow": _overflow,
+    }
+
+
+def assert_any_guess_refines_like_bisection(p, width=roots.DEFAULT_WIDTH):
+    assert_refines_like_bisection(p, width)
+    for wrong in wrong_guesses(width).values():
+        with mock.patch.object(roots, "_float_root", wrong):
+            assert_refines_like_bisection(p, width)
+
+
 WIDTHS = (roots.DEFAULT_WIDTH, F(1, 8), F(1, 3), F(1, 10**20), F(5))
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(factored(), st.sampled_from(WIDTHS))
 def test_qir_equals_bisection(p, width):
-    assert_refines_like_bisection(p, width)
+    assert_any_guess_refines_like_bisection(p, width)
 
 
 @pytest.mark.parametrize("lead", [2**30 + 1, 2**60 + 1])
 def test_qir_equals_bisection_on_the_rational_root_regressions(lead):
     # 1/lead is found by the rational-root test; at 2^60 + 1 only past the width
-    assert_refines_like_bisection(_linear_times_sqrt2(lead))
+    assert_any_guess_refines_like_bisection(_linear_times_sqrt2(lead))
 
 
 @pytest.mark.parametrize("width", WIDTHS)
@@ -388,18 +419,47 @@ def test_qir_equals_bisection_on_large_leads_with_irrational_roots(width):
     # lead * width >= 1: the test level lies past the first level no wider
     # than width, and the result is still the cell at that first level
     for lead in (2**50 + 1, 3**40, 2**70 - 1):
-        assert_refines_like_bisection(Poly((F(-2), F(0), F(lead))), width)
-        assert_refines_like_bisection(Poly((F(-1), F(-1), F(lead), F(lead))), width)
+        assert_any_guess_refines_like_bisection(Poly((F(-2), F(0), F(lead))), width)
+        assert_any_guess_refines_like_bisection(Poly((F(-1), F(-1), F(lead), F(lead))), width)
 
 
 @pytest.mark.parametrize("root", [F(3, 8), F(5, 64), F(-1, 2), F(1023, 1024), F(1, 2**40)])
 def test_qir_finds_a_root_on_a_dyadic_grid_point(root):
     p = Poly.from_roots([root]) * Poly((F(-3), F(0), F(1)))  # and +-sqrt3
     ints = p.ints
-    for lo, hi in ((F(-1), F(1)), (F(-1), F(3, 2)), (root - F(1, 3), root + F(1, 5))):
-        got = roots._refine(ints, lo, hi, roots.DEFAULT_WIDTH)
-        assert got == bisection_refine(ints, lo, hi, roots.DEFAULT_WIDTH) == (root, root)
-    assert_refines_like_bisection(p)
+    for guess in (GUESS, *wrong_guesses(roots.DEFAULT_WIDTH).values()):
+        with mock.patch.object(roots, "_float_root", guess):
+            for lo, hi in ((F(-1), F(1)), (F(-1), F(3, 2)), (root - F(1, 3), root + F(1, 5))):
+                got = roots._refine(ints, lo, hi, roots.DEFAULT_WIDTH)
+                assert got == bisection_refine(ints, lo, hi, roots.DEFAULT_WIDTH) == (root, root)
+    assert_any_guess_refines_like_bisection(p)
+
+
+def evaluations_in_refine(p):
+    """The _value_dyadic calls that _refine makes for real_roots(p)."""
+    count = [0]
+    value, refine = roots._value_dyadic, roots._refine
+
+    def counted(*args):
+        count[0] += 1
+        return value(*args)
+
+    def spy(*args):
+        with mock.patch.object(roots, "_value_dyadic", counted):
+            return refine(*args)
+
+    with mock.patch.object(roots, "_refine", spy):
+        real_roots(p)
+    return count[0]
+
+
+def test_a_guess_on_coefficients_above_the_float_range_certifies():
+    # float(3^700) overflows; the guess scales the coefficients by a power of two
+    big = Poly((F(-(2 * 3**700 + 1)), F(0), F(3**700)))
+    assert_any_guess_refines_like_bisection(big)
+    guessed = evaluations_in_refine(big)
+    with mock.patch.object(roots, "_float_root", lambda *a: math.nan):
+        assert guessed < evaluations_in_refine(big)
 
 
 def test_qir_on_a_start_narrower_than_the_width():
@@ -605,6 +665,13 @@ def test_chain_evaluations_on_a_completion():
     with mock.patch(f"{__name__}.variations_at", spy("cauchy", variations_at)):
         cauchy_roots(p)
     assert 2 * count["dyadic"] < count["cauchy"], count
+
+
+def test_refine_evaluations_on_a_completion():
+    # F_1 in c1 at s = 20 has 11 real roots; QIR from level 0 made 168
+    # evaluations, the cells certified around the float guesses make 34
+    p = f1_polynomial(20, 1, {2: F(-5), 3: F(0), 4: F(4)})
+    assert evaluations_in_refine(p) <= 34
 
 
 if __name__ == "__main__":

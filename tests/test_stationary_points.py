@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bicheb import bipartite, elliptic
+from bicheb import bipartite, elliptic, roots
 from bicheb.bipartite import Branch, QuarticCoeffs, build_solution, compose_outer, conditions, stationary_points
 from bicheb.cli import main
 from bicheb.poly import Poly
@@ -162,7 +162,10 @@ WRONG_GUESSES = {
 
 @pytest.mark.parametrize("wrong", sorted(WRONG_GUESSES))
 def test_a_wrong_float_root_changes_nothing(monkeypatch, fast_only, wrong):
-    monkeypatch.setattr(bipartite, "_float_root", WRONG_GUESSES[wrong](bipartite._float_root))
+    # the guess of roots._refine and the one _Crossings imports
+    guess = WRONG_GUESSES[wrong](roots._float_root)
+    for module in (roots, bipartite):
+        monkeypatch.setattr(module, "_float_root", guess)
     for n, c in [(33, QUARTICS["WORKED"]), (32, QUARTICS["SYMMETRIC"]), (24, QUARTICS["MINUS_FIVE"]),
                  (12, (0, 0, 0, -1)), (8, TINY)]:
         form = circular(n, c)
@@ -174,3 +177,20 @@ def test_a_wrong_float_value_of_y_k_falls_back_and_changes_nothing(monkeypatch):
     for n, c in [(33, QUARTICS["WORKED"]), (32, QUARTICS["SYMMETRIC"])]:
         form = circular(n, c)
         assert cells(stationary_points(*form)) == cells(oracle(*form))
+
+
+def test_crossings_guess_on_u_above_the_float_range(monkeypatch):
+    # float(3^700) overflows; the guess scales u - y_k by a power of two, and
+    # each crossing is certified at the guess's cell or a neighbour, at most
+    # four grid points, where exact bisection takes about fifty
+    u = Poly([-(2 * 3**700 + 1), 0, 3**700])
+    W, ys = bipartite._outer_values(F(1), 4)
+    y = next(y for y in ys if not y.exact)  # -sqrt(2)/2
+    ends = bipartite._branch_ends(u, F(1), real_roots(u.derivative()))
+    calls = []
+    side = bipartite._Crossings.side
+    monkeypatch.setattr(bipartite._Crossings, "side", lambda self, K: calls.append(K) or side(self, K))
+    got = bipartite._Crossings(u, W, y).roots(ends)
+    assert len(got) == 2 and len(set(calls)) <= 8
+    monkeypatch.setattr(bipartite, "_float_root", lambda *a: math.nan)
+    assert cells(bipartite._Crossings(u, W, y).roots(ends)) == cells(got)
