@@ -26,11 +26,13 @@ y = m cos(k pi/N) is rational, and otherwise certified on u in the cells
 real_roots would isolate them in.  G' itself, of degree n - 1, is
 isolated only when that route cannot certify its answer.
 Emitted forms are therefore piecewise, each piece carrying its own sigma
-and, for arccosh, the sign of g on the piece.  Both come from exact signs
-at one rational interior point: the identity n^2 x^2 (G^2 -+ M) = p G'^2
-fixes the sign of d/dx f(G/m), so sigma = -sgn x sgn G' for arccos,
-sgn x sgn G' for arcsinh, and sgn x sgn G sgn G' for arccosh (inner sign
-sgn G) and log.
+and, for arccosh, the sign of g on the piece.  The identity
+n^2 x^2 (G^2 -+ M) = p G'^2 fixes the sign of d/dx f(G/m), so
+sigma = -sgn x sgn G' for arccos, sgn x sgn G' for arcsinh, and
+sgn x sgn G sgn G' for arccosh (inner sign sgn G) and log.  Those signs
+are evaluated exactly at one rational point of each sign region's first
+piece; sgn x sgn G' changes exactly at each cut and sgn G not at all
+inside a region, so sigma flips from piece to piece.
 """
 
 from __future__ import annotations
@@ -388,11 +390,17 @@ def _build_pieces(G: Poly, fn: str, regions, stationary: list[IsolatedRoot]) -> 
     for lo, hi in regions:
         inner = [r for r in cuts if _strictly_inside(r, lo, hi)]
         ends: list[Optional[IsolatedRoot]] = [lo] + inner + [hi]
+        # exact signs at one point of the region's first piece.  Inside the
+        # region sgn(x G') changes exactly at the cuts: any other root of G'
+        # has even multiplicity away from 0, or odd multiplicity at 0, where
+        # x changes sign too.  G does not vanish on a region of arccosh
+        # (|g| >= m where p > 0), so sgn G is the region's.
+        sx, sg, sdg = noroot_signs(*_gap(lo, ends[1]), x_poly, G, dG)
+        sxdg = sx * sdg  # sgn x * sgn G'
+        sigma = {"arccos": -sxdg, "arcsinh": sxdg}.get(fn, sxdg * sg)
         for a, b in zip(ends, ends[1:]):
-            sx, sg, sdg = noroot_signs(*_gap(a, b), x_poly, G, dG)
-            sxdg = sx * sdg  # sgn x * sgn G'
-            sigma = {"arccos": -sxdg, "arcsinh": sxdg}.get(fn, sxdg * sg)
             pieces.append(Piece(a, b, sigma, fn, sg if fn == "arccosh" else 1))
+            sigma = -sigma
     return tuple(pieces)
 
 
@@ -453,7 +461,7 @@ def render(cf: ClosedForm, fmt: str = "text") -> str:
     if cf.convention == "g" and cf.branch != BRANCH_LOG and cf.m2 != 1:
         ms = _m_string(cf.m2, latex)
         arg = rf"\frac{{{arg}}}{{{ms}}}" if latex else f"({arg})/{ms}"
-    for piece in cf.pieces:
+    for piece, (lo, hi) in zip(cf.pieces, _ends_text(cf.pieces)):
         sg = "-" if piece.sigma < 0 else "+"
         inner = arg
         if piece.fn == "arccosh" and piece.inner_sign < 0:
@@ -464,14 +472,24 @@ def render(cf: ClosedForm, fmt: str = "text") -> str:
             fn = {"arccos": r"\arccos", "arccosh": r"\operatorname{arccosh}",
                   "arcsinh": r"\operatorname{arcsinh}", "log": r"\log"}[piece.fn]
             body = rf"{sg}\frac{{1}}{{{cf.n}}}{fn}\left({inner}\right) + C"
-            where = rf"\quad\text{{on }} ({_endpoint_str(piece.lo, True)},\ {_endpoint_str(piece.hi, False)})"
+            where = rf"\quad\text{{on }} ({lo},\ {hi})"
         else:
             body = f"{sg}(1/{cf.n})*{piece.fn}({inner}) + C"
-            where = f"   on ({_endpoint_str(piece.lo, True)}, {_endpoint_str(piece.hi, False)})"
+            where = f"   on ({lo}, {hi})"
         lines.append(f"{integral} = {body}{where}")
     if not lines:
         lines.append(f"{integral}: branch {cf.branch} has an empty validity region")
     return "\n".join(lines)
+
+
+def _ends_text(pieces):
+    """Each piece's (lo, hi) as text; an end that is the hi of the piece
+    before it is formatted once."""
+    prev, prev_text = None, ""
+    for piece in pieces:
+        lo = prev_text if piece.lo is not None and piece.lo == prev else _endpoint_str(piece.lo, True)
+        prev, prev_text = piece.hi, _endpoint_str(piece.hi, False)
+        yield lo, prev_text
 
 
 def render_refusal(r: Refusal) -> str:

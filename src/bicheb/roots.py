@@ -62,7 +62,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import Ints, Poly, horner
+from .poly import Ints, Poly
 
 DEFAULT_WIDTH = Fraction(1, 2**48)
 
@@ -246,7 +246,9 @@ class IsolatedRoot:
         return (self.lo + self.hi) / 2
 
     def value(self) -> float:
-        return float(self.mid)
+        """The midpoint, correctly rounded by one integer division."""
+        (a, b), (c, d) = self.lo.as_integer_ratio(), self.hi.as_integer_ratio()
+        return (a * d + c * b) / (2 * b * d)
 
     def __repr__(self):
         if self.exact:
@@ -305,28 +307,40 @@ def _first_level(x: int, y: int) -> int:
 def _float_root(p: Ints, lo: Fraction, hi: Fraction) -> float:
     """A float root of p in (lo, hi), across which it changes sign: Newton
     steps on p scaled by a power of two, bisecting when one leaves the
-    bracket.  Only a guess, NaN when the floats overflow."""
+    bracket, until a step is below float precision or no float is left
+    inside the bracket.  Only a guess, NaN when the floats overflow."""
     shift = max(max(abs(c).bit_length() for c in p) - 64, 0)
-    f = [float(c >> shift) for c in p]
+    f = [float(c >> shift) for c in reversed(p)]
     try:
         a, b = float(lo), float(hi)
     except OverflowError:
         return math.nan
-    df = [c * k for k, c in enumerate(f)][1:]
-    fa = horner(f, a)
+    fa = _value_and_slope(f, a)[0]
     x = (a + b) / 2
     for _ in range(60):  # a cap: 60 halvings exhaust a float's precision
-        fx = horner(f, x)
+        fx, dfx = _value_and_slope(f, x)
         if (fx < 0) == (fa < 0):
             a = x
         else:
             b = x
-        dfx = horner(df, x)
         step = fx / dfx if dfx else math.inf
         if abs(step) <= 1e-15 * abs(x):
             return x - step
-        x = x - step if a < x - step < b else (a + b) / 2
+        mid = (a + b) / 2
+        if not a < mid < b:  # x is an end of the collapsed bracket
+            return x
+        x = x - step if a < x - step < b else mid
     return x
+
+
+def _value_and_slope(f: list[float], x: float) -> tuple[float, float]:
+    """The value and the derivative at x of the descending coefficient list
+    f, by one Horner loop."""
+    v = d = 0.0
+    for c in f:
+        d = d * x + v
+        v = v * x + c
+    return v, d
 
 
 def _guess_cell(q: list[int], a0: int, W: int, den: int, j: int, x: float):

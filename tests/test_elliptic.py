@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import math
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 
 from bicheb import bipartite, elliptic
 from bicheb.bipartite import COMPOSE_MAX_N, QuarticCoeffs
+from bicheb.cli import main
 from bicheb.elliptic import (
     BRANCH_ARCCOS,
     BRANCH_ARCCOSH,
@@ -26,7 +30,7 @@ from bicheb.elliptic import (
     sign_regions,
 )
 from bicheb.poly import Poly, horner
-from bicheb.roots import real_roots
+from bicheb.roots import noroot_signs, real_roots
 from bicheb.scalars import is_square, rational_sqrt
 
 WORKED = QuarticCoeffs.of(-2, -3, 2, 2)
@@ -34,6 +38,7 @@ SYMMETRIC = QuarticCoeffs.of(0, -5, 0, 4)
 HYPER = QuarticCoeffs.of(0, -2, 0, 2)
 LOG = QuarticCoeffs.of(0, 2, 0, 1)
 AUX_FAIL = QuarticCoeffs.of(0, -3, 1, 1)
+GOLDEN = Path(__file__).parent / "data" / "golden_cli.json"
 
 
 # -- decisions ----------------------------------------------------------------
@@ -512,37 +517,152 @@ def test_higher_degree_compositions():
 # -- exact piece signs and stable numerics at high degree ---------------------------
 
 
-def _horner(coeffs, x):
-    acc = F(0)
-    for cf in reversed(coeffs):
-        acc = acc * x + cf
-    return acc
-
-
 def _sgn(v):
     return (v > 0) - (v < 0)
 
 
-@pytest.mark.parametrize("n", range(3, 46, 3))
-def test_worked_piece_signs_follow_the_exact_rule(n):
-    # n^2 x^2 (G^2 - M) = p G'^2 fixes the sign of d/dx f(G/m) on each piece:
-    # arccos -sgn x sgn G', arcsinh sgn x sgn G', arccosh (inner sign sgn G)
-    # and log sgn x sgn G sgn G'
-    cf = decide(n, WORKED)
+def _sign_at(coeffs, x: F) -> int:
+    """The exact sign at x of the polynomial with ascending rational
+    coefficients: that of den^deg p(num/den), by integer Horner."""
+    lcd = math.lcm(*(c.denominator for c in coeffs))
+    acc, pw = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * x.numerator + c.numerator * (lcd // c.denominator) * pw
+        pw *= x.denominator
+    return _sgn(acc)
+
+
+def evaluated_piece_signs(cf) -> list[tuple[int, int]]:
+    """(sigma, inner sign) of every piece, each from exact signs of x, G and
+    G' at a rational point of that piece where none of them vanishes.
+
+    n^2 x^2 (G^2 -+ M) = p G'^2 fixes the sign of d/dx f(G/m) on a piece:
+    sigma is -sgn x sgn G' for arccos, sgn x sgn G' for arcsinh, and
+    sgn x sgn G sgn G' for arccosh (inner sign sgn G) and log.
+    """
     G = list(cf.G.coeffs)
     dG = [k * G[k] for k in range(1, len(G))]
+    out = []
     for piece in cf.pieces:
-        a = piece.hi.lo - 1 if piece.lo is None else piece.lo.hi
-        b = piece.lo.hi + 1 if piece.hi is None else piece.hi.lo
-        x = next(
-            x for x in (a + (b - a) * F(k, 17) for k in range(1, 17))
-            if x and _horner(G, x) and _horner(dG, x)
-        )
-        sx, sg, sdg = _sgn(x), _sgn(_horner(G, x)), _sgn(_horner(dG, x))
-        want = {"arccos": -sx * sdg, "arcsinh": sx * sdg}.get(piece.fn, sx * sg * sdg)
-        assert piece.sigma == want, (n, piece)
-        assert piece.fn != "arccosh" or piece.inner_sign == sg, (n, piece)
+        if piece.lo is None and piece.hi is None:
+            a, b = F(-1), F(1)
+        else:
+            a = piece.hi.lo - 1 if piece.lo is None else piece.lo.hi
+            b = piece.lo.hi + 1 if piece.hi is None else piece.hi.lo
+        for x in (a + (b - a) * F(k, 17) for k in range(1, 17)):
+            sx, sg, sdg = _sgn(x), _sign_at(G, x), _sign_at(dG, x)
+            if sx and sg and sdg:
+                break
+        else:
+            raise AssertionError(f"no probe point of {piece} avoids the roots")
+        sigma = {"arccos": -sx * sdg, "arcsinh": sx * sdg}.get(piece.fn, sx * sg * sdg)
+        out.append((sigma, sg if piece.fn == "arccosh" else 1))
+    return out
+
+
+def assert_piece_signs_are_evaluated_ones(cf):
+    got = [(piece.sigma, piece.inner_sign) for piece in cf.pieces]
+    assert got == evaluated_piece_signs(cf), (cf.n, cf.c)
+
+
+@pytest.mark.parametrize("n", range(3, 46, 3))
+def test_worked_piece_signs_follow_the_exact_rule(n):
+    cf = decide(n, WORKED)
+    assert_piece_signs_are_evaluated_ones(cf)
+    for piece in cf.pieces:
         lo, hi = _float_ends(piece)
         lo, hi = max(lo, -8.0), min(hi, 8.0)
         third = (hi - lo) / 3
         assert numeric_check(cf, (lo + third, hi - third), 1e-12) <= 1e-10, (n, piece)
+
+
+# (quartic, divisor s, outer degree n/s must be odd): the known-solvable
+# families, one per branch function but arccosh
+FAMILIES = {
+    "WORKED": (WORKED, 3, False),
+    "SYMMETRIC": (SYMMETRIC, 2, False),
+    "HYPER": (HYPER, 2, True),
+    "LOG": (LOG, 2, False),
+}
+LAMBDAS = [F(2), F(1, 2), F(3, 2), F(2, 3), F(3), F(1, 3), F(4, 3), F(3, 4)]
+
+
+def image(c: QuarticCoeffs, lam: F, reflect: bool) -> QuarticCoeffs:
+    """p(x) -> lam^4 p(x / lam) (c_k -> lam^k c_k), then optionally
+    x -> -x ((c1, c3) -> (-c1, -c3))."""
+    out = [v * lam ** (k + 1) for k, v in enumerate(c.as_tuple())]
+    if reflect:
+        out[0], out[2] = -out[0], -out[2]
+    return QuarticCoeffs.of(*out)
+
+
+@pytest.mark.parametrize(
+    "name, n",
+    [
+        (name, n)
+        for name, (_, s, odd_outer) in FAMILIES.items()
+        for n in range(s, 61, s)
+        if not odd_outer or (n // s) % 2 == 1
+    ],
+)
+def test_piece_signs_equal_a_per_piece_evaluation(name, n):
+    c = FAMILIES[name][0]
+    lam, lam2 = LAMBDAS[n % 8], LAMBDAS[(n + 3) % 8]
+    for q in (c, image(c, lam, False), image(c, lam2, True)):
+        cf = decide(n, q)
+        assert isinstance(cf, ClosedForm)
+        assert_piece_signs_are_evaluated_ones(cf)
+
+
+@pytest.mark.parametrize(
+    "n, c",
+    [
+        # arccosh on both sides of p's double root at 0, and arccosh with
+        # m = 1/4 where p > 0 everywhere
+        (4, (0, 1, 0, 0)),
+        (12, (0, 1, 0, 0)),
+        (2, (0, F(3, 2), 0, F(1, 2))),
+        (10, (0, F(3, 2), 0, F(1, 2))),
+        # x^4 - 1: |g| = m at x = 0, a triple root of G' and no cut, since x
+        # changes sign there too; a simple root at 0 where n/2 is odd
+        (4, (0, 0, 0, -1)),
+        (6, (0, 0, 0, -1)),
+        (12, (0, 0, 0, -1)),
+    ],
+)
+def test_piece_signs_at_arccosh_and_at_a_triple_root_at_zero(n, c):
+    cf = decide(n, QuarticCoeffs.of(*c))
+    assert_piece_signs_are_evaluated_ones(cf)
+
+
+def test_piece_signs_of_every_golden_closed_form(monkeypatch):
+    seen = []
+
+    def record(*args):
+        seen.append(closed_form(*args))
+        return seen[-1]
+
+    closed_form = elliptic._closed_form
+    monkeypatch.setattr(elliptic, "_closed_form", record)
+    for entry in json.loads(GOLDEN.read_text()):
+        if entry["argv"][0] in ("decide", "integrate", "complete"):
+            with contextlib.redirect_stdout(io.StringIO()):
+                main(list(entry["argv"]))
+    assert len(seen) >= 60
+    assert {cf.pieces[0].fn for cf in seen if cf.pieces} == {"arccos", "arccosh", "arcsinh", "log"}
+    for cf in seen:
+        assert_piece_signs_are_evaluated_ones(cf)
+
+
+def test_signs_are_evaluated_once_per_sign_region(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return noroot_signs(*args)
+
+    monkeypatch.setattr(elliptic, "noroot_signs", counting)
+    cf = decide(33, WORKED)
+    # two regions where p < 0, cut into 33 pieces
+    assert len(cf.pieces) == 33
+    assert len(calls) == sum(sign < 0 for _, _, sign in sign_regions(WORKED.poly())) == 2
