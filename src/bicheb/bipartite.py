@@ -452,50 +452,53 @@ def _parity_compose(outer: Poly, u: Poly, m2, convention: str) -> Poly:
     return u * G if odd else G
 
 
-# stationary_points answers an irrational root of G' with its cell of the
-# dyadic grid of step 2^-GRID = DEFAULT_WIDTH, the cell real_roots isolates
-# it in
+# cuts answers an irrational root of G' with its cell of the dyadic grid of
+# step 2^-GRID = DEFAULT_WIDTH, the cell real_roots isolates it in
 GRID = DEFAULT_WIDTH.denominator.bit_length() - 1
 
 
-def stationary_points(u: Poly, m2, N: int) -> list[IsolatedRoot]:
-    """real_roots(G') for G = compose_outer(u, m2, N, Branch.CIRCULAR)[0].
+def cuts(u: Poly, m2, N: int) -> list[IsolatedRoot]:
+    """The points where sigma flips, for G = compose_outer(u, m2, N,
+    Branch.CIRCULAR)[0]: the real roots of G' of odd multiplicity but 0, in
+    the cells real_roots(G') gives them.
 
     G' is a nonzero constant times u' W(u), where W = W_(N-1) is
     m^(N-1) U_(N-1)(y/m) = m^(N-1) T_N'(y/m) / N, whose roots are the
     N - 1 distinct y_k = m cos(k pi/N) (``_outer_values``).  So the real
     roots of G' are those of u', isolated on their own (degree s - 1), and
-    the solutions of u = y_k.
+    the solutions of u = y_k.  The identity p u'^2 = s^2 x^2 (u^2 - m^2)
+    makes each of them simple but 0: a nonzero root c of u' is simple and
+    has u(c) = +-m, never a y_k.  x = 0, a root of u' as a_1 = 0, is no
+    cut, since x changes sign there too.
 
     A rational y_k is exact, and real_roots(u - y_k) (degree s) gives its
-    solutions: rational ones exact, the others in their grid cells, each
-    with its multiplicity in u - y_k.  Where u = y_k at a root of u', the
-    two multiplicities add (x = 0 for x^4 - 1 at n = 4).  An irrational
-    y_k is known only by its cell, and ``_Crossings`` certifies its
-    solutions on u itself, so neither G' nor W is isolated.
+    solutions: rational ones exact, the others in their grid cells.  An
+    irrational y_k is known only by its cell, and ``_Crossings`` certifies
+    its solutions on u itself, so neither G' nor W is isolated.
 
     Each irrational root is then alone in its grid cell, the cell that
-    real_roots isolates it in, unless two answers touch or overlap.  Then,
-    and when a cell is halved or narrower than the grid, a y_k is
-    undecided or a root is not certified, this returns real_roots(G').
+    real_roots isolates it in, unless two answers touch or overlap or a
+    cell ends at 0.  Then, and when a root is found twice or has even
+    multiplicity, a cell is halved or narrower than the grid, a y_k is
+    undecided or a root is not certified, this keeps the odd roots of
+    real_roots(G') but 0.
     """
     crit = real_roots(u.derivative())
-    if N == 1:
-        return crit
     W, ys = _outer_values(m2, N)
     if ys is not None:
         ends = _branch_ends(u, m2, crit)
         found = list(crit)
-        for y in ys:
-            roots = real_roots(u - y.lo) if y.exact else _Crossings(u, W, y).roots(ends)
+        for y, w_lo in ys:
+            roots = real_roots(u - y.lo) if y.exact else _Crossings(u, W, y, w_lo).roots(ends)
             if roots is None:
                 break
             found += roots
         else:
-            out = _disjoint(found)
+            out = _disjoint([r for r in found if r.lo or r.hi])
             if out is not None:
                 return out
-    return real_roots(compose_outer(u, m2, N, Branch.CIRCULAR)[0].derivative())
+    G = compose_outer(u, m2, N, Branch.CIRCULAR)[0]
+    return [r for r in real_roots(G.derivative()) if r.multiplicity % 2 and (r.lo or r.hi)]
 
 
 # cos^2(j pi/12) where it is rational.  By Niven's theorem cos(2 k pi/N) is
@@ -505,8 +508,9 @@ _RATIONAL_COS2 = {2: Fraction(3, 4), 3: Fraction(1, 2), 4: Fraction(1, 4), 6: Fr
                   8: Fraction(1, 4), 9: Fraction(1, 2), 10: Fraction(3, 4)}
 
 
-def _outer_values(m2, N: int) -> tuple[Poly | None, list[IsolatedRoot] | None]:
-    """W and its roots y_k = m cos(k pi/N), ascending.
+def _outer_values(m2, N: int) -> tuple[Poly | None, list[tuple[IsolatedRoot, int]] | None]:
+    """W and its roots y_k = m cos(k pi/N), ascending, each with the sign
+    of W at the low end of its cell.
 
     y_k is exact when it is rational: at the j = 12 k/N of _RATIONAL_COS2
     where m^2 cos^2(k pi/N) is a rational square.  Every other y_k gets
@@ -522,6 +526,7 @@ def _outer_values(m2, N: int) -> tuple[Poly | None, list[IsolatedRoot] | None]:
         c2 = None if rest else _RATIONAL_COS2.get(j)
         if c2 is not None and is_square(m2 * c2):
             lo = hi = rational_sqrt(m2 * c2) * (1 if j < 6 else -1)
+            w_lo = 0
         else:
             W = W or _parity_compose(
                 chebyshev_t(N).derivative(), Poly.x(), m2, "g" if N % 2 == 0 else "g-over-m"
@@ -531,11 +536,12 @@ def _outer_values(m2, N: int) -> tuple[Poly | None, list[IsolatedRoot] | None]:
                 lo, hi = Fraction(y - abs(y) / 2**40), Fraction(y + abs(y) / 2**40)
             except (OverflowError, ValueError):
                 return W, None
-            if not lo < hi or sign_at(W, lo) * sign_at(W, hi) >= 0:
+            w_lo = sign_at(W, lo)
+            if not lo < hi or w_lo * sign_at(W, hi) >= 0:
                 return W, None
-        if out and out[-1].hi >= lo:
+        if out and out[-1][0].hi >= lo:
             return W, None
-        out.append(IsolatedRoot(lo, hi))
+        out.append((IsolatedRoot(lo, hi), w_lo))
     return W, out
 
 
@@ -568,7 +574,7 @@ def _branch_ends(u: Poly, m2, crit: list[IsolatedRoot]) -> list[tuple]:
 
 class _Crossings:
     """The solutions of u = y_k, for y_k the irrational root of W in the
-    cell y.
+    cell y, where W has the sign w_lo at y.lo.
 
     Between consecutive ends of ``_branch_ends`` u is strictly monotone,
     so u - y_k has a root inside such a branch iff its ends bracket y_k,
@@ -583,8 +589,8 @@ class _Crossings:
     answer.
     """
 
-    def __init__(self, u: Poly, W: Poly, y: IsolatedRoot):
-        self.u, self.W, self.y = u, W, y
+    def __init__(self, u: Poly, W: Poly, y: IsolatedRoot, w_lo: int):
+        self.u, self.W, self.y, self.w_lo = u, W, y, w_lo
         self.signs: dict[int, int] = {}  # sign of u - y_k at K 2^-48, by K
         # at x = K 2^-48, u(x) = cn V / (cd 2^shift) for the content cn/cd
         # and V = _value_dyadic(u.ints, K, GRID): u(x) <= y.lo iff
@@ -593,7 +599,6 @@ class _Crossings:
         (ln, ld), (hn, hd) = y.lo.as_integer_ratio(), y.hi.as_integer_ratio()
         self.bounds = (ln * cd) << shift, ld * cn, (hn * cd) << shift, hd * cn
         self.cn, self.q_powers = cn, _powers(cd << shift, W.degree)
-        self.w_lo = sign_at(W, y.lo)
         # cd yd (u - y_m) in integers, for y_m = yn/yd the middle of y's cell
         yn, yd = y.mid.as_integer_ratio()
         self.u_minus_mid = (cn * yd * u.ints[0] - cd * yn, *(cn * yd * c for c in u.ints[1:]))
@@ -670,18 +675,16 @@ def _grid(K: int) -> Fraction:
 
 
 def _disjoint(found: list[IsolatedRoot]) -> list[IsolatedRoot] | None:
-    """The roots in order, an exact root found twice merged with the
-    multiplicities added; None when two touch or overlap or an inexact
-    one is no grid cell.  The sort is by grid cell only: every neighbour
-    is compared exactly, and out of order means overlapping."""
-    out: list[IsolatedRoot] = []
-    for r in sorted(found, key=lambda r: (r.lo.numerator << GRID) // r.lo.denominator):
-        if out and r.exact and out[-1].exact and r.lo == out[-1].lo:
-            out[-1] = IsolatedRoot(r.lo, r.lo, out[-1].multiplicity + r.multiplicity)
-        elif (out and r.lo <= out[-1].hi) or (not r.exact and r.hi - r.lo != DEFAULT_WIDTH):
+    """The roots in order; None when one has even multiplicity, two touch
+    or overlap (a root found twice among them), or an inexact one is no
+    grid cell or ends at 0, where real_roots(G') narrows it if G'(0) = 0.
+    The sort is by grid cell only: every neighbour is compared exactly,
+    and out of order means overlapping."""
+    out = sorted(found, key=lambda r: (r.lo.numerator << GRID) // r.lo.denominator)
+    for a, r in zip([None, *out], out):
+        if (r.multiplicity % 2 == 0 or (a and r.lo <= a.hi)
+                or not r.exact and (r.hi - r.lo != DEFAULT_WIDTH or not r.lo * r.hi)):
             return None
-        else:
-            out.append(r)
     return out
 
 

@@ -17,14 +17,15 @@ conditions cut a measure-zero set, so floating tolerance would be
 unsound.
 
 Within one sign region of p, the circular antiderivative formula is only
-valid between consecutive stationary points of g: where |g| = m the
-arc-function hits its branch point and the correct sign sigma flips.
-Those points come from the composition g = m T_N(u/m)
-(``bipartite.stationary_points``): the roots of u' (degree s - 1) and the
-solutions of u = m cos(k pi/N), by real_roots(u - y) (degree s) where
-y = m cos(k pi/N) is rational, and otherwise certified on u in the cells
-real_roots would isolate them in.  G' itself, of degree n - 1, is
-isolated only when that route cannot certify its answer.
+valid between consecutive cuts: the extrema of g on the lines |g| = m,
+where the arc-function hits its branch point and the correct sign sigma
+flips.  They are the roots of g' but the exceptional point x = 0, and
+``bipartite.cuts`` takes them from the composition g = m T_N(u/m): the
+nonzero roots of u' (degree s - 1) and solutions of u = m cos(k pi/N),
+by real_roots(u - y) (degree s) where y = m cos(k pi/N) is rational, and
+otherwise certified on u in the cells real_roots would isolate them in.
+G' itself, of degree n - 1, is isolated only when that route cannot
+certify its answer.
 Emitted forms are therefore piecewise, each piece carrying its own sigma
 and, for arccosh, the sign of g on the piece.  The identity
 n^2 x^2 (G^2 -+ M) = p G'^2 fixes the sign of d/dx f(G/m), so
@@ -54,9 +55,9 @@ from .bipartite import (
     build_solution,
     compose_outer,
     conditions,
+    cuts,
     f1_polynomial,
     identity_residual,
-    stationary_points,
 )
 from .poly import Poly, horner
 from .quadrature import Integrand, integrate_adaptive
@@ -178,14 +179,6 @@ class Piece:
         hi_ok = self.hi is None or b < float(self.hi.lo)
         return lo_ok and hi_ok and a <= b
 
-    def as_dict(self) -> dict:
-        return {
-            "lo": _endpoint_str(self.lo, True),
-            "hi": _endpoint_str(self.hi, False),
-            "sigma": self.sigma,
-            "fn": self.fn,
-        }
-
 
 @dataclass(frozen=True)
 class ClosedForm:
@@ -273,7 +266,10 @@ class ClosedForm:
                 "convention": self.convention,
                 "coeffs": [str(cf) for cf in self.G.coeffs],
             },
-            "intervals": [p.as_dict() for p in self.pieces],
+            "intervals": [
+                {"lo": lo, "hi": hi, "sigma": p.sigma, "fn": p.fn}
+                for p, (lo, hi) in zip(self.pieces, _ends_text(self.pieces))
+            ],
             "residual_zero": self.residual_zero,
             "numeric_error": numeric_error,
         }
@@ -344,8 +340,8 @@ def _closed_form(
     else:
         tag, fn = _WHERE_P_POSITIVE[sol.branch]
         regions = [(lo, hi) for lo, hi, sign in gaps if sign > 0]
-    stationary = stationary_points(sol.u, sol.m2, n // s) if sol.branch is Branch.CIRCULAR else []
-    pieces = _build_pieces(G, fn, regions, stationary)
+    flips = cuts(sol.u, sol.m2, n // s) if sol.branch is Branch.CIRCULAR else []
+    pieces = _build_pieces(G, fn, regions, flips)
     return ClosedForm(n, s, c, tag, sol.d, sol.m2, G, convention, sol, pieces, diags)
 
 
@@ -373,28 +369,17 @@ def _gap(lo: Optional[IsolatedRoot], hi: Optional[IsolatedRoot]) -> tuple[Fracti
     return a, b
 
 
-def _build_pieces(G: Poly, fn: str, regions, stationary: list[IsolatedRoot]) -> tuple[Piece, ...]:
-    """The pieces of each region, cut at the circular branch points among
-    G's stationary points (the real roots of G')."""
+def _build_pieces(G: Poly, fn: str, regions, flips: list[IsolatedRoot]) -> tuple[Piece, ...]:
+    """The pieces of each region, split at the cuts (``flips``) inside it."""
     dG, x_poly = G.derivative(), Poly.x()
-    cuts: list[IsolatedRoot] = []
-    for r in stationary:
-        at_zero = r.exact and r.lo == 0
-        odd = r.multiplicity % 2 == 1
-        # |g| = m branch points: odd-multiplicity stationary points
-        # away from 0; at 0 the integrand flips too, so only an
-        # even-multiplicity stationary point leaves a kink there.
-        if (odd and not at_zero) or (at_zero and not odd):
-            cuts.append(r)
     pieces: list[Piece] = []
     for lo, hi in regions:
-        inner = [r for r in cuts if _strictly_inside(r, lo, hi)]
+        inner = [r for r in flips if _strictly_inside(r, lo, hi)]
         ends: list[Optional[IsolatedRoot]] = [lo] + inner + [hi]
         # exact signs at one point of the region's first piece.  Inside the
-        # region sgn(x G') changes exactly at the cuts: any other root of G'
-        # has even multiplicity away from 0, or odd multiplicity at 0, where
-        # x changes sign too.  G does not vanish on a region of arccosh
-        # (|g| >= m where p > 0), so sgn G is the region's.
+        # region sgn(x G') changes exactly at the cuts (bipartite.cuts).  G
+        # does not vanish on a region of arccosh (|g| >= m where p > 0), so
+        # sgn G is the region's.
         sx, sg, sdg = noroot_signs(*_gap(lo, ends[1]), x_poly, G, dG)
         sxdg = sx * sdg  # sgn x * sgn G'
         sigma = {"arccos": -sxdg, "arcsinh": sxdg}.get(fn, sxdg * sg)

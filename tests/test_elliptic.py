@@ -666,3 +666,15 @@ def test_signs_are_evaluated_once_per_sign_region(monkeypatch):
     # two regions where p < 0, cut into 33 pieces
     assert len(cf.pieces) == 33
     assert len(calls) == sum(sign < 0 for _, _, sign in sign_regions(WORKED.poly())) == 2
+
+
+@pytest.mark.parametrize("emit", [render, ClosedForm.as_dict], ids=["render", "as_dict"])
+def test_each_irrational_end_is_formatted_once(monkeypatch, emit):
+    calls, digits = [], elliptic._certified_digits
+    monkeypatch.setattr(
+        elliptic, "_certified_digits", lambda lo, hi: calls.append((lo, hi)) or digits(lo, hi)
+    )
+    cf = decide(33, WORKED)
+    ends = {(e.lo, e.hi) for piece in cf.pieces for e in (piece.lo, piece.hi) if e and not e.exact}
+    emit(cf)
+    assert sorted(calls) == sorted(ends) and len(ends) == 32

@@ -1,8 +1,9 @@
-"""stationary_points against its oracle, real_roots(G').
+"""bipartite.cuts against its oracle, the roots of real_roots(G') of odd
+multiplicity but 0.
 
-G' is isolated on its own here, as the program did before it took G's
-stationary points from the composition: the answer must be the same list,
-cell for cell, with the same multiplicities.
+G' is isolated on its own here, as the program did before it took the cuts
+from the composition: the answer must be the same list, cell for cell, with
+the same multiplicities.
 """
 
 import contextlib
@@ -17,10 +18,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bicheb import bipartite, elliptic, roots
-from bicheb.bipartite import Branch, QuarticCoeffs, build_solution, compose_outer, conditions, stationary_points
+from bicheb.bipartite import Branch, QuarticCoeffs, build_solution, compose_outer, conditions, cuts
 from bicheb.cli import main
 from bicheb.poly import Poly
-from bicheb.roots import real_roots
+from bicheb.roots import DEFAULT_WIDTH, real_roots
 
 FIXTURE = Path(__file__).parent / "data" / "golden_cli.json"
 
@@ -35,8 +36,13 @@ QUARTICS = {
 TINY = (0, F(-3, 2**80), 0, F(-5, 2**160))
 
 
-def oracle(u, m2, N):
+def stationary(u, m2, N):
+    """real_roots(G'), every stationary point of G with its multiplicity."""
     return real_roots(compose_outer(u, m2, N, Branch.CIRCULAR)[0].derivative())
+
+
+def oracle(u, m2, N):
+    return [r for r in stationary(u, m2, N) if r.multiplicity % 2 and not (r.exact and r.lo == 0)]
 
 
 def cells(roots):
@@ -64,10 +70,10 @@ def image(c, lam, reflect):
 
 @pytest.fixture
 def fast_only(monkeypatch):
-    """Fail on the fallback, where stationary_points composes G itself."""
+    """Fail on the fallback, where cuts composes G itself."""
 
     def refuse(*args):
-        raise AssertionError("stationary_points fell back to isolating G'")
+        raise AssertionError("cuts fell back to isolating G'")
 
     monkeypatch.setattr(bipartite, "compose_outer", refuse)
 
@@ -77,16 +83,16 @@ def test_every_circular_form_of_the_golden_cases(monkeypatch, fast_only):
 
     def record(u, m2, N):
         seen.append((u, m2, N))
-        return stationary_points(u, m2, N)
+        return cuts(u, m2, N)
 
-    monkeypatch.setattr(elliptic, "stationary_points", record)
+    monkeypatch.setattr(elliptic, "cuts", record)
     for entry in json.loads(FIXTURE.read_text()):
         if entry["argv"][0] in ("decide", "integrate", "complete"):
             with contextlib.redirect_stdout(io.StringIO()):
                 main(list(entry["argv"]))
     assert len(seen) >= 30
     for form in seen:
-        assert cells(stationary_points(*form)) == cells(oracle(*form))
+        assert cells(cuts(*form)) == cells(oracle(*form))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -99,18 +105,19 @@ def test_every_circular_form_of_the_golden_cases(monkeypatch, fast_only):
 def test_matches_the_oracle_on_scaled_and_reflected_families(name, n, lam, reflect):
     form = circular(n, image(QUARTICS[name], lam, reflect))
     assume(form is not None)
-    assert cells(stationary_points(*form)) == cells(oracle(*form))
+    assert cells(cuts(*form)) == cells(oracle(*form))
 
 
 @pytest.mark.parametrize("c", [(0, 0, 0, -1), (0, 0, 0, -4)])
 @pytest.mark.parametrize("n", [4, 8, 12])
 def test_a_root_of_u_prime_where_u_is_a_rational_y_k_adds_multiplicities(fast_only, n, c):
     # u = x^2 and y = 0 at even N: x = 0 is a simple root of u' and a
-    # double root of u, so a triple root of G'
+    # double root of u, so a triple root of G', and no cut
     form = circular(n, c)
-    got = stationary_points(*form)
+    got = cuts(*form)
     assert cells(got) == cells(oracle(*form))
-    assert (F(0), F(0), 3) in cells(got)
+    assert F(0) not in {r.lo for r in got} | {r.hi for r in got}
+    assert (F(0), F(0), 3) in cells(stationary(*form))
 
 
 @pytest.mark.parametrize(
@@ -123,21 +130,68 @@ def test_a_root_of_u_prime_where_u_is_a_rational_y_k_adds_multiplicities(fast_on
     ],
 )
 def test_an_off_grid_rational_crossing_comes_out_exact(fast_only, u, m2, N, want):
-    got = stationary_points(u, m2, N)
+    got = cuts(u, m2, N)
     assert cells(got) == cells(oracle(u, m2, N))
     for x in want:
         assert (x, x, 1) in cells(got)
 
 
+@pytest.fixture
+def composed(monkeypatch):
+    """The calls of the fallback, where cuts composes G itself."""
+    calls, compose = [], bipartite.compose_outer
+    monkeypatch.setattr(bipartite, "compose_outer", lambda *a: calls.append(a) or compose(*a))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "u, N, want",
+    [
+        # y = 0 at N = 2: x = 1 is a root of u' and a double root of
+        # u = x (x - 1)^2, found twice; a triple root of G', and a cut
+        (Poly.x() * Poly([-1, 1]) * Poly([-1, 1]), 2, [(F(1, 3), F(1, 3), 1), (F(1), F(1), 3)]),
+        # N = 1: x = 1 is a double root of u' = 3 (x - 1)^2, and no cut
+        (Poly([-1, 3, -3, 1]), 1, []),
+    ],
+)
+def test_a_root_found_twice_or_of_even_multiplicity_falls_back(composed, u, N, want):
+    assert cells(cuts(u, F(1), N)) == cells(oracle(u, F(1), N)) == want
+    assert len(composed) == 1
+
+
+# sqrt(2)/2 - 2^-200 < R < sqrt(2)/2
+R = F(math.isqrt(2**399), 2**200)
+
+
+@pytest.mark.parametrize(
+    "u",
+    [
+        # x^3 + R = sqrt(2)/2 at x of about 2^-67: the grid cell [0, 2^-48]
+        # ends at 0, a double root of G' and no cut
+        Poly([R, 0, 0, 1]),
+        # (x - 1)^2 + R = sqrt(2)/2 at 1 +- 2^-100: the grid cells on either
+        # side of 1, a root of u', touch it and each other
+        Poly([1 + R, -2, 1]),
+    ],
+    ids=["at 0", "at 1"],
+)
+def test_a_cell_next_to_a_root_of_g_prime_falls_back(composed, u):
+    # real_roots(G') isolates such a root in a cell narrower than the grid
+    got = cuts(u, F(1), 4)
+    assert cells(got) == cells(oracle(u, F(1), 4))
+    assert len(composed) == 1
+    assert any(r.hi - r.lo < DEFAULT_WIDTH for r in got if not r.exact)
+
+
 def test_n_240(fast_only):
     form = circular(240, QUARTICS["MINUS_FIVE"])
-    assert cells(stationary_points(*form)) == cells(oracle(*form))
+    assert cells(cuts(*form)) == cells(oracle(*form))
 
 
 @pytest.mark.parametrize("n", [6, 8, 12])
 def test_roots_2_to_the_minus_40_apart(fast_only, n):
     form = circular(n, TINY)
-    assert cells(stationary_points(*form)) == cells(oracle(*form))
+    assert cells(cuts(*form)) == cells(oracle(*form))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -148,10 +202,10 @@ def test_roots_2_to_the_minus_40_apart(fast_only, n):
 )
 def test_any_inner_polynomial_matches_the_oracle(coeffs, m2, N):
     """The routine needs no identity: for any u, exact answers or the
-    fallback give real_roots(G')."""
+    fallback give the odd roots of real_roots(G') but 0."""
     u = Poly(coeffs)
     assume(u.degree >= 2)
-    assert cells(stationary_points(u, m2, N)) == cells(oracle(u, m2, N))
+    assert cells(cuts(u, m2, N)) == cells(oracle(u, m2, N))
 
 
 WRONG_GUESSES = {
@@ -169,14 +223,14 @@ def test_a_wrong_float_root_changes_nothing(monkeypatch, fast_only, wrong):
     for n, c in [(33, QUARTICS["WORKED"]), (32, QUARTICS["SYMMETRIC"]), (24, QUARTICS["MINUS_FIVE"]),
                  (12, (0, 0, 0, -1)), (8, TINY)]:
         form = circular(n, c)
-        assert cells(stationary_points(*form)) == cells(oracle(*form))
+        assert cells(cuts(*form)) == cells(oracle(*form))
 
 
 def test_a_wrong_float_value_of_y_k_falls_back_and_changes_nothing(monkeypatch):
     monkeypatch.setattr(bipartite.math, "cos", lambda t: math.nan)
     for n, c in [(33, QUARTICS["WORKED"]), (32, QUARTICS["SYMMETRIC"])]:
         form = circular(n, c)
-        assert cells(stationary_points(*form)) == cells(oracle(*form))
+        assert cells(cuts(*form)) == cells(oracle(*form))
 
 
 def test_crossings_guess_on_u_above_the_float_range(monkeypatch):
@@ -185,12 +239,12 @@ def test_crossings_guess_on_u_above_the_float_range(monkeypatch):
     # four grid points, where exact bisection takes about fifty
     u = Poly([-(2 * 3**700 + 1), 0, 3**700])
     W, ys = bipartite._outer_values(F(1), 4)
-    y = next(y for y in ys if not y.exact)  # -sqrt(2)/2
+    y, w_lo = next((y, w_lo) for y, w_lo in ys if not y.exact)  # -sqrt(2)/2
     ends = bipartite._branch_ends(u, F(1), real_roots(u.derivative()))
     calls = []
     side = bipartite._Crossings.side
     monkeypatch.setattr(bipartite._Crossings, "side", lambda self, K: calls.append(K) or side(self, K))
-    got = bipartite._Crossings(u, W, y).roots(ends)
+    got = bipartite._Crossings(u, W, y, w_lo).roots(ends)
     assert len(got) == 2 and len(set(calls)) <= 8
     monkeypatch.setattr(bipartite, "_float_root", lambda *a: math.nan)
-    assert cells(bipartite._Crossings(u, W, y).roots(ends)) == cells(got)
+    assert cells(bipartite._Crossings(u, W, y, w_lo).roots(ends)) == cells(got)
