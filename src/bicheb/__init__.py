@@ -55,7 +55,7 @@ from .partitions import (
     partition_coeff,
     partitions_bounded,
 )
-from .poly import Poly, chebyshev_t, sinh_chebyshev
+from .poly import Poly
 from .quadrature import Integrand, RegionViolation, ToleranceNotReached, integrate_adaptive
 from .roots import IsolatedRoot, real_roots, squarefree_decomposition
 from .scalars import parse_rational

@@ -43,7 +43,7 @@ from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .partitions import FkTable, _counts, fk_table_by_recurrence
-from .poly import Poly, chebyshev_t, horner, sinh_chebyshev
+from .poly import Poly, _chebyshev_ladder, horner
 from .roots import (
     DEFAULT_WIDTH,
     IsolatedRoot,
@@ -415,41 +415,30 @@ def identity_residual(
 
 
 def compose_outer(u: Poly, m2, N: int, branch: Branch) -> tuple[Poly, str]:
-    """Parity-exact outer composition of degree N on an inner polynomial u.
+    """Outer composition of degree N on an inner polynomial u.
 
     Returns (G, convention): G = g = m*T_N(u/m) when N is odd (rational
     coefficients even for irrational m), or G = g/m = T_N(u/m) when N is
-    even.  The hyperbolic branch uses the sinh analogue and demands odd N;
-    the logarithmic one uses g = u^N.
+    even; the logarithmic branch uses g = u^N.  H_N = m^N T_N(u/m) is a
+    polynomial in u and M = m^2, built by the doubling ladder H_2k =
+    2 H_k^2 - M^k, H_(2k+1) = 2 H_k H_(k+1) - M^k u (Lucas's V_k(2u, M)
+    halved) on integer vectors scaled to clear u's content and M's
+    denominator (``poly._chebyshev_ladder``), and G = H_N / m^(2 (N // 2))
+    covers both conventions.  The hyperbolic branch demands odd N and gives
+    g = m*S_N(u/m), S_N(y) = sinh(N arcsinh y): as T_N(i y) = (-1)^((N-1)/2)
+    i S_N(y), it is H_N at M = -m^2 divided by (-m^2)^(N // 2), times
+    (-1)^(N // 2), so again H_N / m^(2 (N // 2)).
     """
     if N < 1:
         raise ValueError("outer degree must be positive")
     if branch is Branch.LOGARITHMIC:
         return u ** N, "g"
-    if branch is Branch.HYPERBOLIC:
-        if N % 2 == 0:
-            raise EvenOuterOnHyperbolic(
-                f"outer degree {N} is even; the hyperbolic family needs n/s odd"
-            )
-        outer = sinh_chebyshev(N)
-    else:
-        outer = chebyshev_t(N)
-    convention = "g" if N % 2 == 1 else "g-over-m"
-    return _parity_compose(outer, u, m2, convention), convention
-
-
-def _parity_compose(outer: Poly, u: Poly, m2, convention: str) -> Poly:
-    """m outer(u/m) (convention "g", odd outer) or outer(u/m) (even outer).
-
-    Only the parity-matching coefficients t_k of outer are nonzero, so
-    outer(y) = y^e P(y^2) with e = 0 or 1 and P(z) = sum_j t_(2j+e) z^j.
-    Then m outer(u/m) = u P(u^2/m^2) and outer(u/m) = P(u^2/m^2): every
-    power of m is even and the result is rational, like u and m2.  P is
-    composed by integer Horner (``Poly.compose``).
-    """
-    odd = convention == "g"
-    G = Poly(outer.coeffs[odd::2]).compose((u * u).scale(1 / Fraction(m2)))
-    return u * G if odd else G
+    if branch is Branch.HYPERBOLIC and N % 2 == 0:
+        raise EvenOuterOnHyperbolic(
+            f"outer degree {N} is even; the hyperbolic family needs n/s odd"
+        )
+    M = -m2 if branch is Branch.HYPERBOLIC else m2
+    return _chebyshev_ladder(u, M, N), "g" if N % 2 == 1 else "g-over-m"
 
 
 # cuts answers an irrational root of G' with its cell of the dyadic grid of
@@ -464,7 +453,8 @@ def cuts(u: Poly, m2, N: int) -> list[IsolatedRoot]:
 
     G' is a nonzero constant times u' W(u), where W = W_(N-1) is
     m^(N-1) U_(N-1)(y/m) = m^(N-1) T_N'(y/m) / N, whose roots are the
-    N - 1 distinct y_k = m cos(k pi/N) (``_outer_values``).  So the real
+    N - 1 distinct y_k = m cos(k pi/N) (``_outer_values``, which takes W
+    as the derivative of the ladder's G at u = x).  So the real
     roots of G' are those of u', isolated on their own (degree s - 1), and
     the solutions of u = y_k.  The identity p u'^2 = s^2 x^2 (u^2 - m^2)
     makes each of them simple but 0: a nonzero root c of u' is simple and
@@ -518,7 +508,9 @@ def _outer_values(m2, N: int) -> tuple[Poly | None, list[tuple[IsolatedRoot, int
     has opposite exact signs at its ends.  N - 1 roots in disjoint cells
     are all the roots of W, one in each.  W is built only for the
     irrational y_k (None if there are none), and the roots are None when
-    a float value does not certify.
+    a float value does not certify.  W is the derivative of the ladder's G
+    at u = x (``poly._chebyshev_ladder``), T_N'(y/m) or T_N'(y/m)/m: a
+    positive multiple of m^(N-1) U_(N-1)(y/m), with the same signs.
     """
     W, out = None, []
     for k in range(N - 1, 0, -1):
@@ -528,9 +520,7 @@ def _outer_values(m2, N: int) -> tuple[Poly | None, list[tuple[IsolatedRoot, int
             lo = hi = rational_sqrt(m2 * c2) * (1 if j < 6 else -1)
             w_lo = 0
         else:
-            W = W or _parity_compose(
-                chebyshev_t(N).derivative(), Poly.x(), m2, "g" if N % 2 == 0 else "g-over-m"
-            )
+            W = W or _chebyshev_ladder(Poly.x(), m2, N).derivative()
             try:
                 y = math.sqrt(m2) * math.cos(k * math.pi / N)
                 lo, hi = Fraction(y - abs(y) / 2**40), Fraction(y + abs(y) / 2**40)

@@ -107,6 +107,44 @@ def _kmul(a: Ints, b: Ints) -> list[int]:
     return out
 
 
+def _chebyshev_ladder(u: "Poly", M, N: int) -> "Poly":
+    """H_N(u) / |M|^(N // 2) for H_k = m^k T_k(u/m), a polynomial in u and
+    M = m^2 of either sign (``bipartite.compose_outer``).
+
+    With u = c I for the primitive I and M / c^2 = P/Q in lowest terms,
+    K_k = Q^(k // 2) H_k(I, P/Q) is an integer vector: K_0 = 1, K_1 = I,
+
+        K_2k = 2 Q^(k mod 2) K_k^2 - P^k,   K_(2k+1) = 2 K_k K_(k+1) - P^k I.
+
+    The bits of N // 2 lead the pair (K_k, K_(k+1)) to k = N // 2, two
+    products a step, one more step gives K_N, and H_N(u) = c^N K_N / Q^k.
+    """
+    c, I = u.content, u.ints
+    mu = M / (c * c)
+    P, Q = mu.numerator, mu.denominator
+
+    def even(K: list[int], k: int, Pk: int) -> list[int]:  # K_2k from K_k
+        two = 2 * Q if k & 1 else 2
+        out = [two * v for v in _kmul(K, K)]
+        out[0] -= Pk
+        return out
+
+    def odd(K: list[int], K1: list[int], Pk: int) -> list[int]:  # K_(2k+1)
+        out = [2 * v for v in _kmul(K, K1)]
+        for i, v in enumerate(I):
+            out[i] -= Pk * v
+        return out
+
+    k, K, K1, Pk = 0, [1], list(I), 1  # (K_k, K_(k+1)) and P^k
+    for bit in bin(N >> 1)[2:]:
+        if bit == "1":
+            K, K1, Pk, k = odd(K, K1, Pk), even(K1, k + 1, Pk * P), Pk * Pk * P, 2 * k + 1
+        else:
+            K, K1, Pk, k = even(K, k, Pk), odd(K, K1, Pk), Pk * Pk, 2 * k
+    KN = odd(K, K1, Pk) if N & 1 else even(K, k, Pk)
+    return _normal(c**N / (Q * abs(M)) ** k, KN)
+
+
 def _sum(p: "Poly", q: "Poly", sign: int) -> "Poly":
     """p + sign * q for sign = +-1."""
     a, b = p.ints, q.ints
@@ -384,38 +422,3 @@ def _as_poly(v):
     if isinstance(v, (int, Fraction)):
         return _make(Fraction(abs(v)), (1 if v > 0 else -1,)) if v else _ZERO
     return NotImplemented
-
-
-def chebyshev_t(n: int) -> Poly:
-    """Chebyshev polynomial of the first kind, T_n.
-
-    T_0 = 1, T_1 = x, T_{k+1} = 2x T_k - T_{k-1} on integer vectors;
-    leading coefficient 2^(n-1) for n >= 1.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    prev, cur = [1], [0, 1]  # T_0, T_1
-    if n == 0:
-        return Poly.one()
-    for _ in range(n - 1):
-        prev, cur = cur, _minus([0] + [2 * c for c in cur], prev)
-    return _normal(Fraction(1), cur)
-
-
-def sinh_chebyshev(n: int) -> Poly:
-    """Hyperbolic analogue sinh(n * arcsinh(x)), a polynomial iff n is odd.
-
-    For odd n, T_n(i x) = (-1)^((n-1)/2) i S_n(x).  T_n has only odd
-    powers, with signs alternating from a positive leading one, so S_n's
-    coefficients are the absolute values of T_n's.
-    """
-    if n < 1 or n % 2 == 0:
-        raise ValueError("sinh-Chebyshev polynomials exist only for odd n >= 1")
-    return _normal(Fraction(1), [abs(c) for c in chebyshev_t(n).ints])
-
-
-def _minus(a: list[int], b: list[int]) -> list[int]:
-    """a - b for len(a) >= len(b), in place."""
-    for i, c in enumerate(b):
-        a[i] -= c
-    return a

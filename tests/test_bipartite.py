@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from chebyshev_oracle import chebyshev_t, compose_outer as horner_compose_outer
 from test_roots import count_roots_halfopen, polys_gcd
 
 from bicheb.bipartite import (
@@ -24,7 +25,7 @@ from bicheb.bipartite import (
     identity_residual,
     solve_c1,
 )
-from bicheb.poly import Poly, chebyshev_t
+from bicheb.poly import Poly
 from bicheb.roots import IsolatedRoot, real_roots, sturm_chain
 
 WORKED = QuarticCoeffs.of(-2, -3, 2, 2)  # x^4 - 2x^3 - 3x^2 + 2x + 2
@@ -271,6 +272,19 @@ def test_compose_logarithmic_power():
     G, conv = compose_outer(sol.u, sol.m2, 3, sol.branch)
     assert conv == "g" and G == sol.u ** 3
     assert not identity_residual(G, conv, LOG.poly(), 6, F(0), sol.branch)
+
+
+# u = x, the worked quartic's u = x^3 - 3x + 3, and u with content 1/10
+LADDER_INNERS = (Poly.x(), Poly((F(3), F(-3), F(0), F(1))), Poly((F(-3, 2), F(1, 2), F(3, 5))))
+
+
+@pytest.mark.parametrize("u", LADDER_INNERS, ids=("x", "worked", "content"))
+@pytest.mark.parametrize("m2", (F(1), F(25, 4), F(3, 7), F(2)))
+def test_compose_outer_equals_the_horner_oracle(u, m2):
+    for N in (*range(1, 61), 80, 120):
+        branches = (Branch.CIRCULAR, Branch.HYPERBOLIC) if N % 2 else (Branch.CIRCULAR,)
+        for branch in branches:
+            assert compose_outer(u, m2, N, branch) == horner_compose_outer(u, m2, N, branch)
 
 
 # -- identity verification ----------------------------------------------------

@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from chebyshev_oracle import compose_outer as horner_compose_outer
 
 from bicheb import bipartite, elliptic
-from bicheb.bipartite import COMPOSE_MAX_N, QuarticCoeffs
+from bicheb.bipartite import COMPOSE_MAX_N, SCAN_MAX_N, QuarticCoeffs
 from bicheb.cli import main
 from bicheb.elliptic import (
     BRANCH_ARCCOS,
@@ -103,6 +104,20 @@ def test_decide_smallest_divisor_preferred():
     assert cf.s == 2 and cf.N == 2 and cf.convention == "g-over-m"
     u = Poly((F(-5, 2), F(0), F(1)))
     assert cf.G == (u * u).scale(F(8, 9)) - Poly.one()
+
+
+def test_decide_at_the_scan_bound_refuses():
+    out = decide(SCAN_MAX_N, QuarticCoeffs.of(F(-3, 2), 2, F(1, 2), -3))
+    assert isinstance(out, Refusal)
+    assert out.reason == "no divisor s of n satisfies F_1 = 0 and aux = 0"
+
+
+def test_decide_at_the_compose_bound_builds_the_form():
+    cf = decide(COMPOSE_MAX_N, WORKED)
+    assert isinstance(cf, ClosedForm) and (cf.s, cf.N, cf.convention) == (3, 80, "g-over-m")
+    sol = cf.solution
+    assert (cf.G, cf.convention) == horner_compose_outer(sol.u, sol.m2, cf.N, sol.branch)
+    assert not cf.residual()
 
 
 # -- validity intervals ---------------------------------------------------------
@@ -238,6 +253,12 @@ def test_numeric_check_rejects_wrong_region():
         numeric_check(cf, (1.2, 2.5), 1e-8)  # spans the kink at x = 2
 
 
+@pytest.mark.parametrize("interval", [(0.5, 0.5), (2.0, 1.0)])
+def test_numeric_check_rejects_an_empty_interval(interval):
+    with pytest.raises(IntervalNotValid, match="empty interval"):
+        numeric_check(decide(2, LOG), interval)
+
+
 def test_divisor_consistency_modulo_sign_and_constant():
     # both s = 2 and s = 4 are admissible for n = 4 over (x^2-1)(x^2-4)
     cf2 = decide(4, SYMMETRIC)
@@ -274,6 +295,11 @@ def test_render_divides_by_a_fractional_m_in_parentheses():
     assert "arccosh((x^2 + (3/4))/(1/4))" in render(cf, "text")
     assert r"\frac{x^{2} + \frac{3}{4}}{1/4}" in render(cf, "latex")
     assert "/(3/2)) + C" in render(decide(2, SYMMETRIC), "text")
+
+
+def test_render_latex_log_piece():
+    latex = render(decide(2, LOG), "latex")
+    assert r"\log\left(\left|x^{2} + 1\right|\right) + C" in latex
 
 
 def test_render_json_schema():

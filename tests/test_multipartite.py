@@ -3,6 +3,7 @@ from fractions import Fraction as F
 from functools import lru_cache
 
 import pytest
+from chebyshev_oracle import chebyshev_t
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +26,7 @@ from bicheb.multipartite import (
     solvability_residuals,
 )
 from bicheb.partitions import distinct_perms, partitions_bounded
-from bicheb.poly import Poly, chebyshev_t
+from bicheb.poly import Poly
 
 X = Poly.x()
 WORKED = QuarticCoeffs.of(-2, -3, 2, 2)

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bicheb.poly import Poly, chebyshev_t, sinh_chebyshev
+from chebyshev_oracle import chebyshev_t, sinh_chebyshev
+
+from bicheb.poly import Poly
 
 
 def rand_poly(rng, max_deg=8):

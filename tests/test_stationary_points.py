@@ -16,12 +16,13 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from chebyshev_oracle import outer_derivative
 
 from bicheb import bipartite, elliptic, roots
 from bicheb.bipartite import Branch, QuarticCoeffs, build_solution, compose_outer, conditions, cuts
 from bicheb.cli import main
 from bicheb.poly import Poly
-from bicheb.roots import DEFAULT_WIDTH, real_roots
+from bicheb.roots import DEFAULT_WIDTH, real_roots, sign_at
 
 FIXTURE = Path(__file__).parent / "data" / "golden_cli.json"
 
@@ -248,3 +249,17 @@ def test_crossings_guess_on_u_above_the_float_range(monkeypatch):
     assert len(got) == 2 and len(set(calls)) <= 8
     monkeypatch.setattr(bipartite, "_float_root", lambda *a: math.nan)
     assert cells(bipartite._Crossings(u, W, y, w_lo).roots(ends)) == cells(got)
+
+
+@pytest.mark.parametrize("m2, step", [(F(5), F(1, 8)), (F(3, 7), F(1, 24))])
+@pytest.mark.parametrize("N", range(2, 17))
+def test_w_has_the_signs_of_the_oracle(m2, step, N):
+    """The cut finder's W, from the ladder's G at u = x, against T_N' / N:
+    41 points on either side of [-m, m]."""
+    W = bipartite._outer_values(m2, N)[0]
+    if N == 2:
+        assert W is None  # the one root of W, y = 0, is exact
+        return
+    want = outer_derivative(m2, N)
+    points = [k * step for k in range(-20, 21)]
+    assert [sign_at(W, x) for x in points] == [sign_at(want, x) for x in points]
