@@ -44,16 +44,7 @@ from typing import Sequence
 
 from .partitions import FkTable, _counts, fk_table_by_recurrence
 from .poly import Poly, _chebyshev_ladder, horner
-from .roots import (
-    DEFAULT_WIDTH,
-    IsolatedRoot,
-    _float_root,
-    _powers,
-    _sign_pw,
-    _value_dyadic,
-    real_roots,
-    sign_at,
-)
+from .roots import DEFAULT_WIDTH, IsolatedRoot, _float_root, _value_dyadic, real_roots
 from .scalars import is_square, rational_sqrt, reconstruct_rational
 
 
@@ -444,6 +435,14 @@ def compose_outer(u: Poly, m2, N: int, branch: Branch) -> tuple[Poly, str]:
 # cuts answers an irrational root of G' with its cell of the dyadic grid of
 # step 2^-GRID = DEFAULT_WIDTH, the cell real_roots isolates it in
 GRID = DEFAULT_WIDTH.denominator.bit_length() - 1
+# the y_k are enclosed in fixed point with unit 2^-YBITS
+YBITS = 160
+# pi in [_PI, _PI + 1] 2^-256
+_PI = 0x3243F6A8885A308D313198A2E03707344A4093822299F31D0082EFA98EC4E6C89
+
+
+class _Undecided(Exception):
+    """The cut finder cannot certify an answer; ``cuts`` falls back."""
 
 
 def cuts(u: Poly, m2, N: int) -> list[IsolatedRoot]:
@@ -451,44 +450,35 @@ def cuts(u: Poly, m2, N: int) -> list[IsolatedRoot]:
     Branch.CIRCULAR)[0]: the real roots of G' of odd multiplicity but 0, in
     the cells real_roots(G') gives them.
 
-    G' is a nonzero constant times u' W(u), where W = W_(N-1) is
-    m^(N-1) U_(N-1)(y/m) = m^(N-1) T_N'(y/m) / N, whose roots are the
-    N - 1 distinct y_k = m cos(k pi/N) (``_outer_values``, which takes W
-    as the derivative of the ladder's G at u = x).  So the real
-    roots of G' are those of u', isolated on their own (degree s - 1), and
-    the solutions of u = y_k.  The identity p u'^2 = s^2 x^2 (u^2 - m^2)
-    makes each of them simple but 0: a nonzero root c of u' is simple and
-    has u(c) = +-m, never a y_k.  x = 0, a root of u' as a_1 = 0, is no
-    cut, since x changes sign there too.
+    G' is a nonzero constant times u' W(u), where W = m^(N-1) U_(N-1)(y/m)
+    = m^(N-1) T_N'(y/m) / N has the N - 1 distinct roots y_k = m cos(k
+    pi/N).  So the real roots of G' are those of u', isolated on their own
+    (degree s - 1), and the solutions of u = y_k; neither G' nor W is
+    built.  The identity p u'^2 = s^2 x^2 (u^2 - m^2) makes each of them
+    simple but 0: a nonzero root c of u' is simple and has u(c) = +-m,
+    never a y_k.  x = 0, a root of u' as a_1 = 0, is no cut, since x
+    changes sign there too.
 
     A rational y_k is exact, and real_roots(u - y_k) (degree s) gives its
     solutions: rational ones exact, the others in their grid cells.  An
-    irrational y_k is known only by its cell, and ``_Crossings`` certifies
-    its solutions on u itself, so neither G' nor W is isolated.
+    irrational y_k is known by an integer enclosure (``_outer_values``),
+    and ``_Crossings`` certifies its solutions on u itself.
 
     Each irrational root is then alone in its grid cell, the cell that
     real_roots isolates it in, unless two answers touch or overlap or a
-    cell ends at 0.  Then, and when a root is found twice or has even
-    multiplicity, a cell is halved or narrower than the grid, a y_k is
-    undecided or a root is not certified, this keeps the odd roots of
-    real_roots(G') but 0.
+    cell ends at 0.  Then, and whenever a y_k, a branch end or a grid point
+    cannot be placed against an enclosure or a root is not certified
+    (``_Undecided``), this keeps the odd roots of real_roots(G') but 0.
     """
     crit = real_roots(u.derivative())
-    W, ys = _outer_values(m2, N)
-    if ys is not None:
-        ends = _branch_ends(u, m2, crit)
-        found = list(crit)
-        for y, w_lo in ys:
-            roots = real_roots(u - y.lo) if y.exact else _Crossings(u, W, y, w_lo).roots(ends)
-            if roots is None:
-                break
-            found += roots
-        else:
-            out = _disjoint([r for r in found if r.lo or r.hi])
-            if out is not None:
-                return out
-    G = compose_outer(u, m2, N, Branch.CIRCULAR)[0]
-    return [r for r in real_roots(G.derivative()) if r.multiplicity % 2 and (r.lo or r.hi)]
+    try:
+        ends, found = _branch_ends(u, m2, crit), list(crit)
+        for y in _outer_values(m2, N):
+            found += real_roots(u - y.lo) if y.exact else _Crossings(u, y).roots(ends)
+        return _disjoint([r for r in found if r.lo or r.hi])
+    except _Undecided:
+        G = compose_outer(u, m2, N, Branch.CIRCULAR)[0]
+        return [r for r in real_roots(G.derivative()) if r.multiplicity % 2 and (r.lo or r.hi)]
 
 
 # cos^2(j pi/12) where it is rational.  By Niven's theorem cos(2 k pi/N) is
@@ -498,41 +488,60 @@ _RATIONAL_COS2 = {2: Fraction(3, 4), 3: Fraction(1, 2), 4: Fraction(1, 4), 6: Fr
                   8: Fraction(1, 4), 9: Fraction(1, 2), 10: Fraction(3, 4)}
 
 
-def _outer_values(m2, N: int) -> tuple[Poly | None, list[tuple[IsolatedRoot, int]] | None]:
-    """W and its roots y_k = m cos(k pi/N), ascending, each with the sign
-    of W at the low end of its cell.
+def _outer_values(m2, N: int) -> list[IsolatedRoot]:
+    """The y_k = m cos(k pi/N), 0 < k < N, ascending, each in a cell.
 
     y_k is exact when it is rational: at the j = 12 k/N of _RATIONAL_COS2
-    where m^2 cos^2(k pi/N) is a rational square.  Every other y_k gets
-    the cell around its float value of relative width about 2^-40, once W
-    has opposite exact signs at its ends.  N - 1 roots in disjoint cells
-    are all the roots of W, one in each.  W is built only for the
-    irrational y_k (None if there are none), and the roots are None when
-    a float value does not certify.  W is the derivative of the ladder's G
-    at u = x (``poly._chebyshev_ladder``), T_N'(y/m) or T_N'(y/m)/m: a
-    positive multiple of m^(N-1) U_(N-1)(y/m), with the same signs.
+    where m^2 cos^2(k pi/N) is a rational square.  Every other y_k is
+    +-m cos(i pi/N) for i = min(k, N - k), an angle in (0, pi/2), and gets
+    a cell of relative width about 2^-150 in integers: i pi/N lies in
+    [x_lo, x_hi] 2^-YBITS by _PI, cos decreases there, so cos(i pi/N) is
+    between the lower bound of cos at x_hi and the upper one at x_lo
+    (``_cos``), and above 0; with m^2 = a/b in lowest terms, m = sqrt(a b)
+    / b is in [M, M + 1] / (b 2^YBITS) for M = isqrt(a b 2^(2 YBITS)).
+    Raises _Undecided when two cells touch.
     """
-    W, out = None, []
+    a, b = Fraction(m2).as_integer_ratio()
+    M, shift, out = math.isqrt(a * b << 2 * YBITS), 256 - YBITS, []
     for k in range(N - 1, 0, -1):
         j, rest = divmod(12 * k, N)
         c2 = None if rest else _RATIONAL_COS2.get(j)
         if c2 is not None and is_square(m2 * c2):
             lo = hi = rational_sqrt(m2 * c2) * (1 if j < 6 else -1)
-            w_lo = 0
         else:
-            W = W or _chebyshev_ladder(Poly.x(), m2, N).derivative()
-            try:
-                y = math.sqrt(m2) * math.cos(k * math.pi / N)
-                lo, hi = Fraction(y - abs(y) / 2**40), Fraction(y + abs(y) / 2**40)
-            except (OverflowError, ValueError):
-                return W, None
-            w_lo = sign_at(W, lo)
-            if not lo < hi or w_lo * sign_at(W, hi) >= 0:
-                return W, None
-        if out and out[-1][0].hi >= lo:
-            return W, None
-        out.append((IsolatedRoot(lo, hi), w_lo))
-    return W, out
+            i = min(k, N - k)
+            x_lo, x_hi = i * _PI // (N << shift), -(-i * (_PI + 1) // (N << shift))
+            (c_lo, e_lo), (c_hi, e_hi) = _cos(x_hi), _cos(x_lo)
+            lo = Fraction(M * max(c_lo - e_lo, 0), b << 2 * YBITS)
+            hi = Fraction((M + 1) * (c_hi + e_hi), b << 2 * YBITS)
+            if k > N - k:
+                lo, hi = -hi, -lo
+        if out and out[-1].hi >= lo:
+            raise _Undecided
+        out.append(IsolatedRoot(lo, hi))
+    return out
+
+
+def _cos(X: int) -> tuple[int, int]:
+    """(C, E) with |cos(x) - C 2^-YBITS| < E 2^-YBITS at x = X 2^-YBITS, for
+    0 <= x < 2.
+
+    Term n of the series is T_n = x^(2n) / (2n)! in units of 2^-YBITS, and
+    the sum takes t_0 = T_0 and t_n = floor(t_(n-1) x^2 / ((2n - 1) 2n)),
+    one integer division, until t_n = 0.  Every truncated term is at most 2
+    units low: t_n <= T_n, and with e_n = T_n - t_n, e_0 = 0 and r_n = x^2
+    / ((2n - 1) 2n), e_n < r_n e_(n-1) + 1, so e_1 < 1 and, as r_n < 1/2
+    for n >= 2, e_n < 2.  The tail after t_n = 0 alternates with terms
+    decreasing from T_n < t_n + 2 = 2, so it is below 2 units too.  The
+    sum of n + 1 terms is therefore within 2 (n + 1) units.
+    """
+    X2, t = X * X, 1 << YBITS
+    C, n = t, 0
+    while t:
+        n += 1
+        t = t * X2 // ((2 * n - 1) * 2 * n << 2 * YBITS)
+        C += -t if n % 2 else t
+    return C, 2 * (n + 1)
 
 
 def _branch_ends(u: Poly, m2, crit: list[IsolatedRoot]) -> list[tuple]:
@@ -563,24 +572,24 @@ def _branch_ends(u: Poly, m2, crit: list[IsolatedRoot]) -> list[tuple]:
 
 
 class _Crossings:
-    """The solutions of u = y_k, for y_k the irrational root of W in the
-    cell y, where W has the sign w_lo at y.lo.
+    """The solutions of u = y_k, for y_k the irrational number in the cell
+    y of ``_outer_values``.
 
     Between consecutive ends of ``_branch_ends`` u is strictly monotone,
     so u - y_k has a root inside such a branch iff its ends bracket y_k,
-    and then one, simple.  The bracket is decided exactly: u is rational
-    at a rational root of u', so never y_k, and at an irrational one an
-    enclosure of u (the identity puts u at +-m there) lies on one side of
-    y_k.  A root inside a branch is irrational, never a grid point, and
-    gets the grid cell [K, K+1] 2^-48 once the exact signs of u - y_k at
-    its two ends differ.  A float guess (``_float_root``) picks K; failing
-    it and its two neighbours, exact bisection on the branch's grid points
-    does.  Floats only guess: a wrong guess costs time, never a different
-    answer.
+    and then one, simple.  The bracket is decided exactly, by the
+    enclosure of u at each end against y's cell.  A root inside a branch
+    is irrational, never a grid point, and gets the grid cell [K, K+1]
+    2^-48 once the exact signs of u - y_k at its two ends differ, each read
+    off u at a grid point against y's cell.  A float guess
+    (``_float_root``) picks K; failing it and its two neighbours, exact
+    bisection on the branch's grid points does.  Floats only guess: a
+    wrong guess costs time, never a different answer.  A value that meets
+    y's cell raises _Undecided.
     """
 
-    def __init__(self, u: Poly, W: Poly, y: IsolatedRoot, w_lo: int):
-        self.u, self.W, self.y, self.w_lo = u, W, y, w_lo
+    def __init__(self, u: Poly, y: IsolatedRoot):
+        self.u, self.y = u, y
         self.signs: dict[int, int] = {}  # sign of u - y_k at K 2^-48, by K
         # at x = K 2^-48, u(x) = cn V / (cd 2^shift) for the content cn/cd
         # and V = _value_dyadic(u.ints, K, GRID): u(x) <= y.lo iff
@@ -588,41 +597,27 @@ class _Crossings:
         shift, (cn, cd) = GRID * u.degree, u.content.as_integer_ratio()
         (ln, ld), (hn, hd) = y.lo.as_integer_ratio(), y.hi.as_integer_ratio()
         self.bounds = (ln * cd) << shift, ld * cn, (hn * cd) << shift, hd * cn
-        self.cn, self.q_powers = cn, _powers(cd << shift, W.degree)
         # cd yd (u - y_m) in integers, for y_m = yn/yd the middle of y's cell
         yn, yd = y.mid.as_integer_ratio()
         self.u_minus_mid = (cn * yd * u.ints[0] - cd * yn, *(cn * yd * c for c in u.ints[1:]))
 
-    def roots(self, ends) -> list[IsolatedRoot] | None:
+    def roots(self, ends) -> list[IsolatedRoot]:
         """The real roots of u - y_k, in the cells real_roots would give
-        them; None when one cannot be decided."""
-        signs = [self.sign(v_lo, v_hi) for _, _, v_lo, v_hi in ends]
-        if None in signs:
-            return None
-        out = []
-        for (_, a, *_), (b, *_), sa, sb in zip(ends, ends[1:], signs, signs[1:]):
-            if sa != sb:  # else u is on one side of y_k on the whole branch
-                r = self.root_between(a, b, sa)
-                if r is None:
-                    return None
-                out.append(r)
-        return out
+        them."""
+        signs = [self.sign(v_lo, v_hi) for *_, v_lo, v_hi in ends]
+        return [self.root_between(a, b, sa)
+                for (_, a, *_), (b, *_), sa, sb in zip(ends, ends[1:], signs, signs[1:]) if sa != sb]
 
-    def sign(self, lo, hi) -> int | None:
-        """The sign of v - y_k for every v in [lo, hi], None if that is not
-        decided.  A rational v inside y's cell is on y_k's side where W
-        has its sign at the cell's end, as the cell holds no other root."""
+    def sign(self, lo, hi) -> int:
+        """The sign of v - y_k for every v in [lo, hi]."""
         if hi <= self.y.lo:
             return -1
         if lo >= self.y.hi:
             return 1
-        if lo != hi:
-            return None
-        return -1 if sign_at(self.W, lo) == self.w_lo else 1
+        raise _Undecided
 
     def side(self, K: int) -> int:
-        """The sign of u - y_k at K 2^-48, in integers: against the ends of
-        y's cell, and inside it by the sign of W at u."""
+        """The sign of u - y_k at K 2^-48, in integers."""
         if K not in self.signs:
             ln, ld, hn, hd = self.bounds
             V = _value_dyadic(self.u.ints, K, GRID)
@@ -631,19 +626,17 @@ class _Crossings:
             elif V * hd >= hn:
                 self.signs[K] = 1
             else:
-                w = _sign_pw(self.W.ints, self.cn * V, self.q_powers)
-                self.signs[K] = -1 if w == self.w_lo else 1
+                raise _Undecided
         return self.signs[K]
 
     def root_at(self, K: int) -> IsolatedRoot | None:
         """The root in [K, K+1] 2^-48, if u - y_k changes sign there."""
         return IsolatedRoot(_grid(K), _grid(K + 1)) if self.side(K) != self.side(K + 1) else None
 
-    def root_between(self, a: Fraction, b: Fraction, sa: int) -> IsolatedRoot | None:
+    def root_between(self, a: Fraction, b: Fraction, sa: int) -> IsolatedRoot:
         """The root on the branch from a to b, where u - y_k has the sign sa
         at a and the opposite one at b: the cell of a float guess or of
-        its neighbours, else exact bisection on the grid points in [a, b];
-        None when neither certifies it."""
+        its neighbours, else exact bisection on the grid points in [a, b]."""
         Ka, Kb = -((-a.numerator << GRID) // a.denominator), (b.numerator << GRID) // b.denominator
         try:
             K = math.floor(_float_root(self.u_minus_mid, a, b) * (1 << GRID))
@@ -653,28 +646,28 @@ class _Crossings:
         if r is not None:
             return r
         if Ka >= Kb or self.side(Ka) != sa or self.side(Kb) != -sa:
-            return None
+            raise _Undecided
         while Kb - Ka > 1:
             mid = (Ka + Kb) // 2
             Ka, Kb = (mid, Kb) if self.side(mid) == sa else (Ka, mid)
-        return self.root_at(Ka)
+        return IsolatedRoot(_grid(Ka), _grid(Kb))
 
 
 def _grid(K: int) -> Fraction:
     return Fraction(K, 1 << GRID)
 
 
-def _disjoint(found: list[IsolatedRoot]) -> list[IsolatedRoot] | None:
-    """The roots in order; None when one has even multiplicity, two touch
-    or overlap (a root found twice among them), or an inexact one is no
-    grid cell or ends at 0, where real_roots(G') narrows it if G'(0) = 0.
-    The sort is by grid cell only: every neighbour is compared exactly,
+def _disjoint(found: list[IsolatedRoot]) -> list[IsolatedRoot]:
+    """The roots in order; _Undecided when one has even multiplicity, two
+    touch or overlap (a root found twice among them), or an inexact one is
+    no grid cell or ends at 0, where real_roots(G') narrows it if G'(0) =
+    0.  The sort is by grid cell only: every neighbour is compared exactly,
     and out of order means overlapping."""
     out = sorted(found, key=lambda r: (r.lo.numerator << GRID) // r.lo.denominator)
     for a, r in zip([None, *out], out):
         if (r.multiplicity % 2 == 0 or (a and r.lo <= a.hi)
                 or not r.exact and (r.hi - r.lo != DEFAULT_WIDTH or not r.lo * r.hi)):
-            return None
+            raise _Undecided
     return out
 
 

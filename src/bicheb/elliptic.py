@@ -21,19 +21,22 @@ valid between consecutive cuts: the extrema of g on the lines |g| = m,
 where the arc-function hits its branch point and the correct sign sigma
 flips.  They are the roots of g' but the exceptional point x = 0, and
 ``bipartite.cuts`` takes them from the composition g = m T_N(u/m): the
-nonzero roots of u' (degree s - 1) and solutions of u = m cos(k pi/N),
-by real_roots(u - y) (degree s) where y = m cos(k pi/N) is rational, and
-otherwise certified on u in the cells real_roots would isolate them in.
-G' itself, of degree n - 1, is isolated only when that route cannot
-certify its answer.
-Emitted forms are therefore piecewise, each piece carrying its own sigma
-and, for arccosh, the sign of g on the piece.  The identity
-n^2 x^2 (G^2 -+ M) = p G'^2 fixes the sign of d/dx f(G/m), so
-sigma = -sgn x sgn G' for arccos, sgn x sgn G' for arcsinh, and
-sgn x sgn G sgn G' for arccosh (inner sign sgn G) and log.  Those signs
-are evaluated exactly at one rational point of each sign region's first
-piece; sgn x sgn G' changes exactly at each cut and sgn G not at all
-inside a region, so sigma flips from piece to piece.
+nonzero roots of u' (degree s - 1) and the solutions of u = y_k,
+y_k = m cos(k pi/N).  A rational y_k (Niven) is exact and real_roots(u -
+y_k) (degree s) solves it; every other y_k is enclosed in an integer
+cell about 2^-150 wide relative to it, and its solutions are certified on
+u in the cells real_roots would isolate them in.  Floats only guess.  G'
+itself, of degree n - 1, is isolated only when that route cannot certify
+its answer.
+Emitted forms are therefore piecewise, each piece carrying its own
+sigma.  The identity n^2 x^2 (G^2 -+ M) = p G'^2 fixes the sign of d/dx
+f(G/m), so sigma = -sgn x sgn G' for arccos, sgn x sgn G' for arcsinh,
+and sgn x sgn G sgn G' for arccosh and log.  arccosh is used only where p
+is nowhere negative; there u^2 >= m^2 on the whole line, so u >= m, G > 0
+and its argument needs no sign.  Those signs are evaluated exactly at one
+rational point of each sign region's first piece; sgn x sgn G' changes
+exactly at each cut and sgn G not at all inside a region, so sigma flips
+from piece to piece.
 """
 
 from __future__ import annotations
@@ -171,7 +174,7 @@ class Piece:
     hi: Optional[IsolatedRoot]
     sigma: int
     fn: str
-    inner_sign: int
+    inner_sign: int = 1  # sgn G on arccosh, always +1; perfbench's checker reads it
 
     def contains_strict(self, a: float, b: float) -> bool:
         """Conservative containment: [a, b] strictly inside the certified piece."""
@@ -384,7 +387,7 @@ def _build_pieces(G: Poly, fn: str, regions, flips: list[IsolatedRoot]) -> tuple
         sxdg = sx * sdg  # sgn x * sgn G'
         sigma = {"arccos": -sxdg, "arcsinh": sxdg}.get(fn, sxdg * sg)
         for a, b in zip(ends, ends[1:]):
-            pieces.append(Piece(a, b, sigma, fn, sg if fn == "arccosh" else 1))
+            pieces.append(Piece(a, b, sigma, fn))
             sigma = -sigma
     return tuple(pieces)
 
@@ -449,8 +452,6 @@ def render(cf: ClosedForm, fmt: str = "text") -> str:
     for piece, (lo, hi) in zip(cf.pieces, _ends_text(cf.pieces)):
         sg = "-" if piece.sigma < 0 else "+"
         inner = arg
-        if piece.fn == "arccosh" and piece.inner_sign < 0:
-            inner = rf"-\left({arg}\right)" if latex else f"-({arg})"
         if piece.fn == "log":
             inner = rf"\left|{arg}\right|" if latex else f"|{arg}|"
         if latex:

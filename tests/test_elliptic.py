@@ -22,6 +22,7 @@ from bicheb.elliptic import (
     ClassNotCovered,
     ClosedForm,
     IntervalNotValid,
+    Piece,
     Refusal,
     complete_coefficient,
     decide,
@@ -31,7 +32,7 @@ from bicheb.elliptic import (
     sign_regions,
 )
 from bicheb.poly import Poly, horner
-from bicheb.roots import noroot_signs, real_roots
+from bicheb.roots import IsolatedRoot, noroot_signs, real_roots
 from bicheb.scalars import is_square, rational_sqrt
 
 WORKED = QuarticCoeffs.of(-2, -3, 2, 2)
@@ -182,7 +183,10 @@ def test_circular_form_isolates_p_and_u_prime_never_g_prime(monkeypatch, n, c):
 def test_the_fallback_to_isolating_g_prime_gives_the_same_form(monkeypatch, n, c):
     want = render(decide(n, QuarticCoeffs.of(*c)))
     degrees = _isolated_degrees(monkeypatch)
-    monkeypatch.setattr(bipartite, "_outer_values", lambda m2, N: (None, None))
+    def undecided(m2, N):
+        raise bipartite._Undecided
+
+    monkeypatch.setattr(bipartite, "_outer_values", undecided)
     cf = decide(n, QuarticCoeffs.of(*c))
     assert render(cf) == want
     assert degrees == [4, cf.s - 1, n - 1]
@@ -257,6 +261,21 @@ def test_numeric_check_rejects_wrong_region():
 def test_numeric_check_rejects_an_empty_interval(interval):
     with pytest.raises(IntervalNotValid, match="empty interval"):
         numeric_check(decide(2, LOG), interval)
+
+
+def test_contains_strict_at_float_ties():
+    piece = Piece(IsolatedRoot(F(1, 3), F(1, 2)), IsolatedRoot(F(2), F(7, 3)), 1, "arccos")
+    assert not piece.contains_strict(0.5, 1.0)  # a == float(lo.hi)
+    assert not piece.contains_strict(1.0, 2.0)  # b == float(hi.lo)
+    assert piece.contains_strict(1.0, 1.0)
+    assert piece.contains_strict(math.nextafter(0.5, 1), math.nextafter(2.0, 1))
+
+
+def test_strictly_inside_at_a_shared_end():
+    lo, hi = IsolatedRoot(F(0), F(1)), IsolatedRoot(F(5), F(6))
+    assert not elliptic._strictly_inside(IsolatedRoot(F(1), F(2)), lo, hi)  # r.lo == lo.hi
+    assert not elliptic._strictly_inside(IsolatedRoot(F(4), F(5)), lo, hi)  # r.hi == hi.lo
+    assert elliptic._strictly_inside(IsolatedRoot(F(2), F(3)), lo, hi)
 
 
 def test_divisor_consistency_modulo_sign_and_constant():
@@ -407,6 +426,16 @@ def test_complete_keeps_every_root_when_one_closed_form_is_above_the_bound():
     assert all(e.note.startswith("irrational root") for e in res.entries if e is not hit)
     with pytest.raises(elliptic.ComposeBoundExceeded, match="got 242"):
         decide(242, hit.c)
+
+
+def test_complete_at_the_scan_bound_notes_the_compose_bound():
+    fixed = {2: F(-5), 3: F(0), 4: F(4)}
+    (entry,) = complete_coefficient(SCAN_MAX_N, fixed, 1, force_s=2).entries
+    assert (entry.root.lo, entry.outcome) == (0, None)
+    assert entry.note == (f"s=2 meets the conditions, but n must be at most {COMPOSE_MAX_N}, "
+                          f"the bound of the closed form, got {SCAN_MAX_N}")
+    with pytest.raises(ValueError, match=f"n must be at most {SCAN_MAX_N}, the bound of the divisor scan"):
+        complete_coefficient(SCAN_MAX_N + 1, fixed, 1, force_s=2)
 
 
 def test_complete_even_class():

@@ -14,8 +14,9 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+import mpmath
 from chebyshev_oracle import outer_derivative
 
 from bicheb import bipartite, elliptic, roots
@@ -96,14 +97,15 @@ def test_every_circular_form_of_the_golden_cases(monkeypatch, fast_only):
         assert cells(cuts(*form)) == cells(oracle(*form))
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=80, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     st.sampled_from(sorted(QUARTICS)),
     st.integers(2, 60),
     st.sampled_from([F(1), F(2), F(1, 2), F(3, 2), F(2, 3), F(3), F(1, 3), F(4, 3), F(5, 7)]),
     st.booleans(),
 )
-def test_matches_the_oracle_on_scaled_and_reflected_families(name, n, lam, reflect):
+def test_matches_the_oracle_on_scaled_and_reflected_families(fast_only, name, n, lam, reflect):
     form = circular(n, image(QUARTICS[name], lam, reflect))
     assume(form is not None)
     assert cells(cuts(*form)) == cells(oracle(*form))
@@ -160,19 +162,22 @@ def test_a_root_found_twice_or_of_even_multiplicity_falls_back(composed, u, N, w
     assert len(composed) == 1
 
 
-# sqrt(2)/2 - 2^-200 < R < sqrt(2)/2
+# sqrt(2)/2 - 2^-200 < R < sqrt(2)/2, inside the cell of y_1 = sqrt(2)/2 at
+# m^2 = 1, N = 4, a cell of relative width about 2^-152
 R = F(math.isqrt(2**399), 2**200)
+# about 2^-148 below sqrt(2)/2, outside that cell
+R_OUT = R - F(1, 2**148)
 
 
 @pytest.mark.parametrize(
     "u",
     [
-        # x^3 + R = sqrt(2)/2 at x of about 2^-67: the grid cell [0, 2^-48]
-        # ends at 0, a double root of G' and no cut
-        Poly([R, 0, 0, 1]),
-        # (x - 1)^2 + R = sqrt(2)/2 at 1 +- 2^-100: the grid cells on either
-        # side of 1, a root of u', touch it and each other
-        Poly([1 + R, -2, 1]),
+        # x^3 + R_OUT = sqrt(2)/2 at x of about 2^-49.3: the grid cell
+        # [0, 2^-48] ends at 0, a double root of G' and no cut
+        Poly([R_OUT, 0, 0, 1]),
+        # (x - 1)^2 + R_OUT = sqrt(2)/2 at 1 +- 2^-74: the grid cells on
+        # either side of 1, a root of u', touch it and each other
+        Poly([1 + R_OUT, -2, 1]),
     ],
     ids=["at 0", "at 1"],
 )
@@ -184,9 +189,69 @@ def test_a_cell_next_to_a_root_of_g_prime_falls_back(composed, u):
     assert any(r.hi - r.lo < DEFAULT_WIDTH for r in got if not r.exact)
 
 
+# 8 sqrt(2) - 2^-200 < R8 < 8 sqrt(2)
+R8 = F(math.isqrt(128 * 4**200), 2**200)
+
+
+@pytest.mark.parametrize(
+    "u, m2, count",
+    [
+        # u(1/2) = R: the value of u at a grid point
+        (Poly([R - F(1, 4), 0, 1]), F(1), 2),
+        # u(1) = R at the rational root 1 of u'
+        (Poly([1 + R, -2, 1]), F(1), 3),
+        # u(sqrt 2) = R8 - 4 sqrt(2) lies about 2^-200 below y_1 = 4 sqrt(2)
+        # at m^2 = 64: the enclosure of u at the irrational root sqrt 2 of u'
+        # meets y_1's cell.  Without its u'' term the enclosure is u at the
+        # cell's low end, about 2^-94 above y_1, and the two crossings about
+        # 2^-101 on either side of sqrt 2 are missed
+        (Poly([R8, -6, 0, 1]), F(64), 7),
+    ],
+    ids=["grid point", "rational branch end", "irrational branch end"],
+)
+def test_a_value_that_meets_an_enclosure_falls_back(composed, u, m2, count):
+    got = cuts(u, m2, 4)
+    assert cells(got) == cells(oracle(u, m2, 4))
+    assert len(got) == count
+    assert len(composed) == 1
+
+
 def test_n_240(fast_only):
     form = circular(240, QUARTICS["MINUS_FIVE"])
     assert cells(cuts(*form)) == cells(oracle(*form))
+
+
+@pytest.mark.parametrize("end", ["lo", "hi"])
+@pytest.mark.parametrize("where", ["grid point", "branch end"])
+def test_a_value_on_an_end_of_an_enclosure_is_decided(fast_only, where, end):
+    """u meets an end of y_1's cell, a rational on one side of y_1 =
+    sqrt(2)/2: at the grid point 1/2, or at the root 1 of u', a maximum
+    at the low end and a minimum at the high one, so that u does not meet
+    y_1 near it."""
+    y = next(y for y in bipartite._outer_values(F(1), 4) if y.lo > 0)
+    v, lead = getattr(y, end), -1 if end == "lo" else 1
+    u = Poly([v - F(1, 4), 0, 1]) if where == "grid point" else Poly([v + lead, -2 * lead, lead])
+    assert cells(cuts(u, F(1), 4)) == cells(oracle(u, F(1), 4))
+
+
+@pytest.mark.parametrize("n", [480, 720])
+def test_decide_above_the_compose_bound_needs_no_fallback(monkeypatch, fast_only, n):
+    """x^4 - 3x^2 - 5 has u = x^2 - 3/2 and m^2 = 29/4, and its cuts are
+    +-sqrt(3/2 + y_k) for every y_k > -3/2, N = n/2: each in the grid cell
+    around mpmath's value."""
+    monkeypatch.setattr(elliptic, "COMPOSE_MAX_N", n)
+    seen = []
+    monkeypatch.setattr(elliptic, "cuts", lambda *form: seen.append(cuts(*form)) or seen[-1])
+    elliptic.decide(n, QuarticCoeffs.of(*QUARTICS["MINUS_FIVE"]))
+    (got,) = seen
+    N = n // 2
+    with mpmath.workprec(300):
+        m = mpmath.sqrt(mpmath.mpf(29) / 4)
+        ys = [m * mpmath.cos(k * mpmath.pi / N) for k in range(1, N)]
+        want = sorted(sign * mpmath.sqrt(y + 1.5) for y in ys if y > -1.5 for sign in (-1, 1))
+        assert len(got) == len(want)
+        for r, x in zip(got, want):
+            assert r.hi - r.lo == DEFAULT_WIDTH and r.lo < exact(x) < r.hi
 
 
 @pytest.mark.parametrize("n", [6, 8, 12])
@@ -227,39 +292,66 @@ def test_a_wrong_float_root_changes_nothing(monkeypatch, fast_only, wrong):
         assert cells(cuts(*form)) == cells(oracle(*form))
 
 
-def test_a_wrong_float_value_of_y_k_falls_back_and_changes_nothing(monkeypatch):
-    monkeypatch.setattr(bipartite.math, "cos", lambda t: math.nan)
-    for n, c in [(33, QUARTICS["WORKED"]), (32, QUARTICS["SYMMETRIC"])]:
-        form = circular(n, c)
-        assert cells(cuts(*form)) == cells(oracle(*form))
-
-
 def test_crossings_guess_on_u_above_the_float_range(monkeypatch):
     # float(3^700) overflows; the guess scales u - y_k by a power of two, and
     # each crossing is certified at the guess's cell or a neighbour, at most
     # four grid points, where exact bisection takes about fifty
     u = Poly([-(2 * 3**700 + 1), 0, 3**700])
-    W, ys = bipartite._outer_values(F(1), 4)
-    y, w_lo = next((y, w_lo) for y, w_lo in ys if not y.exact)  # -sqrt(2)/2
+    y = next(y for y in bipartite._outer_values(F(1), 4) if not y.exact)  # -sqrt(2)/2
     ends = bipartite._branch_ends(u, F(1), real_roots(u.derivative()))
     calls = []
     side = bipartite._Crossings.side
     monkeypatch.setattr(bipartite._Crossings, "side", lambda self, K: calls.append(K) or side(self, K))
-    got = bipartite._Crossings(u, W, y, w_lo).roots(ends)
+    got = bipartite._Crossings(u, y).roots(ends)
     assert len(got) == 2 and len(set(calls)) <= 8
     monkeypatch.setattr(bipartite, "_float_root", lambda *a: math.nan)
-    assert cells(bipartite._Crossings(u, W, y, w_lo).roots(ends)) == cells(got)
+    assert cells(bipartite._Crossings(u, y).roots(ends)) == cells(got)
 
 
 @pytest.mark.parametrize("m2, step", [(F(5), F(1, 8)), (F(3, 7), F(1, 24))])
 @pytest.mark.parametrize("N", range(2, 17))
 def test_w_has_the_signs_of_the_oracle(m2, step, N):
-    """The cut finder's W, from the ladder's G at u = x, against T_N' / N:
-    41 points on either side of [-m, m]."""
-    W = bipartite._outer_values(m2, N)[0]
-    if N == 2:
-        assert W is None  # the one root of W, y = 0, is exact
-        return
-    want = outer_derivative(m2, N)
-    points = [k * step for k in range(-20, 21)]
-    assert [sign_at(W, x) for x in points] == [sign_at(want, x) for x in points]
+    """W = m^(N-1) U_(N-1)(y/m) has a positive lead and the roots y_k, so
+    the cells of _outer_values give its sign off them, (-1)^(cells above),
+    and 0 at an exact y_k: against T_N' / N at 41 points on either side of
+    [-m, m]."""
+    ys, want = bipartite._outer_values(m2, N), outer_derivative(m2, N)
+    for x in (k * step for k in range(-20, 21)):
+        on = any(y.lo <= x <= y.hi for y in ys)
+        assert (0 if on else (-1) ** sum(x < y.lo for y in ys)) == sign_at(want, x)
+
+
+def exact(v) -> F:
+    """An mpmath number as the rational it is."""
+    sign, man, exp, _ = v._mpf_
+    return (-1) ** sign * F(man) * F(2) ** exp
+
+
+def test_pi_is_enclosed():
+    with mpmath.workprec(600):
+        assert bipartite._PI <= exact(mpmath.pi * 2**256) < bipartite._PI + 1
+
+
+@pytest.mark.parametrize("N", [*range(2, 34), 80, 240, 720])
+@pytest.mark.parametrize(
+    "m2", [F(1), F(5), F(3, 7), F(2, 3**90), F(10**60 + 1, 7)], ids=["1", "5", "3|7", "2|3^90", "big|7"]
+)
+def test_each_irrational_cell_holds_its_y_k(m2, N):
+    """Every cell of _outer_values holds mpmath's 600-bit m cos(k pi/N), and
+    W, from T_N' / N, has opposite exact signs at the ends of each
+    irrational one: the cells are disjoint, so they separate W's N - 1
+    roots."""
+    ys = bipartite._outer_values(m2, N)
+    assert len(ys) == N - 1
+    W = outer_derivative(m2, N) if N <= 80 else None
+    with mpmath.workprec(600):
+        m = mpmath.sqrt(mpmath.mpf(m2.numerator) / m2.denominator)
+        for k, y in zip(range(N - 1, 0, -1), ys):
+            want = exact(m * mpmath.cos(k * mpmath.pi / N))
+            if y.exact:
+                assert abs(want - y.lo) < F(1, 2**500) * max(1, abs(want))
+                continue
+            assert y.lo < want < y.hi
+            assert (y.hi - y.lo) / abs(want) < F(1, 2**140)
+            if W is not None:
+                assert sign_at(W, y.lo) * sign_at(W, y.hi) == -1
