@@ -511,9 +511,8 @@ def _outer_values(m2, N: int) -> list[IsolatedRoot]:
         else:
             i = min(k, N - k)
             x_lo, x_hi = i * _PI // (N << shift), -(-i * (_PI + 1) // (N << shift))
-            (c_lo, e_lo), (c_hi, e_hi) = _cos(x_hi), _cos(x_lo)
-            lo = Fraction(M * max(c_lo - e_lo, 0), b << 2 * YBITS)
-            hi = Fraction((M + 1) * (c_hi + e_hi), b << 2 * YBITS)
+            lo = Fraction(M * max(_cos(x_hi)[0], 0), b << 2 * YBITS)
+            hi = Fraction((M + 1) * _cos(x_lo)[1], b << 2 * YBITS)
             if k > N - k:
                 lo, hi = -hi, -lo
         if out and out[-1].hi >= lo:
@@ -523,7 +522,7 @@ def _outer_values(m2, N: int) -> list[IsolatedRoot]:
 
 
 def _cos(X: int) -> tuple[int, int]:
-    """(C, E) with |cos(x) - C 2^-YBITS| < E 2^-YBITS at x = X 2^-YBITS, for
+    """(lo, hi) with lo < cos(x) 2^YBITS < hi at x = X 2^-YBITS, for
     0 <= x < 2.
 
     Term n of the series is T_n = x^(2n) / (2n)! in units of 2^-YBITS, and
@@ -533,7 +532,7 @@ def _cos(X: int) -> tuple[int, int]:
     / ((2n - 1) 2n), e_n < r_n e_(n-1) + 1, so e_1 < 1 and, as r_n < 1/2
     for n >= 2, e_n < 2.  The tail after t_n = 0 alternates with terms
     decreasing from T_n < t_n + 2 = 2, so it is below 2 units too.  The
-    sum of n + 1 terms is therefore within 2 (n + 1) units.
+    sum C of n + 1 terms is therefore within 2 (n + 1) units.
     """
     X2, t = X * X, 1 << YBITS
     C, n = t, 0
@@ -541,7 +540,7 @@ def _cos(X: int) -> tuple[int, int]:
         n += 1
         t = t * X2 // ((2 * n - 1) * 2 * n << 2 * YBITS)
         C += -t if n % 2 else t
-    return C, 2 * (n + 1)
+    return C - 2 * (n + 1), C + 2 * (n + 1)
 
 
 def _branch_ends(u: Poly, m2, crit: list[IsolatedRoot]) -> list[tuple]:
