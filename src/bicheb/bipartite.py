@@ -43,8 +43,8 @@ from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .partitions import FkTable, _counts, fk_table_by_recurrence
-from .poly import Poly, _chebyshev_ladder, horner
-from .roots import DEFAULT_WIDTH, IsolatedRoot, _float_root, _value_dyadic, real_roots
+from .poly import Poly, _chebyshev_ladder, _unpack, horner
+from .roots import DEFAULT_WIDTH, IsolatedRoot, _dyadic, _float_root, _value_dyadic, real_roots
 from .scalars import is_square, rational_sqrt, reconstruct_rational
 
 
@@ -244,20 +244,19 @@ def f1_polynomial(s: int, target: int, fixed: dict[int, Fraction]) -> Poly:
     numerator over Q_1 is an integer polynomial N(t), and one ``_run`` with
     C_target = D t packs it (Kronecker substitution).  Every factor of the
     recurrence is positive, so the run on |C_i| with t = 1 gives a bound B
-    on every |coefficient| of N; at t = 2^w with w = B.bit_length() + 1
-    each coefficient fills its own w-bit slot, read back as a signed digit.
+    on every |coefficient| of N; at t = 2^w, with w = B.bit_length() + 1
+    rounded up to whole bytes, each coefficient fills its own w-bit slot,
+    and ``poly._unpack`` reads it back as a signed digit.  A value of m
+    such digits, the top one nonzero, has w (m - 1) to w m - 1 bits, so
+    |N(2^w)|.bit_length() // w + 1 counts them.
     """
     c = [Fraction(1 if k == target else fixed[k]) for k in range(1, 5)]  # t = 1
     D = math.lcm(*(v.denominator for v in c))
     C = [v.numerator * (D // v.denominator) for v in c]
-    w = _run(s, [abs(v) for v in C], D)[2].bit_length() + 1
+    w = (_run(s, [abs(v) for v in C], D)[2].bit_length() + 8) & ~7  # whole bytes
     C[target - 1] = D << w
     e, _, packed = _run(s, C, D)
-    mask, half = (1 << w) - 1, 1 << (w - 1)
-    digits = []
-    while packed:
-        digits.append(((packed + half) & mask) - half)  # the signed low slot
-        packed = (packed - digits[-1]) >> w
+    digits = _unpack(packed, w, packed.bit_length() // w + 1)
     return Poly(digits).scale(Fraction(1, math.prod(e[1:s])))
 
 
@@ -630,7 +629,9 @@ class _Crossings:
 
     def root_at(self, K: int) -> IsolatedRoot | None:
         """The root in [K, K+1] 2^-48, if u - y_k changes sign there."""
-        return IsolatedRoot(_grid(K), _grid(K + 1)) if self.side(K) != self.side(K + 1) else None
+        if self.side(K) == self.side(K + 1):
+            return None
+        return IsolatedRoot(_dyadic(K, -GRID), _dyadic(K + 1, -GRID))
 
     def root_between(self, a: Fraction, b: Fraction, sa: int) -> IsolatedRoot:
         """The root on the branch from a to b, where u - y_k has the sign sa
@@ -649,11 +650,7 @@ class _Crossings:
         while Kb - Ka > 1:
             mid = (Ka + Kb) // 2
             Ka, Kb = (mid, Kb) if self.side(mid) == sa else (Ka, mid)
-        return IsolatedRoot(_grid(Ka), _grid(Kb))
-
-
-def _grid(K: int) -> Fraction:
-    return Fraction(K, 1 << GRID)
+        return IsolatedRoot(_dyadic(Ka, -GRID), _dyadic(Kb, -GRID))
 
 
 def _disjoint(found: list[IsolatedRoot]) -> list[IsolatedRoot]:
@@ -705,10 +702,14 @@ class PathResult:
     c1_final: float
     f1_residual: float
     c1_exact: Fraction | None
-    f1_exact_zero: bool
     aux_at_target: Fraction | None
     solution: BipartiteSolution | None
     message: str
+
+    @property
+    def f1_exact_zero(self) -> bool:
+        """Whether the final c1 reconstructs to an exact root of F_1."""
+        return self.c1_exact is not None
 
     def ode_polypart_residual_bound(self, lo: float = -2.0, hi: float = 2.0) -> float:
         """Upper bound for sup over [lo, hi] of the divided-ODE residual.
@@ -892,7 +893,6 @@ def continuation(
     f1_res = abs(horner(f_cur, c1f))
 
     c1_exact = None
-    f1_exact_zero = False
     aux_val = None
     sol = None
     if reached:
@@ -902,7 +902,6 @@ def continuation(
             cond = conditions(s, c_full)
             if cond.f1 == 0:
                 c1_exact = cand
-                f1_exact_zero = True
                 aux_val = cond.aux
                 if aux_val == 0:
                     sol = build_solution(s, c_full)
@@ -925,7 +924,6 @@ def continuation(
         c1_final=c1f,
         f1_residual=f1_res,
         c1_exact=c1_exact,
-        f1_exact_zero=f1_exact_zero,
         aux_at_target=aux_val,
         solution=sol,
         message=message,

@@ -278,6 +278,14 @@ class ClosedForm:
         }
 
 
+def _check_n(n: int) -> None:
+    """ValueError unless 1 <= n <= SCAN_MAX_N, the outer degrees scanned."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    if n > SCAN_MAX_N:
+        raise ValueError(f"n must be at most {SCAN_MAX_N}, the bound of the divisor scan, got {n}")
+
+
 def decide(n: int, c: QuarticCoeffs) -> ClosedForm | Refusal:
     """Decide whether int x/sqrt(+-p) dx has a degree-n composed closed form.
 
@@ -291,10 +299,7 @@ def decide(n: int, c: QuarticCoeffs) -> ClosedForm | Refusal:
     when a closed form is due at an n above COMPOSE_MAX_N, before it is
     composed.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n > SCAN_MAX_N:
-        raise ValueError(f"n must be at most {SCAN_MAX_N}, the bound of the divisor scan, got {n}")
+    _check_n(n)
     diags: list[DivisorDiagnostics] = []
     hit: int | None = None
     fatal: str | None = None
@@ -463,8 +468,6 @@ def render(cf: ClosedForm, fmt: str = "text") -> str:
             body = f"{sg}(1/{cf.n})*{piece.fn}({inner}) + C"
             where = f"   on ({lo}, {hi})"
         lines.append(f"{integral} = {body}{where}")
-    if not lines:
-        lines.append(f"{integral}: branch {cf.branch} has an empty validity region")
     return "\n".join(lines)
 
 
@@ -553,10 +556,7 @@ def complete_coefficient(
         raise ValueError("target must identify one of c1..c4")
     if set(fixed) != {1, 2, 3, 4} - {target}:
         raise ValueError("fixed must carry exactly the other three coefficients")
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n > SCAN_MAX_N:
-        raise ValueError(f"n must be at most {SCAN_MAX_N}, the bound of the divisor scan, got {n}")
+    _check_n(n)
     fixed = {k: Fraction(v) for k, v in fixed.items()}
     if force_s is not None:
         if force_s < 2 or n % force_s:

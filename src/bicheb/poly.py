@@ -13,8 +13,10 @@ slot width w wide enough for every product coefficient), does one CPython
 multiply and unpacks the slots with a signed borrow.  By Gauss's lemma the
 product of two primitive vectors is primitive, so it needs no gcd; its
 content is the product of the contents.  Sums, derivatives and quotients
-take one gcd to restore the form.  ``coeffs``, the Fraction coefficients
-for printing and tests, is built on first access.
+take one gcd to restore the form.  Integer pseudo-division and exact
+division, shared by ``divmod`` and the Sturm chains of ``roots``, live
+here too.  ``coeffs``, the Fraction coefficients for printing and tests,
+is built on first access.
 
 Float coefficient lists for the continuation tracker, the quadrature
 oracle and display are plain lists evaluated by ``horner``; they never
@@ -72,8 +74,7 @@ def _kmul(a: Ints, b: Ints) -> list[int]:
     Every product coefficient is below min(len) * max|a| * max|b| in
     magnitude, so a slot of w bits, with 2^(w-1) above that bound, holds
     it with its sign.  Packing adds the signed digits in Horner order;
-    unpacking reads w-bit slots from the low end and borrows one from the
-    next slot whenever a slot's top bit is set.
+    ``_unpack`` reads them back.
     """
     w = (
         max(map(abs, a)).bit_length()
@@ -81,30 +82,64 @@ def _kmul(a: Ints, b: Ints) -> list[int]:
         + min(len(a), len(b)).bit_length()
         + 1
     )
-    nb = (w + 7) >> 3
-    w = nb << 3
+    w = (w + 7) & ~7
     pa = 0
     for c in reversed(a):
         pa = (pa << w) + c
     pb = 0
     for c in reversed(b):
         pb = (pb << w) + c
-    prod = pa * pb
-    neg = prod < 0
-    if neg:
-        prod = -prod
-    m = len(a) + len(b) - 1
-    raw = prod.to_bytes(nb * m, "little")
+    return _unpack(pa * pb, w, len(a) + len(b) - 1)
+
+
+def _unpack(v: int, w: int, m: int) -> list[int]:
+    """The digits d_0 .. d_(m-1) of v = sum d_i 2^(w i), for a slot width w
+    of whole bytes and signed digits |d_i| < 2^(w-1).
+
+    Reads w-bit slots of |v| from the low end, borrows one from the next
+    slot whenever a slot's top bit is set, and negates the digits when
+    v < 0.
+    """
+    nb = w >> 3
+    raw = abs(v).to_bytes(nb * m, "little")
     half, full = 1 << (w - 1), 1 << w
     out = []
     borrow = 0
     for i in range(0, nb * m, nb):
-        v = int.from_bytes(raw[i : i + nb], "little") + borrow
-        borrow = v >= half
-        out.append(v - full if borrow else v)
-    if neg:
-        out = [-v for v in out]
-    return out
+        d = int.from_bytes(raw[i : i + nb], "little") + borrow
+        borrow = d >= half
+        out.append(d - full if borrow else d)
+    return [-d for d in out] if v < 0 else out
+
+
+def _pseudo_remainder(a: Ints, b: Ints) -> list[int]:
+    """|lc b|^(deg a - deg b + 1) * (a mod b): a positive multiple of the
+    remainder, in integers."""
+    a = list(a)
+    lc = b[-1]
+    scale, sgn = abs(lc), (1 if lc > 0 else -1)
+    for top in range(len(a) - 1, len(b) - 2, -1):
+        t = sgn * a[top]
+        shift = top - len(b) + 1
+        a = [scale * c for c in a]
+        for i, c in enumerate(b):
+            a[shift + i] -= t * c
+        a.pop()
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _exact_quotient(a: Ints, b: Ints) -> Ints:
+    """a / b for integer vectors where b divides a over the integers, as
+    it does over Q for primitive a and b by Gauss's lemma."""
+    a = list(a)
+    q = [0] * (len(a) - len(b) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        t = q[k] = a[k + len(b) - 1] // b[-1]
+        for i, c in enumerate(b):
+            a[k + i] -= t * c
+    return tuple(q)
 
 
 def _chebyshev_ladder(u: "Poly", M, N: int) -> "Poly":
@@ -340,31 +375,23 @@ class Poly:
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         """Quotient and remainder over Q, by integer pseudo-division:
-        lc^e A = Q B + R with e = deg A - deg B + 1 and lc the leading
-        integer of B."""
+        |lc|^e A = Q B + R with e = deg A - deg B + 1, lc the leading
+        integer of B, R = ``_pseudo_remainder(A, B)`` and Q the exact
+        quotient of |lc|^e A - R by B."""
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
         A, B = self.ints, other.ints
         e = len(A) - len(B) + 1
         if e <= 0:
             return _ZERO, self
-        rem = list(A)
-        lc = B[-1]
-        quot = [0] * e
-        for top in range(len(A) - 1, len(B) - 2, -1):
-            t = rem[top]
-            k = top - len(B) + 1
-            if lc != 1:
-                rem = [lc * v for v in rem]
-                quot = [lc * v for v in quot]
-            quot[k] = t
-            for i, v in enumerate(B):
-                rem[k + i] -= t * v
-            rem.pop()
-        lce = Fraction(lc) ** e
+        R = _pseudo_remainder(A, B)
+        lce = abs(B[-1]) ** e
+        S = [lce * v for v in A]
+        for i, v in enumerate(R):
+            S[i] -= v
         return (
-            _normal(self.content / other.content / lce, quot),
-            _normal(self.content / lce, rem),
+            _normal(self.content / other.content / lce, list(_exact_quotient(S, B))),
+            _normal(self.content / lce, R),
         )
 
     def __mod__(self, other):

@@ -62,7 +62,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import Ints, Poly
+from .poly import Ints, Poly, _exact_quotient, _pseudo_remainder
 
 DEFAULT_WIDTH = Fraction(1, 2**48)
 
@@ -105,24 +105,6 @@ def sign_at(p: Poly, x: Fraction) -> int:
     if not p:
         return 0
     return _sign(p.ints, Fraction(x))
-
-
-def _pseudo_remainder(a: Ints, b: Ints) -> list[int]:
-    """|lc b|^(deg a - deg b + 1) * (a mod b): a positive multiple of the
-    remainder, in integers."""
-    a = list(a)
-    lc = b[-1]
-    scale, sgn = abs(lc), (1 if lc > 0 else -1)
-    for top in range(len(a) - 1, len(b) - 2, -1):
-        t = sgn * a[top]
-        shift = top - len(b) + 1
-        a = [scale * c for c in a]
-        for i, c in enumerate(b):
-            a[shift + i] -= t * c
-        a.pop()
-    while a and not a[-1]:
-        a.pop()
-    return a
 
 
 def sturm_chain(p: Poly) -> list[Ints]:
@@ -178,27 +160,11 @@ def _root_bound(p: Ints) -> Fraction:
     return Fraction(2) ** (max(e) + 1) if e else Fraction(1)  # else p = a_d x^d
 
 
-def _positive(a: Ints) -> Ints:
-    return a if a[-1] > 0 else tuple(-c for c in a)
-
-
-def _exact_quotient(a: Ints, b: Ints) -> Ints:
-    """a / b for primitive a and b with b | a: integral by Gauss's lemma."""
-    a = list(a)
-    q = [0] * (len(a) - len(b) + 1)
-    for k in range(len(q) - 1, -1, -1):
-        t = q[k] = a[k + len(b) - 1] // b[-1]
-        for i, c in enumerate(b):
-            a[k + i] -= t * c
-    return tuple(q)
-
-
 def _gcd(a: Ints, b: Ints) -> Ints:
-    """gcd by the primitive remainder sequence, with a positive leading
-    coefficient."""
+    """gcd by the primitive remainder sequence, up to sign."""
     while b:
         a, b = b, _primitive(_pseudo_remainder(a, b))
-    return _positive(a)
+    return a
 
 
 def _squarefree(p: Ints, g: Ints) -> list[tuple[Ints, int]]:
@@ -211,7 +177,7 @@ def _squarefree(p: Ints, g: Ints) -> list[tuple[Ints, int]]:
         y = _gcd(w, g)  # prod of f_j for j > i
         f = _exact_quotient(w, y)
         if len(f) > 1:
-            out.append((_positive(f), i))
+            out.append((f, i))
         g, w, i = _exact_quotient(g, y), y, i + 1
     return out
 
@@ -292,16 +258,6 @@ def _signs_dyadic(chain: list[Ints], k: int, e: int) -> list[int]:
     """The signs of the chain's elements at k 2^e."""
     num, j = (k << e, 0) if e >= 0 else (k, -e)
     return [(v > 0) - (v < 0) for v in (_value_dyadic(q, num, j) for q in chain)]
-
-
-def _first_level(x: int, y: int) -> int:
-    """The least j >= 0 with x <= y 2^j, for positive x and y."""
-    j = max(0, x.bit_length() - y.bit_length())
-    while x > y << j:
-        j += 1
-    while j and x <= y << (j - 1):
-        j -= 1
-    return j
 
 
 def _float_root(p: Ints, lo: Fraction, hi: Fraction) -> float:
@@ -392,8 +348,8 @@ def _refine(p: Ints, lo: Fraction, hi: Fraction, width: Fraction):
     # values at one level share the positive factor (den 2^j)^deg
     q = [c * w for c, w in zip(p, reversed(_powers(den, len(p) - 1)))] + [p[-1]]
     deg = len(p) - 1
-    jw = _first_level(W * width.denominator, den * width.numerator)
-    jt = _first_level(lead * W + 1, den)
+    jw = max(0, _ceil_log2(W * width.denominator, den * width.numerator))
+    jt = max(0, _ceil_log2(lead * W + 1, den))
     target = max(jw, jt)
     try:
         guess = _guess_cell(q, a0, W, den, jw, _float_root(p, lo, hi))
@@ -525,7 +481,7 @@ def real_roots(p: Poly, width: Fraction = DEFAULT_WIDTH) -> list[IsolatedRoot]:
     if len(g) == 1:
         return _isolate(chain, width)
     factors = _squarefree(chain[0], g)
-    plain = _isolate(_sturm(_positive(_exact_quotient(chain[0], g))), width)
+    plain = _isolate(_sturm(_exact_quotient(chain[0], g)), width)
     return [IsolatedRoot(r.lo, r.hi, _multiplicity_of(r, factors)) for r in plain]
 
 

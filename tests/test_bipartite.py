@@ -555,6 +555,16 @@ def test_continuation_identity_path_s4():
     assert continuation(4, F(-2), F(0), F(0), 2).c1_exact == 0
 
 
+@pytest.mark.parametrize("c2, message, tau_star", [
+    (-2, "root collision at tau = 0.416046", 0.408233642578125),
+    (-3, "step size underflow during Newton correction", 0.75),
+])
+def test_continuation_stops_short(c2, message, tau_star):
+    r = continuation(4, F(c2), F(-8), F(-8), 1)
+    assert (r.message, r.tau_star, r.reached) == (message, tau_star, False)
+    assert r.c1_exact is None and not r.f1_exact_zero and r.solution is None
+
+
 def test_continuation_bad_branch_index():
     with pytest.raises(InvalidBranchIndex):
         continuation(4, F(-2), F(0), F(0), 4)

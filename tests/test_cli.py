@@ -111,6 +111,31 @@ def test_verify_interval_takes_rationals(capsys):
     assert (code, out) == run(capsys, *argv, "--interval=1.1,1.9")[:2]
 
 
+def test_verify_on_a_refusal_prints_the_refusal(capsys):
+    code, out, err = run(capsys, "verify", "--n", "2", "--p=0,-3,1,1", "--interval=1.1,1.9")
+    assert (code, err) == (3, "")
+    assert out == elliptic.render_refusal(elliptic.decide(2, QuarticCoeffs.of(0, -3, 1, 1))) + "\n"
+    assert out.startswith("no elementary form of degree n=2")
+
+
+def test_verify_emit_samples(tmp_path, capsys):
+    target = tmp_path / "samples.csv"
+    code, out, _ = run(
+        capsys,
+        "verify", "--n", "3", "--p=-2,-3,2,2", "--interval=-0.95,-0.75",
+        "--emit-samples", str(target),
+    )
+    assert code == 0 and "max error" in out
+    header, *rows = target.read_text().splitlines()
+    assert header == "x,integrand,antiderivative"
+    # the samples span the middle third of the widest piece, (1, 2)
+    xs = [float(r.split(",")[0]) for r in rows]
+    assert len(rows) == 201 and (xs[0], xs[-1]) == (4 / 3, 5 / 3)
+    for row in rows:
+        x, f, _ = map(float, row.split(","))
+        assert f == pytest.approx(x / math.sqrt(-(x**4 - 2 * x**3 - 3 * x**2 + 2 * x + 2)))  # p < 0
+
+
 def test_fk_text_and_eval(capsys):
     code, out, _ = run(capsys, "fk", "--s", "3")
     assert code == 0
@@ -118,6 +143,16 @@ def test_fk_text_and_eval(capsys):
     code, out, _ = run(capsys, "fk", "--s", "3", "--eval=-2,-3,2,2")
     assert code == 0
     assert out.splitlines() == ["F_0 = 3", "F_1 = 0", "F_2 = -3", "F_3 = 1"]
+
+
+def test_fk_eval_rationalize_takes_the_exact_float(capsys):
+    code, out, _ = run(capsys, "fk", "--s", "3", "--eval", "0.1,-3,2,2", "--rationalize")
+    assert code == 0
+    cond = conditions(3, QuarticCoeffs.of(F(0.1), -3, 2, 2))
+    values = [cond.a[0], cond.f1, *cond.a[2:]]
+    assert out.splitlines() == [f"F_{k} = {v}" for k, v in enumerate(values)]
+    assert out.startswith("F_0 = 32425917317067571/36028797018963968\n")
+    assert run(capsys, "fk", "--s", "3", "--eval", "0.1,-3,2,2")[1].startswith("F_0 = 9/10\n")
 
 
 def test_fk_json(capsys):
@@ -439,6 +474,18 @@ def test_perturb(capsys):
     assert payload["reached"] is True
     assert payload["c1_exact"] == "-2"
     assert payload["solution"]["residual_zero"] is True
+
+
+@pytest.mark.parametrize("c2", ["-2", "-3"])
+def test_perturb_exits_three_when_the_path_stops(capsys, c2):
+    code, out, err = run(
+        capsys,
+        "perturb", "--s", "4", f"--c2={c2}", "--target-c3=-8", "--target-c4=-8",
+        "--branch", "1", "--json",
+    )
+    assert (code, err) == (3, "")
+    payload = json.loads(out)
+    assert (payload["reached"], payload["c1_exact"], payload["f1_exact_zero"]) == (False, None, False)
 
 
 def test_emit_samples(tmp_path, capsys):

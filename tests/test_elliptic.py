@@ -239,6 +239,13 @@ def test_piece_sign_matches_derivative_everywhere():
 # -- numeric checks ----------------------------------------------------------------
 
 
+def test_default_check_interval_is_none_off_the_central_window():
+    # WORKED under x -> 16x: its pieces lie in (-16, -11.7), (16, 32) and (32, 43.7)
+    out = decide(3, QuarticCoeffs.of(-2 * 16, -3 * 16**2, 2 * 16**3, 2 * 16**4))
+    assert isinstance(out, ClosedForm) and len(out.pieces) == 3
+    assert out.default_check_interval() is None
+
+
 def test_numeric_check_worked():
     cf = decide(3, WORKED)
     assert numeric_check(cf, (-0.95, -0.75), 1e-10) <= 1e-8
@@ -436,6 +443,14 @@ def test_complete_at_the_scan_bound_notes_the_compose_bound():
                           f"the bound of the closed form, got {SCAN_MAX_N}")
     with pytest.raises(ValueError, match=f"n must be at most {SCAN_MAX_N}, the bound of the divisor scan"):
         complete_coefficient(SCAN_MAX_N + 1, fixed, 1, force_s=2)
+
+
+@pytest.mark.parametrize("n", [0, -4])
+def test_n_below_one_is_refused_before_any_work(n):
+    with pytest.raises(ValueError, match="^n must be positive$"):
+        decide(n, WORKED)
+    with pytest.raises(ValueError, match="^n must be positive$"):
+        complete_coefficient(n, {2: F(-5), 3: F(0), 4: F(4)}, 1)
 
 
 def test_complete_even_class():
