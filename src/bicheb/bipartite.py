@@ -36,6 +36,7 @@ polynomial in one coefficient (``f1_polynomial``) for completion.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -44,7 +45,10 @@ from typing import Sequence
 
 from .partitions import FkTable, _counts, fk_table_by_recurrence
 from .poly import Poly, _chebyshev_ladder, _unpack, horner
-from .roots import DEFAULT_WIDTH, IsolatedRoot, _dyadic, _float_root, _value_dyadic, real_roots
+from .roots import (
+    DEFAULT_WIDTH, IsolatedRoot, _dyadic, _newton_root, _primitive, _refine, _scaled_floats, _sign,
+    _value_dyadic, real_roots,
+)
 from .scalars import is_square, rational_sqrt, reconstruct_rational
 
 
@@ -458,10 +462,10 @@ def cuts(u: Poly, m2, N: int) -> list[IsolatedRoot]:
     never a y_k.  x = 0, a root of u' as a_1 = 0, is no cut, since x
     changes sign there too.
 
-    A rational y_k is exact, and real_roots(u - y_k) (degree s) gives its
-    solutions: rational ones exact, the others in their grid cells.  An
-    irrational y_k is known by an integer enclosure (``_outer_values``),
-    and ``_Crossings`` certifies its solutions on u itself.
+    Every y_k, exact where it is rational and otherwise in an integer
+    enclosure (``_outer_values``), has its solutions certified on u by one
+    sweep over u's monotone branches (``_crossings``): rational ones
+    exact, the others in their grid cells.
 
     Each irrational root is then alone in its grid cell, the cell that
     real_roots isolates it in, unless two answers touch or overlap or a
@@ -471,9 +475,7 @@ def cuts(u: Poly, m2, N: int) -> list[IsolatedRoot]:
     """
     crit = real_roots(u.derivative())
     try:
-        ends, found = _branch_ends(u, m2, crit), list(crit)
-        for y in _outer_values(m2, N):
-            found += real_roots(u - y.lo) if y.exact else _Crossings(u, y).roots(ends)
+        found = crit + _crossings(u, _outer_values(m2, N), _branch_ends(u, m2, crit))
         return _disjoint([r for r in found if r.lo or r.hi])
     except _Undecided:
         G = compose_outer(u, m2, N, Branch.CIRCULAR)[0]
@@ -483,41 +485,42 @@ def cuts(u: Poly, m2, N: int) -> list[IsolatedRoot]:
 # cos^2(j pi/12) where it is rational.  By Niven's theorem cos(2 k pi/N) is
 # rational only where 2 k pi/N is a multiple of pi/3 or pi/2, so
 # y_k^2 = m^2 cos^2(k pi/N) is rational only at these j = 12 k/N
-_RATIONAL_COS2 = {2: Fraction(3, 4), 3: Fraction(1, 2), 4: Fraction(1, 4), 6: Fraction(0),
-                  8: Fraction(1, 4), 9: Fraction(1, 2), 10: Fraction(3, 4)}
+_RATIONAL_COS2 = {2: Fraction(3, 4), 3: Fraction(1, 2), 4: Fraction(1, 4)}
 
 
 def _outer_values(m2, N: int) -> list[IsolatedRoot]:
     """The y_k = m cos(k pi/N), 0 < k < N, ascending, each in a cell.
 
-    y_k is exact when it is rational: at the j = 12 k/N of _RATIONAL_COS2
-    where m^2 cos^2(k pi/N) is a rational square.  Every other y_k is
-    +-m cos(i pi/N) for i = min(k, N - k), an angle in (0, pi/2), and gets
-    a cell of relative width about 2^-150 in integers: i pi/N lies in
-    [x_lo, x_hi] 2^-YBITS by _PI, cos decreases there, so cos(i pi/N) is
-    between the lower bound of cos at x_hi and the upper one at x_lo
-    (``_cos``), and above 0; with m^2 = a/b in lowest terms, m = sqrt(a b)
-    / b is in [M, M + 1] / (b 2^YBITS) for M = isqrt(a b 2^(2 YBITS)).
-    Raises _Undecided when two cells touch.
+    y_(N-k) = -y_k, so each cell is made once, for i = min(k, N - k), and
+    y_(N/2) = 0 at even N.  m cos(i pi/N) is exact when it is rational: at
+    the j = 12 i/N of _RATIONAL_COS2 where m^2 cos^2(i pi/N) is a rational
+    square.  Every other one gets a cell of relative width about 2^-150 in
+    integers: i pi/N, in (0, pi/2), lies in [x_lo, x_hi] 2^-YBITS by _PI,
+    cos decreases there with slope at most 1, so cos(i pi/N) is below the
+    upper bound of cos at x_lo and above its lower bound minus x_hi - x_lo
+    (``_cos``); with m^2 = a/b in lowest terms, m = sqrt(a b) / b is in
+    [M, M + 1] / (b 2^YBITS) for M = isqrt(a b 2^(2 YBITS)).  Raises
+    _Undecided when two cells touch.
     """
     a, b = Fraction(m2).as_integer_ratio()
-    M, shift, out = math.isqrt(a * b << 2 * YBITS), 256 - YBITS, []
-    for k in range(N - 1, 0, -1):
-        j, rest = divmod(12 * k, N)
+    M, shift, half = math.isqrt(a * b << 2 * YBITS), 256 - YBITS, []
+    for i in range(1, (N + 1) // 2):
+        j, rest = divmod(12 * i, N)
         c2 = None if rest else _RATIONAL_COS2.get(j)
         if c2 is not None and is_square(m2 * c2):
-            lo = hi = rational_sqrt(m2 * c2) * (1 if j < 6 else -1)
+            lo = hi = rational_sqrt(m2 * c2)
         else:
-            i = min(k, N - k)
             x_lo, x_hi = i * _PI // (N << shift), -(-i * (_PI + 1) // (N << shift))
-            lo = Fraction(M * max(_cos(x_hi)[0], 0), b << 2 * YBITS)
-            hi = Fraction((M + 1) * _cos(x_lo)[1], b << 2 * YBITS)
-            if k > N - k:
-                lo, hi = -hi, -lo
-        if out and out[-1].hi >= lo:
+            c_lo, c_hi = _cos(x_lo)
+            lo = Fraction(M * (c_lo - (x_hi - x_lo)), b << 2 * YBITS)
+            hi = Fraction((M + 1) * c_hi, b << 2 * YBITS)
+        if half and half[-1].lo <= hi:
             raise _Undecided
-        out.append(IsolatedRoot(lo, hi))
-    return out
+        half.append(IsolatedRoot(lo, hi))
+    if half and half[-1].lo <= 0:
+        raise _Undecided
+    zero = [IsolatedRoot(Fraction(0), Fraction(0))] if N % 2 == 0 else []
+    return [IsolatedRoot(-r.hi, -r.lo) for r in half] + zero + half[::-1]
 
 
 def _cos(X: int) -> tuple[int, int]:
@@ -569,102 +572,138 @@ def _branch_ends(u: Poly, m2, crit: list[IsolatedRoot]) -> list[tuple]:
     return ends + [(R, R, above, above)]
 
 
-class _Crossings:
-    """The solutions of u = y_k, for y_k the irrational number in the cell
-    y of ``_outer_values``.
+def _crossings(u: Poly, ys: list[IsolatedRoot], ends: list[tuple]) -> list[IsolatedRoot]:
+    """The solutions of u = y_k for every y_k in the ascending, disjoint
+    cells ys, in the cells real_roots(u - y_k) would give them.
 
-    Between consecutive ends of ``_branch_ends`` u is strictly monotone,
-    so u - y_k has a root inside such a branch iff its ends bracket y_k,
-    and then one, simple.  The bracket is decided exactly, by the
-    enclosure of u at each end against y's cell.  A root inside a branch
-    is irrational, never a grid point, and gets the grid cell [K, K+1]
-    2^-48 once the exact signs of u - y_k at its two ends differ, each read
-    off u at a grid point against y's cell.  A float guess
-    (``_float_root``) picks K; failing it and its two neighbours, exact
-    bisection on the branch's grid points does.  Floats only guess: a
-    wrong guess costs time, never a different answer.  A value that meets
-    y's cell raises _Undecided.
+    u is strictly monotone between consecutive ends of ``_branch_ends``.
+    A binary search places each end's value among the cells: at 2 i above
+    i of them and below the rest, at 2 i + 1 on the exact y_i, which only
+    x = 0 may be (a double root of u - y_i, no cut).  A branch then holds
+    one simple root of u - y_k for each k strictly between its ends'
+    places, met in x order.  Each gets the grid cell [K, K+1] 2^-48 at
+    whose ends the exact signs of u - y_k differ, read off u's integer
+    value at a grid point (cached by K) against y_k's cell; a zero, at an
+    exact y_k, is the root.  The search narrows [Ka, Kb], from the previous
+    root's cell to the branch's end: it probes a float Newton guess
+    (``_newton_root``) first, steps away by doubling strides and bisects
+    once a stride leaves the bracket, so a wrong guess costs time, never a
+    different answer.  At an exact y_k ``_exact_root`` finds a rational
+    root in its cell.  A value that meets y_k's cell raises _Undecided.
     """
-
-    def __init__(self, u: Poly, y: IsolatedRoot):
-        self.u, self.y = u, y
-        self.signs: dict[int, int] = {}  # sign of u - y_k at K 2^-48, by K
-        # at x = K 2^-48, u(x) = cn V / (cd 2^shift) for the content cn/cd
-        # and V = _value_dyadic(u.ints, K, GRID): u(x) <= y.lo iff
-        # V ld <= ln, and u(x) >= y.hi iff V hd >= hn
-        shift, (cn, cd) = GRID * u.degree, u.content.as_integer_ratio()
+    ints, (cn, cd), scale = u.ints, u.content.as_integer_ratio(), 1 << GRID
+    shift, f = _scaled_floats(ints)
+    # at x = K 2^-48, u(x) = cn V / (cd 2^(48 deg)) for V = _value_dyadic(ints, K, GRID)
+    values: dict[int, int] = {}
+    # (ln, ld, hn, hd) by k: u(x) <= y_k.lo iff V ld <= ln, u(x) >= y_k.hi iff V hd >= hn
+    bounds, floats, exact = [], [], [y.exact for y in ys]
+    for y in ys:
         (ln, ld), (hn, hd) = y.lo.as_integer_ratio(), y.hi.as_integer_ratio()
-        self.bounds = (ln * cd) << shift, ld * cn, (hn * cd) << shift, hd * cn
-        # cd yd (u - y_m) in integers, for y_m = yn/yd the middle of y's cell
-        yn, yd = y.mid.as_integer_ratio()
-        self.u_minus_mid = (cn * yd * u.ints[0] - cd * yn, *(cn * yd * c for c in u.ints[1:]))
+        bounds.append(((ln * cd) << GRID * u.degree, ld * cn, (hn * cd) << GRID * u.degree, hd * cn))
+        try:  # u - y_k scaled as f is, for the guess
+            floats.append(f[:-1] + [f[-1] - (hn * cd) / ((hd * cn) << shift)])
+        except OverflowError:
+            floats.append(f[:-1] + [math.nan])
 
-    def roots(self, ends) -> list[IsolatedRoot]:
-        """The real roots of u - y_k, in the cells real_roots would give
-        them."""
-        signs = [self.sign(v_lo, v_hi) for *_, v_lo, v_hi in ends]
-        return [self.root_between(a, b, sa)
-                for (_, a, *_), (b, *_), sa, sb in zip(ends, ends[1:], signs, signs[1:]) if sa != sb]
-
-    def sign(self, lo, hi) -> int:
-        """The sign of v - y_k for every v in [lo, hi]."""
-        if hi <= self.y.lo:
+    def side(k: int, K: int) -> int:
+        """The sign of u - y_k at K 2^-48."""
+        V = values.get(K)
+        if V is None:
+            V = values[K] = _value_dyadic(ints, K, GRID)
+        ln, ld, hn, hd = bounds[k]
+        low = V * ld - ln
+        if exact[k]:
+            return (low > 0) - (low < 0)
+        if low <= 0:
             return -1
-        if lo >= self.y.hi:
+        if V * hd >= hn:
             return 1
         raise _Undecided
 
-    def side(self, K: int) -> int:
-        """The sign of u - y_k at K 2^-48, in integers."""
-        if K not in self.signs:
-            ln, ld, hn, hd = self.bounds
-            V = _value_dyadic(self.u.ints, K, GRID)
-            if V * ld <= ln:
-                self.signs[K] = -1
-            elif V * hd >= hn:
-                self.signs[K] = 1
-            else:
+    his = [y.hi for y in ys]
+
+    def place(lo, hi, v_lo, v_hi) -> int:
+        i = bisect_left(his, v_lo)  # the cells with hi < v_lo
+        if i < len(ys) and not exact[i] and his[i] == v_lo:
+            i += 1
+        if i == len(ys) or v_hi < ys[i].lo or v_hi == ys[i].lo and not exact[i]:
+            return 2 * i
+        if exact[i] and v_lo == v_hi == ys[i].lo and lo == hi == 0:
+            return 2 * i + 1
+        raise _Undecided
+
+    out = []
+    places = [place(*end) for end in ends]
+    for (_, a, *_), (b, *_), pa, pb in zip(ends, ends[1:], places, places[1:]):
+        sa, ks = (-1, range((pa + 1) // 2, pb // 2)) if pa < pb else (1, range(pa // 2 - 1, (pb - 1) // 2, -1))
+        Ka, Kb = (_grid_key(a) + 1) // 2, _grid_key(b) // 2  # the grid points in [a, b]
+        for k in ks:
+            lo, hi = Ka, Kb  # u - y_k has the sign sa at lo and -sa at hi
+            if lo >= hi or side(k, lo) != sa or side(k, hi) != -sa:
                 raise _Undecided
-        return self.signs[K]
+            try:
+                K = math.floor(_newton_root(floats[k], lo / scale, hi / scale) * scale)
+            except (OverflowError, ValueError):  # the guess is infinite or NaN
+                K = lo
+            stride = 1
+            while hi - lo > 1:
+                if not lo < K < hi:
+                    K = (lo + hi) // 2
+                s = side(k, K)
+                if not s:
+                    lo = hi = K
+                    break
+                if s == sa:
+                    lo, K = K, K + stride
+                else:
+                    hi, K = K, K - stride
+                stride *= 2
+            Ka = lo
+            if lo < hi and exact[k]:
+                out.append(IsolatedRoot(*_exact_root(u, ys[k].lo, lo)))
+            else:
+                out.append(IsolatedRoot(_dyadic(lo, -GRID), _dyadic(hi, -GRID)))
+    return out
 
-    def root_at(self, K: int) -> IsolatedRoot | None:
-        """The root in [K, K+1] 2^-48, if u - y_k changes sign there."""
-        if self.side(K) == self.side(K + 1):
-            return None
-        return IsolatedRoot(_dyadic(K, -GRID), _dyadic(K + 1, -GRID))
 
-    def root_between(self, a: Fraction, b: Fraction, sa: int) -> IsolatedRoot:
-        """The root on the branch from a to b, where u - y_k has the sign sa
-        at a and the opposite one at b: the cell of a float guess or of
-        its neighbours, else exact bisection on the grid points in [a, b]."""
-        Ka, Kb = -((-a.numerator << GRID) // a.denominator), (b.numerator << GRID) // b.denominator
-        try:
-            K = math.floor(_float_root(self.u_minus_mid, a, b) * (1 << GRID))
-        except (OverflowError, ValueError):  # the guess is infinite or NaN
-            K = Ka
-        r = next(filter(None, map(self.root_at, (K, K - 1, K + 1))), None) if Ka < K < Kb - 1 else None
-        if r is not None:
-            return r
-        if Ka >= Kb or self.side(Ka) != sa or self.side(Kb) != -sa:
-            raise _Undecided
-        while Kb - Ka > 1:
-            mid = (Ka + Kb) // 2
-            Ka, Kb = (mid, Kb) if self.side(mid) == sa else (Ka, mid)
-        return IsolatedRoot(_dyadic(Ka, -GRID), _dyadic(Kb, -GRID))
+def _exact_root(u: Poly, y: Fraction, K: int) -> tuple[Fraction, Fraction]:
+    """The root of u - y in the grid cell [K, K+1] 2^-48, at whose ends
+    u - y has nonzero opposite signs: the point when it is rational, else
+    the cell.  A rational root of the primitive integer p = u - y is
+    k/lead for an integer k, and the cell holds at most one such point
+    when lead < 2^48; otherwise ``_refine`` refines the cell to its root
+    or back to itself."""
+    (cn, cd), (yn, yd) = u.content.as_integer_ratio(), y.as_integer_ratio()
+    p = _primitive([cn * yd * u.ints[0] - cd * yn] + [cn * yd * c for c in u.ints[1:]])
+    lead, lo, hi = abs(p[-1]), _dyadic(K, -GRID), _dyadic(K + 1, -GRID)
+    if lead >> GRID:
+        return _refine(p, lo, hi, DEFAULT_WIDTH)
+    x = Fraction((lead * K >> GRID) + 1, lead)  # the least k/lead above lo
+    return (x, x) if x < hi and not _sign(p, x) else (lo, hi)
+
+
+def _grid_key(x: Fraction) -> int:
+    """2 K when x = K 2^-48, 2 K + 1 when x is inside (K, K+1) 2^-48."""
+    K, rest = divmod(x.numerator << GRID, x.denominator)
+    return 2 * K + (rest > 0)
 
 
 def _disjoint(found: list[IsolatedRoot]) -> list[IsolatedRoot]:
     """The roots in order; _Undecided when one has even multiplicity, two
-    touch or overlap (a root found twice among them), or an inexact one is
-    no grid cell or ends at 0, where real_roots(G') narrows it if G'(0) =
-    0.  The sort is by grid cell only: every neighbour is compared exactly,
-    and out of order means overlapping."""
-    out = sorted(found, key=lambda r: (r.lo.numerator << GRID) // r.lo.denominator)
-    for a, r in zip([None, *out], out):
-        if (r.multiplicity % 2 == 0 or (a and r.lo <= a.hi)
-                or not r.exact and (r.hi - r.lo != DEFAULT_WIDTH or not r.lo * r.hi)):
+    touch or overlap (a root found twice among them) or share a grid cell,
+    or an inexact one is no grid cell or ends at 0, where real_roots(G')
+    narrows it if G'(0) = 0.  Each end is compared by its ``_grid_key``
+    alone: two roots in one open grid cell count as overlapping."""
+    keyed = []
+    for r in found:
+        lo, hi = _grid_key(r.lo), _grid_key(r.hi)
+        if r.multiplicity % 2 == 0 or not r.exact and (lo % 2 or hi != lo + 2 or not lo * hi):
             raise _Undecided
-    return out
+        keyed.append((lo, hi, r))
+    keyed.sort(key=lambda t: t[0])
+    if any(a[1] >= b[0] for a, b in zip(keyed, keyed[1:])):
+        raise _Undecided
+    return [r for *_, r in keyed]
 
 
 def solve_c1(s: int, c2, c3, c4) -> list[IsolatedRoot]:

@@ -138,16 +138,21 @@ def cmd_integrate(args):
     if isinstance(out, Refusal):
         return EXIT_NO, out.as_dict() if args.json else render_refusal(out)
     if args.emit_samples:
-        _emit_samples(out, args.emit_samples)
+        span = out.default_check_interval()
+        if span is None:
+            raise ValueError(
+                "--emit-samples: no piece of the form is wider than 1e-6 inside [-8, 8], "
+                "so there is no default span to sample; use verify --interval a,b --emit-samples"
+            )
+        _emit_samples(out, args.emit_samples, span)
     return EXIT_YES, out.as_dict() if args.json else render(out, args.format)
 
 
-def _emit_samples(cf: ClosedForm, path: str, count: int = 200) -> None:
+def _emit_samples(cf: ClosedForm, path: str, span: tuple[float, float], count: int = 200) -> None:
+    """Write x, the integrand and the antiderivative at count + 1 evenly
+    spaced x of span, which lies inside one piece, to the CSV file path."""
     import csv
 
-    span = cf.default_check_interval()
-    if span is None:
-        return
     lo, hi = span
     piece = cf.piece_for(lo, hi)
     pf = cf.c.poly().float_coeffs()
@@ -179,7 +184,7 @@ def cmd_verify(args):
     except IntervalNotValid as exc:
         raise IntervalNotValid(f"interval not valid: {exc}") from None
     if args.emit_samples:
-        _emit_samples(out, args.emit_samples)
+        _emit_samples(out, args.emit_samples, interval)
     code = EXIT_YES if err <= args.tol else EXIT_NO
     return code, (
         f"numeric check on [{interval[0]!r}, {interval[1]!r}]: "
@@ -408,7 +413,11 @@ def build_parser() -> argparse.ArgumentParser:
     i.add_argument("--n", type=int, required=True, help=n_help)
     i.add_argument("--p", required=True)
     i.add_argument("--format", choices=("text", "latex"), default="text")
-    i.add_argument("--emit-samples", metavar="CSV")
+    i.add_argument(
+        "--emit-samples", metavar="CSV",
+        help="write x, integrand and antiderivative at 201 points across the middle "
+        "third of the widest piece within [-8, 8] to CSV",
+    )
     add_common(i)
     i.set_defaults(fn=cmd_integrate)
 
@@ -417,7 +426,10 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--p", required=True)
     v.add_argument("--interval", required=True, help="a,b")
     v.add_argument("--tol", type=float, default=1e-8)
-    v.add_argument("--emit-samples", metavar="CSV")
+    v.add_argument(
+        "--emit-samples", metavar="CSV",
+        help="write x, integrand and antiderivative at 201 points across --interval to CSV",
+    )
     add_common(v, json_output=False)
     v.set_defaults(fn=cmd_verify)
 

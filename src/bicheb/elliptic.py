@@ -22,12 +22,12 @@ where the arc-function hits its branch point and the correct sign sigma
 flips.  They are the roots of g' but the exceptional point x = 0, and
 ``bipartite.cuts`` takes them from the composition g = m T_N(u/m): the
 nonzero roots of u' (degree s - 1) and the solutions of u = y_k,
-y_k = m cos(k pi/N).  A rational y_k (Niven) is exact and real_roots(u -
-y_k) (degree s) solves it; every other y_k is enclosed in an integer
-cell about 2^-150 wide relative to it, and its solutions are certified on
-u in the cells real_roots would isolate them in.  Floats only guess.  G'
-itself, of degree n - 1, is isolated only when that route cannot certify
-its answer.
+y_k = m cos(k pi/N).  A rational y_k (Niven) is exact, and every other
+one is enclosed in an integer cell about 2^-150 wide relative to it; one
+sweep over u's monotone branches certifies every solution on u, a
+rational one exactly and the others in the cells real_roots would isolate
+them in.  Floats only guess.  G' itself, of degree n - 1, is isolated
+only when that route cannot certify its answer.
 Emitted forms are therefore piecewise, each piece carrying its own
 sigma.  The identity n^2 x^2 (G^2 -+ M) = p G'^2 fixes the sign of d/dx
 f(G/m), so sigma = -sgn x sgn G' for arccos, sgn x sgn G' for arcsinh,

@@ -261,16 +261,28 @@ def _signs_dyadic(chain: list[Ints], k: int, e: int) -> list[int]:
 
 
 def _float_root(p: Ints, lo: Fraction, hi: Fraction) -> float:
-    """A float root of p in (lo, hi), across which it changes sign: Newton
-    steps on p scaled by a power of two, bisecting when one leaves the
-    bracket, until a step is below float precision or no float is left
-    inside the bracket.  Only a guess, NaN when the floats overflow."""
-    shift = max(max(abs(c).bit_length() for c in p) - 64, 0)
-    f = [float(c >> shift) for c in reversed(p)]
+    """A float root of p in (lo, hi), across which it changes sign:
+    ``_newton_root`` on p scaled by a power of two (``_scaled_floats``).
+    Only a guess, NaN when the floats overflow."""
     try:
         a, b = float(lo), float(hi)
     except OverflowError:
         return math.nan
+    return _newton_root(_scaled_floats(p)[1], a, b)
+
+
+def _scaled_floats(p: Ints) -> tuple[int, list[float]]:
+    """(shift, f): p's coefficients shifted right by shift bits, so that the
+    largest fits in 64 bits, as floats in descending order."""
+    shift = max(max(abs(c).bit_length() for c in p) - 64, 0)
+    return shift, [float(c >> shift) for c in reversed(p)]
+
+
+def _newton_root(f: list[float], a: float, b: float) -> float:
+    """A float root in (a, b) of the descending coefficient list f, which
+    changes sign across it: Newton steps, bisecting when one leaves the
+    bracket, until a step is below float precision or no float is left
+    inside the bracket.  Only a guess."""
     fa = _value_and_slope(f, a)[0]
     x = (a + b) / 2
     for _ in range(60):  # a cap: 60 halvings exhaust a float's precision

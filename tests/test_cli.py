@@ -128,12 +128,22 @@ def test_verify_emit_samples(tmp_path, capsys):
     assert code == 0 and "max error" in out
     header, *rows = target.read_text().splitlines()
     assert header == "x,integrand,antiderivative"
-    # the samples span the middle third of the widest piece, (1, 2)
+    # the samples span the checked interval
     xs = [float(r.split(",")[0]) for r in rows]
-    assert len(rows) == 201 and (xs[0], xs[-1]) == (4 / 3, 5 / 3)
+    assert len(rows) == 201 and (xs[0], xs[-1]) == (-0.95, -0.75)
     for row in rows:
         x, f, _ = map(float, row.split(","))
         assert f == pytest.approx(x / math.sqrt(-(x**4 - 2 * x**3 - 3 * x**2 + 2 * x + 2)))  # p < 0
+
+
+@pytest.mark.parametrize(
+    "command, span",
+    [("integrate", "the middle third of the widest piece within [-8, 8]"), ("verify", "--interval")],
+)
+def test_emit_samples_help_names_the_span(capsys, command, span):
+    code, out, _ = run(capsys, command, "--help")
+    want = f"--emit-samples CSV write x, integrand and antiderivative at 201 points across {span} to CSV"
+    assert code == 0 and want in " ".join(out.split())
 
 
 def test_fk_text_and_eval(capsys):
@@ -526,6 +536,9 @@ BAD_INPUTS = [
     (("construct", "--s", "1", "--c2=-3", "--c3", "2", "--c4", "2"), "at least 2"),
     (("integrate", "--n", "3", "--p=-2,-3,2,2", "--emit-samples", "/nonexistent/x.csv"),
      "No such file or directory"),
+    # WORKED under x -> 16x: no piece meets [-8, 8], so there is no default span
+    (("integrate", "--n", "3", "--p=-32,-768,8192,131072", "--emit-samples", "s.csv"),
+     "--emit-samples: no piece of the form is wider than 1e-6 inside [-8, 8]"),
     (("decide", "--n", "3", "--p=1e400,0,0,0", "--rationalize"), "not a finite number"),
     (("decide", "--n", "3", "--p=1/0,0,0,0"), "'1/0' has a zero denominator"),
     (("construct", "--s", "2", "--c2=-3/0", "--c3", "0", "--c4", "1"),

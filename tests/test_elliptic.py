@@ -33,7 +33,7 @@ from bicheb.elliptic import (
 )
 from bicheb.poly import Poly, horner
 from bicheb.roots import IsolatedRoot, noroot_signs, real_roots
-from bicheb.scalars import is_square, rational_sqrt
+from bicheb.scalars import rational_sqrt
 
 WORKED = QuarticCoeffs.of(-2, -3, 2, 2)
 SYMMETRIC = QuarticCoeffs.of(0, -5, 0, 4)
@@ -155,27 +155,16 @@ def _isolated_degrees(monkeypatch) -> list[int]:
     return degrees
 
 
-def _rational_outer_values(m2, N: int) -> int:
-    """How many y_k = m cos(k pi/N), 0 < k < N, are rational: by Niven
-    cos(2 k pi/N) must be 0, +-1/2 or +-1, and y_k^2 = m^2 (1 + cos(2 k pi/N)) / 2
-    a rational square."""
-    count = 0
-    for k in range(1, N):
-        c2 = 2 * math.cos(2 * k * math.pi / N)
-        count += abs(c2 - round(c2)) < 1e-9 and is_square(m2 * (2 + round(c2)) / 4)
-    return count
-
-
 @pytest.mark.parametrize(
     "n, c", [(4, (0, 1, 0, 0)), (10, (0, -5, 0, 4)), (33, (-2, -3, 2, 2)), (12, (0, 0, 0, -1))]
 )
 def test_circular_form_isolates_p_and_u_prime_never_g_prime(monkeypatch, n, c):
     degrees = _isolated_degrees(monkeypatch)
     cf = decide(n, QuarticCoeffs.of(*c))
-    # p, then u' of degree s - 1, then u - y_k of degree s for each rational
-    # y_k; the solutions of u = y_k at an irrational y_k are certified on u
-    # itself, so neither G' (degree n - 1) nor W_(N-1) is isolated
-    assert degrees == [4, cf.s - 1] + [cf.s] * _rational_outer_values(cf.m2, cf.N)
+    # p, then u' of degree s - 1; the solutions of u = y_k are certified on
+    # u itself, at the rational y_k too (y_3 = 0 at n = 12, N = 6), so
+    # neither u - y_k, G' (degree n - 1) nor W_(N-1) is isolated
+    assert degrees == [4, cf.s - 1]
     assert max(degrees[1:]) < n - 1
 
 

@@ -144,9 +144,9 @@ def test_cli_output_matches_snapshot(argv):
     "argv", [a for a in cases() if a[0] in ("decide", "complete")], ids=" ".join
 )
 def test_cli_output_without_a_float_guess_matches_snapshot(monkeypatch, argv):
-    # roots._refine then runs QIR from level 0, and _Crossings bisects exactly
-    for module in (roots, bipartite):
-        monkeypatch.setattr(module, "_float_root", lambda *a: math.nan)
+    # roots._refine then runs QIR from level 0, and the sweep of cuts bisects exactly
+    monkeypatch.setattr(roots, "_float_root", lambda *a: math.nan)
+    monkeypatch.setattr(bipartite, "_newton_root", lambda *a: math.nan)
     want = load()[" ".join(argv)]
     got = run(argv)
     assert got["exit"] == want["exit"]

@@ -139,6 +139,23 @@ def test_an_off_grid_rational_crossing_comes_out_exact(fast_only, u, m2, N, want
         assert (x, x, 1) in cells(got)
 
 
+def test_exact_crossings_off_the_grid_with_a_lead_from_2_to_the_48(fast_only):
+    # y = +-1 at m^2 = 4, N = 3: u = 2^100 x^2 meets y = 1 at +-2^-50, inside
+    # the grid cells on either side of 0, which hold many k/lead, lead = 2^100
+    u = Poly([0, 0, 2**100])
+    want = [(F(-1, 2**50), F(-1, 2**50), 1), (F(1, 2**50), F(1, 2**50), 1)]
+    assert cells(cuts(u, F(4), 3)) == cells(oracle(u, F(4), 3)) == want
+
+
+@pytest.mark.parametrize("lam", [F(1), F(2), F(1, 3), F(3, 2)])
+@pytest.mark.parametrize("n", [n for n in range(4, 61, 2) if n % 4 == 0 or n % 6 == 0])
+def test_rational_crossings_on_the_symmetric_family(fast_only, n, lam):
+    # m = 3/2 on SYMMETRIC: y = 0 at even N = n/2 and +-3/4 when 3 | N
+    form = circular(n, image(QUARTICS["SYMMETRIC"], lam, False))
+    assert any(y.exact for y in bipartite._outer_values(*form[1:]))
+    assert cells(cuts(*form)) == cells(oracle(*form))
+
+
 @pytest.fixture
 def composed(monkeypatch):
     """The calls of the fallback, where cuts composes G itself."""
@@ -282,10 +299,9 @@ WRONG_GUESSES = {
 
 @pytest.mark.parametrize("wrong", sorted(WRONG_GUESSES))
 def test_a_wrong_float_root_changes_nothing(monkeypatch, fast_only, wrong):
-    # the guess of roots._refine and the one _Crossings imports
-    guess = WRONG_GUESSES[wrong](roots._float_root)
-    for module in (roots, bipartite):
-        monkeypatch.setattr(module, "_float_root", guess)
+    # the guess of roots._refine and the one the sweep of cuts imports
+    for module, name in ((roots, "_float_root"), (bipartite, "_newton_root")):
+        monkeypatch.setattr(module, name, WRONG_GUESSES[wrong](getattr(module, name)))
     for n, c in [(33, QUARTICS["WORKED"]), (32, QUARTICS["SYMMETRIC"]), (24, QUARTICS["MINUS_FIVE"]),
                  (12, (0, 0, 0, -1)), (8, TINY)]:
         form = circular(n, c)
@@ -294,18 +310,18 @@ def test_a_wrong_float_root_changes_nothing(monkeypatch, fast_only, wrong):
 
 def test_crossings_guess_on_u_above_the_float_range(monkeypatch):
     # float(3^700) overflows; the guess scales u - y_k by a power of two, and
-    # each crossing is certified at the guess's cell or a neighbour, at most
-    # four grid points, where exact bisection takes about fifty
+    # each crossing is certified at the guess's cell or a neighbour: at most
+    # eight grid points with the branch ends, where exact bisection takes
+    # about fifty per crossing
     u = Poly([-(2 * 3**700 + 1), 0, 3**700])
     y = next(y for y in bipartite._outer_values(F(1), 4) if not y.exact)  # -sqrt(2)/2
     ends = bipartite._branch_ends(u, F(1), real_roots(u.derivative()))
-    calls = []
-    side = bipartite._Crossings.side
-    monkeypatch.setattr(bipartite._Crossings, "side", lambda self, K: calls.append(K) or side(self, K))
-    got = bipartite._Crossings(u, y).roots(ends)
-    assert len(got) == 2 and len(set(calls)) <= 8
-    monkeypatch.setattr(bipartite, "_float_root", lambda *a: math.nan)
-    assert cells(bipartite._Crossings(u, y).roots(ends)) == cells(got)
+    points, value = [], bipartite._value_dyadic
+    monkeypatch.setattr(bipartite, "_value_dyadic", lambda q, K, j: points.append(K) or value(q, K, j))
+    got = bipartite._crossings(u, [y], ends)
+    assert len(got) == 2 and len(set(points)) <= 8
+    monkeypatch.setattr(bipartite, "_newton_root", lambda *a: math.nan)
+    assert cells(bipartite._crossings(u, [y], ends)) == cells(got)
 
 
 @pytest.mark.parametrize("m2, step", [(F(5), F(1, 8)), (F(3, 7), F(1, 24))])
