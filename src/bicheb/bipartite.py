@@ -44,7 +44,7 @@ from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .partitions import FkTable, _counts, fk_table_by_recurrence
-from .poly import Poly, _chebyshev_ladder, _unpack, horner
+from .poly import Poly, _chebyshev_ladder, _normal, _pack, _unpack, horner
 from .roots import (
     DEFAULT_WIDTH, IsolatedRoot, _dyadic, _newton_root, _primitive, _refine, _scaled_floats, _sign,
     _value_dyadic, real_roots,
@@ -395,6 +395,24 @@ def identity_residual(
     M = m2.  convention "g-over-m": G = g/m (even outer degree), M = 1.
     The sign is + for the hyperbolic branch, - otherwise.  q = x is the
     quartic case; a general monic q gives the multipartite identity.
+
+    The residual is a rational times one integer polynomial T, and one
+    big-int evaluation of T decides whether it is zero.  With G = g I_G, p = c_p I_p and q = c_q I_q for primitive
+    integer vectors, -+M / g^2 = -a/b in lowest terms and I_G' = [k I_G[k]],
+    it is g^2 / (b e) T for
+
+        T = A I_q^2 (b I_G^2 - a) - B I_p I_G'^2,
+
+    A = n^2 c_q^2 e and B = b c_p e, with e the least positive integer
+    making both integers.  No coefficient of T exceeds
+
+        A |I_q|^2 (b |I_G|^2 + |a|) + B |I_p| |I_G'|^2
+
+    in magnitude (|.| the sum of absolute values), so for a slot width w
+    of whole bytes with 2^(w-1) above that bound, V = T(2^w) is exactly
+    zero iff T is: a nonzero top coefficient t_d gives
+    |V| >= 2^(w d) - (2^(w-1) - 1) (2^(w d) - 1) / (2^w - 1) > 0.  The same
+    bound lets ``_unpack`` read T's coefficients from the slots of V.
     """
     if convention == "g":
         M = m2
@@ -402,10 +420,25 @@ def identity_residual(
         M = Fraction(1)
     else:
         raise ValueError(f"unknown convention {convention!r}")
-    gsq = G * G
-    inner = gsq + M if branch is Branch.HYPERBOLIC else gsq - M
-    dG = G.derivative()
-    return q * q * inner.scale(n * n) - p * dG * dG
+    g = G.content
+    mu = (-M if branch is Branch.HYPERBOLIC else M) / (g * g)
+    a, b = mu.numerator, mu.denominator
+    r1, r2 = n * n * q.content**2, b * p.content
+    e = math.lcm(r1.denominator, r2.denominator)
+    A, B = r1.numerator * (e // r1.denominator), r2.numerator * (e // r2.denominator)
+    IG, Ip, Iq = G.ints, p.ints, q.ints
+    dG = [k * v for k, v in enumerate(IG)][1:]
+
+    def l1(v) -> int:
+        return sum(map(abs, v))
+
+    bound = A * l1(Iq) ** 2 * (b * l1(IG) ** 2 + abs(a)) + B * l1(Ip) * l1(dG) ** 2
+    w = (bound.bit_length() + 8) & ~7
+    PG, PdG, Pq = _pack(IG, w), _pack(dG, w), _pack(Iq, w)
+    V = A * Pq * Pq * (b * PG * PG - a) - B * _pack(Ip, w) * PdG * PdG
+    if not V:
+        return Poly.zero()
+    return _normal(g * g / (b * e), _unpack(V, w, V.bit_length() // w + 1))
 
 
 def compose_outer(u: Poly, m2, N: int, branch: Branch) -> tuple[Poly, str]:

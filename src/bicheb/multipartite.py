@@ -230,14 +230,15 @@ def solvability_residuals(s: int, p: Poly, q: Poly) -> list[Fraction]:
 def integration_constant(s: int, p: Poly, q: Poly, u: Poly):
     """(c, m^2) = (0, m^2) with  s^2 q^2 (u^2 - m^2) = p u'^2.
 
-    The identity says W = s^2 q^2 u^2 - p u'^2 is s^2 m^2 times q^2, and
-    q^2 is monic, so m^2 = lc(W) / s^2.  One exact check of the identity
-    with that m^2 decides; NoConsistentConstants is raised when it fails,
-    which is when W is no constant multiple of q^2.  c is always 0.
+    The identity says W = s^2 q^2 u^2 - p u'^2, the residual at m^2 = 0, is
+    s^2 m^2 times q^2, and q^2 is monic, so m^2 = lc(W) / s^2.  The residual
+    at that m^2 is W - lc(W) q^2; NoConsistentConstants is raised when it
+    is nonzero, which is when W is no constant multiple of q^2.  c is
+    always 0.
     """
     _check_pq(p, q)
     W = identity_residual(u, "g", p, s, 0, Branch.CIRCULAR, q)
-    m2 = W.leading() / (s * s) if W else Fraction(0)
-    if identity_residual(u, "g", p, s, m2, Branch.CIRCULAR, q):
+    lc = W.leading() if W else Fraction(0)
+    if W != (q * q).scale(lc):
         raise NoConsistentConstants("no exact (c, m^2) pair satisfies the identity")
-    return Fraction(0), m2
+    return Fraction(0), lc / (s * s)

@@ -73,7 +73,7 @@ def _kmul(a: Ints, b: Ints) -> list[int]:
 
     Every product coefficient is below min(len) * max|a| * max|b| in
     magnitude, so a slot of w bits, with 2^(w-1) above that bound, holds
-    it with its sign.  Packing adds the signed digits in Horner order;
+    it with its sign.  ``_pack`` adds the signed digits in Horner order;
     ``_unpack`` reads them back.
     """
     w = (
@@ -83,13 +83,15 @@ def _kmul(a: Ints, b: Ints) -> list[int]:
         + 1
     )
     w = (w + 7) & ~7
-    pa = 0
-    for c in reversed(a):
-        pa = (pa << w) + c
-    pb = 0
-    for c in reversed(b):
-        pb = (pb << w) + c
-    return _unpack(pa * pb, w, len(a) + len(b) - 1)
+    return _unpack(_pack(a, w) * _pack(b, w), w, len(a) + len(b) - 1)
+
+
+def _pack(v: Sequence[int], w: int) -> int:
+    """sum v_i 2^(w i): the integer vector v evaluated at x = 2^w, by Horner."""
+    out = 0
+    for c in reversed(v):
+        out = (out << w) + c
+    return out
 
 
 def _unpack(v: int, w: int, m: int) -> list[int]:

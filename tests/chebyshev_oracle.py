@@ -1,10 +1,13 @@
-"""Chebyshev polynomials and the outer composition by Horner, as oracles.
+"""Chebyshev polynomials, the outer composition and the identity residual
+by Poly arithmetic, as oracles.
 
 The program composes G by an integer doubling ladder
-(``bicheb.poly._chebyshev_ladder``).  This module keeps the earlier,
-independent route: T_N by the three-term recurrence, the sinh analogue
-S_N from T_N's coefficients, and G by Horner over the coefficients of
-matching parity in u^2/m^2 (``Poly.compose``).
+(``bicheb.poly._chebyshev_ladder``) and checks the identity by one packed
+integer evaluation (``bicheb.bipartite.identity_residual``).  This module
+keeps the earlier, independent routes: T_N by the three-term recurrence,
+the sinh analogue S_N from T_N's coefficients, G by Horner over the
+coefficients of matching parity in u^2/m^2 (``Poly.compose``), and the
+residual from Poly products, sums and ``Poly.derivative``.
 """
 
 from fractions import Fraction
@@ -70,3 +73,20 @@ def compose_outer(u: Poly, m2, N: int, branch: Branch) -> tuple[Poly, str]:
 def outer_derivative(m2, N: int) -> Poly:
     """A positive multiple of m^(N-1) U_(N-1)(y/m), from T_N' / N."""
     return parity_compose(chebyshev_t(N).derivative(), Poly.x(), m2, "g" if N % 2 == 0 else "g-over-m")
+
+
+def identity_residual(
+    G: Poly, convention: str, p: Poly, n: int, m2, branch: Branch, q: Poly = Poly.x()
+) -> Poly:
+    """``bicheb.bipartite.identity_residual``, n^2 q^2 (G^2 -+ M) - p G'^2,
+    by Poly arithmetic."""
+    if convention == "g":
+        M = m2
+    elif convention == "g-over-m":
+        M = Fraction(1)
+    else:
+        raise ValueError(f"unknown convention {convention!r}")
+    gsq = G * G
+    inner = gsq + M if branch is Branch.HYPERBOLIC else gsq - M
+    dG = G.derivative()
+    return q * q * inner.scale(n * n) - p * dG * dG

@@ -1,11 +1,14 @@
 import random
 from dataclasses import dataclass
 from fractions import Fraction as F
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from chebyshev_oracle import chebyshev_t, compose_outer as horner_compose_outer
+from chebyshev_oracle import identity_residual as poly_identity_residual
+from test_golden import cases as golden_cases
 from test_roots import count_roots_halfopen, polys_gcd
 
 from bicheb.bipartite import (
@@ -25,6 +28,8 @@ from bicheb.bipartite import (
     identity_residual,
     solve_c1,
 )
+from bicheb.elliptic import ClosedForm, decide
+from bicheb.multipartite import OutsideData, coefficients_general
 from bicheb.poly import Poly
 from bicheb.roots import IsolatedRoot, real_roots, sturm_chain
 
@@ -313,6 +318,135 @@ def test_no_m_fixes_aux_failure():
     for m2 in (F(0), F(1), F(5, 4), F(7)):
         res = identity_residual(u, "g", AUX_FAIL.poly(), 2, m2, Branch.CIRCULAR)
         assert res[3] == -4
+
+
+# -- the packed residual against the Poly-arithmetic oracle -------------------
+
+X = Poly.x()
+BRANCHES = tuple(Branch)
+
+
+def _flag(argv: list[str], name: str) -> list[F] | None:
+    """The rational list after a CLI flag, given as "--name=v,..." or "--name v,..."."""
+    for i, a in enumerate(argv):
+        if a.startswith(name + "="):
+            return [F(v) for v in a[len(name) + 1 :].split(",")]
+        if a == name:
+            return [F(v) for v in argv[i + 1].split(",")]
+    return None
+
+
+@cache
+def golden_identities() -> list[tuple]:
+    """identity_residual's arguments for every closed form the CLI snapshot
+    decides: the composed check at n and the inner check at s, over the
+    circular, hyperbolic and logarithmic branches and both conventions."""
+    out = []
+    for argv in golden_cases():
+        if argv[0] in ("decide", "integrate"):
+            c = QuarticCoeffs.from_list(_flag(argv, "--p"))
+            cf = decide(int(argv[argv.index("--n") + 1]), c)
+            if isinstance(cf, ClosedForm):
+                sol = cf.solution
+                out.append((cf.G, cf.convention, c.poly(), cf.n, sol.m2, sol.branch, X))
+                out.append((sol.u, "g", c.poly(), sol.s, sol.m2, sol.branch, X))
+    return out
+
+
+@cache
+def golden_systems() -> list[tuple]:
+    """(u, p, s, q) of every solvable multipartite system in the CLI snapshot."""
+    out = []
+    for argv in golden_cases():
+        if argv[0] == "multi":
+            s = int(argv[argv.index("--s") + 1])
+            if "--p-roots" in argv:
+                data = OutsideData(tuple(_flag(argv, "--p-roots")), tuple(_flag(argv, "--q-roots")))
+                p, q = data.p(), data.q()
+            else:
+                p, q = (Poly(_flag(argv, f)[::-1]) for f in ("--p-coeffs", "--q-coeffs"))
+            sys_ = coefficients_general(s, p, q)
+            if sys_.solvable():
+                out.append((sys_.u, p, s, q))
+    return out
+
+
+def both_routes(*args) -> Poly:
+    got = identity_residual(*args)
+    assert got == poly_identity_residual(*args)
+    return got
+
+
+def test_golden_identities_hold_on_both_routes():
+    cases = golden_identities()
+    assert {case[1] for case in cases} == {"g", "g-over-m"}
+    assert {case[5] for case in cases} == set(BRANCHES)
+    for case in cases:
+        assert not both_routes(*case)
+
+
+def test_perturbed_golden_identities_give_the_oracle_residual():
+    # +-1 on a single coefficient of G (the constant, the middle, the top)
+    # and of -G, whose lead is negative; a few land on another solution,
+    # such as G = 1/2 at M = 1/4
+    residuals = [
+        both_routes(H + Poly([0] * k + [e]), *rest)
+        for G, *rest in golden_identities()
+        for H in (G, -G)
+        for k in sorted({0, H.degree // 2, H.degree})
+        for e in (1, -1)
+    ]
+    assert sum(map(bool, residuals)) > 0.95 * len(residuals)
+
+
+def test_multipartite_golden_systems_at_m2_zero():
+    # residual(m^2 = 0) = s^2 q^2 u^2 - p u'^2 = s^2 m^2 q^2 is nonzero
+    systems = golden_systems()
+    assert len(systems) >= 3
+    for u, p, s, q in systems:
+        W = both_routes(u, "g", p, s, 0, Branch.CIRCULAR, q)
+        assert W == (q * q).scale(W.leading())
+        assert not both_routes(u, "g", p, s, W.leading() / (s * s), Branch.CIRCULAR, q)
+
+
+def test_residual_with_zero_g_and_non_unit_contents():
+    p, q = Poly((F(2, 3), F(-1), F(0), F(5, 7), F(3, 5))), Poly((F(-1, 2), F(1, 3)))
+    for args in (
+        (Poly.zero(), "g", WORKED.poly(), 3, F(0), Branch.CIRCULAR),
+        (Poly.zero(), "g", p, 5, F(7, 4), Branch.HYPERBOLIC, q),
+        (Poly.zero(), "g-over-m", p, 2, F(0), Branch.CIRCULAR, q),
+        (Poly((F(3, 4), F(0), F(-5, 6))), "g", p, 3, F(9, 8), Branch.CIRCULAR, q),
+        (Poly((F(3, 4), F(0), F(-5, 6))), "g-over-m", p.scale(-6), 4, F(1), Branch.LOGARITHMIC, q),
+    ):
+        both_routes(*args)
+    assert not both_routes(Poly.zero(), "g", p, 5, F(0), Branch.HYPERBOLIC, q)
+
+
+def test_random_residuals_equal_the_oracle():
+    rng = random.Random(20)
+
+    def rand_poly(deg, span):
+        return Poly([F(rng.randint(-span, span), rng.randint(1, 9)) for _ in range(deg + 1)])
+
+    for _ in range(200):
+        G = rand_poly(rng.randint(-1, 12), rng.choice((1, 10, 10**6)))
+        p = rand_poly(rng.randint(0, 6), 9)
+        q = rand_poly(rng.randint(0, 2), 9)
+        m2 = F(rng.randint(-9, 9), rng.randint(1, 9))
+        conv = rng.choice(("g", "g-over-m"))
+        both_routes(G, conv, p, rng.randint(1, 40), m2, rng.choice(BRANCHES), q)
+
+
+@pytest.mark.parametrize("d", (2**15 - 1 - 100**2, 2**16 - 1 - 100**2))
+def test_top_slot_at_the_bound(d):
+    # G = x, p = -d x^4, n = 100, M = 0: T = (100^2 + d) x^4 = the coefficient
+    # bound, just under 2^(w-1) at d = 2^15 - 1 - 100^2 (w = 16); at
+    # 2^16 - 1 it needs a third byte
+    top = 100**2 + d
+    G, p = Poly.x(), Poly((0, 0, 0, 0, -d))
+    assert both_routes(G, "g", p, 100, F(0), Branch.CIRCULAR) == Poly((0, 0, 0, 0, top))
+    # a negative lead at the bound: G = 0, n = 1, M = top gives -top x^2
+    assert both_routes(Poly.zero(), "g", p, 1, F(top), Branch.CIRCULAR) == Poly((0, 0, -top))
 
 
 # -- shape classification ------------------------------------------------------

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -233,6 +234,25 @@ def test_default_check_interval_is_none_off_the_central_window():
     out = decide(3, QuarticCoeffs.of(-2 * 16, -3 * 16**2, 2 * 16**3, 2 * 16**4))
     assert isinstance(out, ClosedForm) and len(out.pieces) == 3
     assert out.default_check_interval() is None
+
+
+def test_default_check_interval_ties():
+    # of two pieces of equal clipped width the first wins, and a piece
+    # exactly 1e-6 wide is skipped
+    cf = decide(3, WORKED)
+
+    def root(v):
+        return IsolatedRoot(F(v), F(v))
+
+    def span(*pieces):
+        return dataclasses.replace(cf, pieces=pieces).default_check_interval()
+
+    left = Piece(None, root(-7), 1, "arccos")  # [-8, -7] after clipping
+    right = Piece(root(2), root(3), 1, "arccos")
+    assert span(left, right) == (-8 + 1 / 3, -7 - 1 / 3)
+    assert span(right, left) == (2 + 1 / 3, 3 - 1 / 3)
+    assert span(Piece(root(0), root(F(1, 10**6)), 1, "arccos")) is None
+    assert span(Piece(root(0), root(F(2, 10**6)), 1, "arccos")) is not None
 
 
 def test_numeric_check_worked():
