@@ -26,11 +26,12 @@ logarithmic (m = 0).
 
 The decision runs the recurrence for every divisor of n, so it runs on
 integers: with D the lcm of the quartic's denominators, a_k = A_k / Q_k
-over the known denominators Q_k = D^(s-k) * prod_{j=k}^{s-1} 2 (s^2 - j^2),
-and the integer A_k need no division or gcd.  Only F_1, aux and d become
-Fractions; the coefficients a_k are built on demand, for the divisor a
-construction selects.  The same run, at a packed point, gives F_1 as a
-polynomial in one coefficient (``f1_polynomial``) for completion.
+over denominators Q_k = prod_{j=k}^{s-1} e_j, where each step's factor
+e_k divides 2 D (s^2 - k^2) and keeps only what that step's numerator
+does not cancel.  Only F_1, aux and d become Fractions; the coefficients
+a_k are built on demand, for the divisor a construction selects.  The
+same run, uncancelled and at a packed point, gives F_1 as a polynomial in
+one coefficient (``f1_polynomial``) for completion.
 """
 
 from __future__ import annotations
@@ -166,10 +167,11 @@ class Conditions:
     f1 and aux must both vanish for a solution to exist, and the sign of
     the discriminant d selects its branch.  The run is kept as integers:
     a_k = nums[k] / dens[k], where dens[k] = Q_k = prod_{j=k}^{s-1} e_j with
-    the factors e_j = D * 2 (s^2 - j^2) and D the lcm of the quartic's
-    denominators.  dens and the inner coefficients a (a_0..a_s, a_s = 1,
-    a_1 = 0) are built on first access, which only the selected divisor's
-    construction does.
+    the factors e_j = 2 D (s^2 - j^2) / g_j, D the lcm of the quartic's
+    denominators and g_j the gcd that step j cancelled (see ``_run``).
+    dens and the inner coefficients a (a_0..a_s, a_s = 1, a_1 = 0) are
+    built on first access, which only the selected divisor's construction
+    does.
     """
 
     f1: Fraction
@@ -194,14 +196,22 @@ class Conditions:
         return tuple(map(Fraction, self.nums, self.dens))
 
 
-def _run(s: int, C: Sequence[int], D: int) -> tuple[list[int], list[int], int]:
+def _run(s: int, C: Sequence[int], D: int, *, cancel: bool = False
+         ) -> tuple[list[int], list[int], int]:
     """The recurrence on the cleared coefficients C_i = c_i * D.
 
-    Returns the factors e_j = D * 2 (s^2 - j^2), the numerators A_k over
-    Q_k = prod_{j=k}^{s-1} e_j, with A_1 pinned to 0, and F_1's numerator
-    over Q_1, the k = 1 value before the pin.  No step divides or reduces:
+    Returns the factors e_j, the numerators A_k over Q_k = prod_{j=k}^{s-1}
+    e_j, with A_1 pinned to 0, and F_1's numerator over Q_1, the k = 1 value
+    before the pin.  Each step computes
 
-        A_k = sum_i (k+i)(2k+i) C_i A_{k+i} prod_{j=k+1}^{k+i-1} e_j.
+        R_k = sum_i (k+i)(2k+i) C_i A_{k+i} prod_{j=k+1}^{k+i-1} e_j,
+
+    so a_k = R_k / (2 D (s^2 - k^2) Q_{k+1}).  By default no step reduces:
+    A_k = R_k and e_k = 2 D (s^2 - k^2).  With cancel, each step divides
+    g = gcd(R_k, 2 D (s^2 - k^2)) out of both, as in Bareiss's exact-division
+    elimination: A_k = R_k / g and e_k = 2 D (s^2 - k^2) / g, the factor
+    later steps multiply by (a zero R_k gives e_k = 1).  ``conditions``
+    cancels; ``f1_polynomial``'s packed run cannot (see there).
     """
     if s < 2:
         raise ValueError("inner degree s must be at least 2")
@@ -215,6 +225,10 @@ def _run(s: int, C: Sequence[int], D: int) -> tuple[list[int], list[int], int]:
         acc = (k + 3) * (2 * k + 3) * C3 * A[k + 3] + e[k + 3] * acc
         acc = (k + 2) * (2 * k + 2) * C2 * A[k + 2] + e[k + 2] * acc
         A[k] = (k + 1) * (2 * k + 1) * C1 * A[k + 1] + e[k + 1] * acc
+        if cancel:
+            g = math.gcd(A[k], e[k])
+            A[k] //= g
+            e[k] //= g
         if k == 1:
             f1_num = A[1]
             A[1] = 0  # pinned: the inner polynomial has no linear term
@@ -225,12 +239,14 @@ def conditions(s: int, c: QuarticCoeffs) -> Conditions:
     """Run the recurrence once and evaluate the conditions on it.
 
     aux = c3*F_2 + 3*c4*F_3 (F_3 = 0 when s = 2) and d = s^2 F_0^2 - 4 c4 F_2^2.
-    The recurrence runs on integers (``_run``); F_1, aux and d are the only
-    Fractions made, and they need only Q_2, Q_1 = Q_2 e_1 and Q_0 = Q_1 e_0.
+    The recurrence runs on integers and cancels each step's factor
+    (``_run``), so Q_1 keeps little more than F_1's reduced denominator;
+    F_1, aux and d are the only Fractions made, and they need only Q_2,
+    Q_1 = Q_2 e_1 and Q_0 = Q_1 e_0.
     """
     D = math.lcm(*(v.denominator for v in c.as_tuple()))
     C = [v.numerator * (D // v.denominator) for v in c.as_tuple()]
-    e, A, f1_num = _run(s, C, D)
+    e, A, f1_num = _run(s, C, D, cancel=True)
     _, _, C3, C4 = C
     Q2 = math.prod(e[2:s])
     Q1 = Q2 * e[1]
@@ -252,7 +268,10 @@ def f1_polynomial(s: int, target: int, fixed: dict[int, Fraction]) -> Poly:
     rounded up to whole bytes, each coefficient fills its own w-bit slot,
     and ``poly._unpack`` reads it back as a signed digit.  A value of m
     such digits, the top one nonzero, has w (m - 1) to w m - 1 bits, so
-    |N(2^w)|.bit_length() // w + 1 counts them.
+    |N(2^w)|.bit_length() // w + 1 counts them.  The run does not cancel
+    (unlike ``conditions``): a step's value here packs a polynomial in t,
+    and a common factor of that value and 2 D (s^2 - k^2) need not divide
+    every coefficient, so dividing it out would corrupt the digits.
     """
     c = [Fraction(1 if k == target else fixed[k]) for k in range(1, 5)]  # t = 1
     D = math.lcm(*(v.denominator for v in c))

@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction as F
@@ -90,6 +91,14 @@ def test_integer_route_matches_fraction_recurrence():
             c[2] = c[3] = F(0)  # c3 = c4 = 0
         draws.append(QuarticCoeffs.of(*c))
     cases = [(s, c) for k, c in enumerate(draws) for s in range(2 + k // 3 % 3, 41, 3)]
+    # the edges of each step's cancellation: even quartics, where every odd
+    # step's numerator is 0; only c4 != 0 with D > 1; every numerator negative
+    edges = [QuarticCoeffs.of(0, F(rng.randint(-30, 30), rng.randint(1, 12)), 0,
+                              F(rng.randint(-30, 30), rng.randint(1, 12))) for _ in range(3)]
+    edges += [QuarticCoeffs.of(0, 0, 0, F(7, 12)), QuarticCoeffs.of(0, 0, 0, F(-5, 6))]
+    edges += [QuarticCoeffs.of(*(F(-rng.randint(1, 30), rng.randint(1, 12)) for _ in range(4)))
+              for _ in range(3)]
+    cases += [(s, c) for c in edges for s in range(2, 41)]
     # every divisor of 720, the largest n of the refusal benchmark
     for c in (QuarticCoeffs.of(F(1, 3), F(-3, 2), 2, F(-1, 6)),
               QuarticCoeffs.of(F(-3, 2), 2, F(1, 2), -3)):
@@ -107,8 +116,18 @@ def test_condition_coefficients_are_built_on_demand():
     assert "a" not in vars(cond) and "dens" not in vars(cond)
     assert cond.a == (F(3), F(0), F(-3), F(1))
     assert vars(cond)["a"] is cond.a
-    # Q_k = prod_{j=k}^{2} 2 (9 - j^2) with D = 1
-    assert vars(cond)["dens"] == (18 * 16 * 10, 16 * 10, 10, 1)
+    # each step divides gcd(R_k, 2 (9 - k^2)) out of its numerator and factor,
+    # and every a_k here is an integer, so every factor cancels to 1
+    assert cond.nums == (3, 0, -3, 1)
+    assert vars(cond)["dens"] == (1, 1, 1, 1)
+
+
+def test_condition_factors_cancel():
+    # losing the per-step cancellation leaves Q_1 at its full size: at the
+    # refusal benchmark's largest divisor it keeps fewer than half the bits
+    c, s = QuarticCoeffs.of(F(-3, 2), 2, F(1, 2), -3), 720
+    full = math.prod(2 * 2 * (s * s - j * j) for j in range(1, s))  # D = 2
+    assert math.prod(conditions(s, c).factors[1:]).bit_length() < full.bit_length() / 2
 
 
 # -- auxiliary condition -----------------------------------------------------
