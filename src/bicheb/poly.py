@@ -14,9 +14,9 @@ multiply and unpacks the slots with a signed borrow.  By Gauss's lemma the
 product of two primitive vectors is primitive, so it needs no gcd; its
 content is the product of the contents.  Sums, derivatives and quotients
 take one gcd to restore the form.  Integer pseudo-division and exact
-division, shared by ``divmod`` and the Sturm chains of ``roots``, live
-here too.  ``coeffs``, the Fraction coefficients for printing and tests,
-is built on first access.
+division, shared by ``divmod`` and the gcds and Sturm chains of
+``roots``, live here too.  ``coeffs``, the Fraction coefficients for
+printing and tests, is built on first access.
 
 Float coefficient lists for the continuation tracker, the quadrature
 oracle and display are plain lists evaluated by ``horner``; they never
@@ -73,7 +73,7 @@ def _kmul(a: Ints, b: Ints) -> list[int]:
 
     Every product coefficient is below min(len) * max|a| * max|b| in
     magnitude, so a slot of w bits, with 2^(w-1) above that bound, holds
-    it with its sign.  ``_pack`` adds the signed digits in Horner order;
+    it with its sign.  ``_pack`` adds the signed digits;
     ``_unpack`` reads them back.
     """
     w = (
@@ -86,8 +86,21 @@ def _kmul(a: Ints, b: Ints) -> list[int]:
     return _unpack(_pack(a, w) * _pack(b, w), w, len(a) + len(b) - 1)
 
 
+_PACK_SLOTS = 32  # above this many slots, _pack splits the vector in halves
+
+
 def _pack(v: Sequence[int], w: int) -> int:
-    """sum v_i 2^(w i): the integer vector v evaluated at x = 2^w, by Horner."""
+    """sum v_i 2^(w i): the integer vector v evaluated at x = 2^w.
+
+    Each Horner step copies the growing int, so Horner costs time quadratic
+    in the packed size; a longer vector is packed as two halves, joined by
+    one shift.  Splitting costs more than it saves on vectors of up to 32
+    slots of 64 bits, where ``_kmul`` packs most.
+    """
+    n = len(v)
+    if n > _PACK_SLOTS:
+        h = n // 2
+        return _pack(v[:h], w) + (_pack(v[h:], w) << (w * h))
     out = 0
     for c in reversed(v):
         out = (out << w) + c

@@ -1,24 +1,26 @@
 """Certified real-root isolation for rational-coefficient polynomials.
 
-Sturm's theorem over exact arithmetic: the number of distinct real roots
-in (a, b] equals V(a) - V(b), where V counts sign changes along the
-Sturm chain.  The chain is built from integer pseudo-remainders, each
-scaled by a positive factor and made primitive, so every element is a
-positive multiple of the classical one; it is evaluated by integer
-Horner on the homogenised form.  The chain's last element is
-gcd(p, p'); when it is not constant, Musser's algorithm splits p into
-square-free factors with gcds and exact divisions of primitive integer
-polynomials, the square-free part is isolated on its own chain and each
-root's multiplicity is read off the factor it belongs to.
+Descartes bisection over exact arithmetic (Collins & Akritas 1976;
+Rouillier & Zimmermann 2004).  A cell [a, b] carries an integer
+polynomial q, a positive multiple of p(a + (b - a) x), whose roots in
+(0, 1) are those of p in (a, b).  The sign variations of the
+coefficients of (x + 1)^d q(1 / (x + 1)), the reversed q shifted by 1 in
+integer additions, are at least that number of roots, counted with
+multiplicity, and of the same parity (Descartes' rule of signs).  The
+halves of a cell carry 2^d q(x / 2) and that polynomial shifted by 1.
 
-The search bisects (-r, r), where r is a power of two at least Fujiwara's
-bound 2 max |a_(d-i) / a_d|^(1/i) and at least the requested width: no
-root reaches it, so V(+-r) is V(+-infinity), read off the chain's leading
-coefficients.  Every split point is a dyadic k 2^e, where the chain is
-evaluated by integer shifts; a split point where p vanishes is an exact
-root, counted once (the cell left of it leaves it out).  So every cell is
-a cell [k 2^e, (k+1) 2^e] of the one dyadic grid, and a cell that holds
-one root, with ends where p does not vanish, is refined on that grid.
+The search starts from [-r, 0] and [0, r], where r is a power of two at
+least Fujiwara's bound 2 max |a_(d-i) / a_d|^(1/i), so no root reaches
++-r.  A cell with no variation holds no root and is dropped; a cell with
+one, and ends where p does not vanish, holds one root and is refined;
+any other cell splits at its midpoint.  A midpoint where p vanishes is an
+exact root, divided out of both halves.  So every cell is a cell
+[k 2^e, (k+1) 2^e] of the one dyadic grid.
+
+Descartes' count is never below the true one and has its parity, so the
+search splits every cell that bisection on exact (Sturm) counts splits;
+a cell it refines is that bisection's or lies inside it, and ``_climb``
+maps one narrower than the width back up.
 
 The result depends only on p and the root, never on r.  A rational root
 comes out exactly.  An irrational one gets the largest dyadic cell, no
@@ -26,6 +28,14 @@ wider than the width, that holds no other root.  Two such cells share an
 end, which is no root, when their roots lie within the width on either
 side of it; each is then halved until it keeps clear of that end, so the
 cells are disjoint.
+
+A multiple root keeps two variations or more in every cell around it, or
+is a split point where p' vanishes too.  So gcd(p, p') is taken once,
+only on such an event: a constant one shows p square-free, and the
+search goes on.  Otherwise Musser's algorithm splits p into square-free
+factors with gcds and exact divisions of primitive integer polynomials,
+the square-free part is isolated, and each root's multiplicity is read
+off the factor it belongs to.
 
 Every polynomial enters as the primitive integer vector ``Poly.ints``,
 a positive multiple of it, so no conversion runs per call.
@@ -61,6 +71,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import ne
 
 from .poly import Ints, Poly, _exact_quotient, _pseudo_remainder
 
@@ -107,6 +119,11 @@ def sign_at(p: Poly, x: Fraction) -> int:
     return _sign(p.ints, Fraction(x))
 
 
+def _derivative(a: Ints) -> Ints:
+    """p' made primitive."""
+    return _primitive([k * c for k, c in enumerate(a)][1:])
+
+
 def sturm_chain(p: Poly) -> list[Ints]:
     """p, p' and the negated remainders, as primitive integer polynomials.
 
@@ -118,28 +135,13 @@ def sturm_chain(p: Poly) -> list[Ints]:
 
 
 def _sturm(a: Ints) -> list[Ints]:
-    chain = [a, _primitive([k * c for k, c in enumerate(a)][1:])]
+    chain = [a, _derivative(a)]
     while len(chain[-1]) > 1:
         rem = _pseudo_remainder(chain[-2], chain[-1])
         if not rem:
             break
         chain.append(_primitive([-c for c in rem]))
     return chain
-
-
-def _variations(signs) -> int:
-    count, prev = 0, 0
-    for s in signs:
-        if s:
-            count += prev == -s
-            prev = s
-    return count
-
-
-def _signs_at_infinity(chain: list[Ints], sign: int) -> list[int]:
-    """The signs of the chain's elements at sign * infinity: those of their
-    leading terms."""
-    return [(1 if q[-1] > 0 else -1) * sign ** (len(q) - 1) for q in chain]
 
 
 def _ceil_log2(a: int, b: int) -> int:
@@ -186,12 +188,9 @@ def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
     """Pairwise-coprime monic square-free factors of p with multiplicity."""
     if not p:
         raise ValueError("zero polynomial")
-    if p.degree == 0:
-        return []
-    chain = sturm_chain(p)
+    a = p.ints
     return [
-        (Poly([Fraction(c, f[-1]) for c in f]), m)
-        for f, m in _squarefree(chain[0], chain[-1])
+        (Poly([Fraction(c, f[-1]) for c in f]), m) for f, m in _squarefree(a, _gcd(a, _derivative(a)))
     ]
 
 
@@ -252,12 +251,6 @@ def _value_dyadic(q: Ints, num: int, j: int) -> int:
 def _dyadic(k: int, e: int) -> Fraction:
     """k 2^e."""
     return Fraction(k << e) if e >= 0 else Fraction(k, 1 << -e)
-
-
-def _signs_dyadic(chain: list[Ints], k: int, e: int) -> list[int]:
-    """The signs of the chain's elements at k 2^e."""
-    num, j = (k << e, 0) if e >= 0 else (k, -e)
-    return [(v > 0) - (v < 0) for v in (_value_dyadic(q, num, j) for q in chain)]
 
 
 def _float_root(p: Ints, lo: Fraction, hi: Fraction) -> float:
@@ -417,54 +410,134 @@ def _refine(p: Ints, lo: Fraction, hi: Fraction, width: Fraction):
         e *= 2
 
 
+class _NotSquarefree(ValueError):
+    """Raised by ``_descartes`` when p has a multiple root; g = gcd(p, p')."""
+
+    def __init__(self, g: Ints):
+        super().__init__("polynomial has a multiple root")
+        self.g = g
+
+
+def _check_squarefree(p: Ints) -> None:
+    g = _gcd(p, _derivative(p))
+    if len(g) > 1:
+        raise _NotSquarefree(g)
+
+
+def _taylor_shift(q: list[int]) -> list[int]:
+    """q(x + 1): each pass of running sums over the coefficients, from the
+    top, leaves the next coefficient of q(x + 1), from x^0 up, last."""
+    out, a = [], q[::-1]
+    while a:
+        a = list(accumulate(a))
+        out.append(a.pop())
+    return out
+
+
+def _descartes_bound(q: list[int]) -> int:
+    """Descartes' bound on the roots of q in (0, 1), cut at 2: 0 or 1 only
+    when q has exactly that many roots there, with q nonzero at 0 and 1.
+
+    By Descartes' rule of signs the sign variations of a polynomial's
+    coefficients are at least its positive roots, counted with
+    multiplicity, and of the same parity.  Fewer than two variations of q
+    itself count its roots in (0, infinity), and its signs at 0 and 1 tell
+    whether the one lies in (0, 1).  Otherwise the bound is min(V, 2) for
+    V the variations of (x + 1)^d q(1 / (x + 1)), whose coefficients are
+    those of ``_taylor_shift`` on q reversed: its passes run on q itself,
+    one coefficient each, and stop once two variations are seen.
+    """
+    signs = [c > 0 for c in q if c]
+    count = sum(map(ne, signs, signs[1:]))
+    if count < 2:  # as many roots in (0, infinity), by the same rule on q
+        return count and int((q[0] > 0) != (sum(q) > 0))
+    count = sign = 0
+    a = q
+    while a:
+        a = list(accumulate(a))
+        c = a.pop()
+        if c:
+            if sign and (c > 0) != (sign > 0):
+                count += 1
+                if count == 2:
+                    return 2
+            sign = c
+    return count
+
+
 def isolate_squarefree(p: Poly, width: Fraction = DEFAULT_WIDTH) -> list[IsolatedRoot]:
     """Isolating intervals for the distinct real roots of a square-free p.
 
     Returned intervals are pairwise disjoint and each contains exactly
-    one root; exact rational roots come out as point intervals.
+    one root; exact rational roots come out as point intervals.  A p with
+    a multiple real root raises ValueError.
     """
     if not p:
         raise ValueError("zero polynomial")
-    if p.degree == 0:
-        return []
-    return _isolate(sturm_chain(p), width)
+    return _descartes(p.ints, width)
 
 
-def _isolate(chain: list[Ints], width: Fraction) -> list[IsolatedRoot]:
-    """isolate_squarefree on the Sturm chain of a square-free polynomial."""
-    p = chain[0]
+def _descartes(p: Ints, width: Fraction) -> list[IsolatedRoot]:
+    """isolate_squarefree on integers, by Descartes bisection of [-r, 0]
+    and [0, r] on the dyadic grid.
+
+    Raises _NotSquarefree when the descent meets a multiple root: a root
+    at a split point that is also a root of p', or a cell narrower than
+    the width with two sign variations or more, on which gcd(p, p') is
+    taken once.
+    """
     r = _root_bound(p)
-    while r < width:  # a first cell, r wide, is then no narrower than a result
-        r *= 2
     t = r.numerator.bit_length() - r.denominator.bit_length()  # r = 2^t
-    # the chain's signs at -r, 0 and r; as no root reaches r, V(+-r) and
-    # the sign of p there are those at +-infinity
-    left, mid, right = (
-        _signs_at_infinity(chain, -1), _signs_dyadic(chain, 0, 0), _signs_at_infinity(chain, 1)
-    )
-    v0 = _variations(mid)
-    out = [] if mid[0] else [IsolatedRoot(Fraction(0), Fraction(0))]
-    # (k, e, V(x), V(y), sign p(x), sign p(y)) for the cell [x, y] = [k 2^e, (k+1) 2^e]
-    stack = [
-        (-1, t, _variations(left), v0, left[0], mid[0]),
-        (0, t, v0, _variations(right), mid[0], right[0]),
-    ]
+    narrow = _ceil_log2(width.numerator, width.denominator)  # 2^e < width iff e < narrow
+    out, low, squarefree = [], False, False  # low: a cell was refined that may climb
+    b = list(p)
+    zero = not b[0]
+    if zero:  # p(0) = 0: divide the root out of both first cells
+        out.append(IsolatedRoot(Fraction(0), Fraction(0)))
+        del b[0]
+        if not b[0]:
+            _check_squarefree(p)  # raises: x^2 divides p
+    d = len(b) - 1
+    right = [c << (t * i if t >= 0 else -t * (d - i)) for i, c in enumerate(b)]  # b(2^t x)
+
+    def flip(v):  # v(-x)
+        return [-c if i & 1 else c for i, c in enumerate(v)]
+
+    # (k, e, q, zl, zr) for the cell [k 2^e, (k+1) 2^e]: q is a positive
+    # multiple of p((k + x) 2^e), divided by the roots found at the ends,
+    # and zl, zr tell whether p vanishes at the left and the right end
+    stack = [(0, t, right, zero, False), (-1, t, flip(_taylor_shift(flip(right))), False, zero)]
     while stack:
-        k, e, vx, vy, sx, sy = stack.pop()
-        count = vx - vy - (not sy)  # in (x, y): (x, y] holds V(x) - V(y), y too if a root
-        if not count:
+        k, e, q, zl, zr = stack.pop()
+        v = _descartes_bound(q)
+        if not v:
             continue
-        if count == 1 and sx and sy:
+        if v == 1 and not (zl or zr):
             out.append(IsolatedRoot(*_refine(p, _dyadic(k, e), _dyadic(k + 1, e), width)))
+            low = low or e < narrow
             continue
+        if v > 1 and e < narrow and not squarefree:
+            _check_squarefree(p)
+            squarefree = True
+        d = len(q) - 1
+        lq = [c << (d - i) for i, c in enumerate(q)]  # 2^d q(x / 2): the left half
+        rq = _taylor_shift(lq)  # the right half
         k, e = 2 * k, e - 1  # split at the midpoint (k+1) 2^e of the children
-        signs = _signs_dyadic(chain, k + 1, e)
-        vm, sm = _variations(signs), signs[0]
-        if not sm:
+        zm = not rq[0]
+        if zm:
             out.append(IsolatedRoot(_dyadic(k + 1, e), _dyadic(k + 1, e)))
-        stack.append((k + 1, e, vm, vy, sm, sy))
-        stack.append((k, e, vx, vm, sx, sm))
+            del rq[0]  # rq / x
+            if not rq[0]:
+                _check_squarefree(p)  # raises: p' vanishes at the midpoint too
+            lq = list(accumulate(lq[::-1]))[-2::-1]  # lq / (x - 1), by synthetic division
+        stack.append((k + 1, e, rq, zm, zr))
+        stack.append((k, e, lq, zl, zm))
     out.sort(key=lambda r: (r.lo, r.hi))
+    for i, r in enumerate(out if low else ()):
+        if not r.exact:
+            below = out[i - 1] if i else None
+            above = out[i + 1] if i + 1 < len(out) else None
+            out[i] = _climb(r, below, above, width)
     # neighbouring cells share an end, which is no root, when their roots
     # lie within the width on either side of it: halve each such cell until
     # it keeps clear of the shared end
@@ -476,24 +549,50 @@ def _isolate(chain: list[Ints], width: Fraction) -> list[IsolatedRoot]:
     return out
 
 
+def _climb(r: IsolatedRoot, below, above, width: Fraction) -> IsolatedRoot:
+    """The cell a refined cell r is mapped up to: r itself unless r is at
+    most half the width wide.
+
+    Descartes' bound is at least the number of roots and of the same
+    parity, so it splits every cell that bisection on exact root counts
+    splits, and may keep a cell below the one such bisection keeps: the
+    first ancestor whose closed cell holds one root and no root at its
+    ends, from which ``_refine`` returns the ancestor at the first level
+    no wider than the width, or that ancestor itself.  So r climbs while
+    its parent is no wider than the width and holds neither the cell nor
+    the point of its neighbours below and above in the sorted results.
+    Those, and every other result, are dyadic cells or points nested in
+    an ancestor of r or apart from it, so the nearest ones decide.
+    """
+    lo, hi = r.lo, r.hi
+    while 2 * (hi - lo) <= width:
+        w = 2 * (hi - lo)
+        a = lo // w * w
+        if below and (below.hi > a or below.exact and below.hi == a):
+            break
+        if above and (above.lo < a + w or above.exact and above.lo == a + w):
+            break
+        lo, hi = a, a + w
+    return IsolatedRoot(lo, hi)
+
+
 def real_roots(p: Poly, width: Fraction = DEFAULT_WIDTH) -> list[IsolatedRoot]:
     """All distinct real roots of p, with multiplicity.
 
-    A square-free p is isolated on its own Sturm chain.  Otherwise the
-    square-free part p / gcd(p, p') is isolated once (so intervals are
-    disjoint by construction) and each root's multiplicity is read off
-    the square-free factor it belongs to.
+    p is isolated as if square-free.  When the isolation meets a multiple
+    root, the square-free part p / gcd(p, p') is isolated instead (so
+    intervals are disjoint by construction) and each root's multiplicity
+    is read off the square-free factor it belongs to.
     """
     if not p:
         raise ValueError("zero polynomial")
-    if p.degree == 0:
-        return []
-    chain = sturm_chain(p)
-    g = chain[-1]
-    if len(g) == 1:
-        return _isolate(chain, width)
-    factors = _squarefree(chain[0], g)
-    plain = _isolate(_sturm(_exact_quotient(chain[0], g)), width)
+    a = p.ints
+    try:
+        return _descartes(a, width)
+    except _NotSquarefree as e:
+        g = e.g
+    factors = _squarefree(a, g)
+    plain = _descartes(_exact_quotient(a, g), width)
     return [IsolatedRoot(r.lo, r.hi, _multiplicity_of(r, factors)) for r in plain]
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import json
 import math
@@ -29,9 +30,19 @@ from bicheb.roots import (
 # descent and the shape classification in tests/test_bipartite.py
 
 
+def variations(signs):
+    """Sign changes along a sequence of signs, zeros skipped."""
+    count, prev = 0, 0
+    for s in signs:
+        if s:
+            count += prev == -s
+            prev = s
+    return count
+
+
 def variations_at(chain, x):
     """Sign changes along the chain at x."""
-    return roots._variations(roots._signs(chain, F(x)))
+    return variations(roots._signs(chain, F(x)))
 
 
 def count_roots_halfopen(chain, lo, hi):
@@ -90,8 +101,14 @@ def test_no_real_roots():
 
 
 def test_zero_polynomial_rejected():
-    with pytest.raises(ValueError):
-        real_roots(Poly(()))
+    for f in (real_roots, isolate_squarefree, squarefree_decomposition):
+        with pytest.raises(ValueError):
+            f(Poly(()))
+
+
+def test_constants_have_no_roots():
+    for f in (real_roots, isolate_squarefree, squarefree_decomposition):
+        assert f(Poly((F(-3),))) == []
 
 
 def test_known_random_rational_roots_roundtrip():
@@ -529,6 +546,81 @@ def test_root_bound_edge_cases(p):
     assert_roots_inside_the_bound(p)
 
 
+def signs_dyadic(chain, k, e):
+    """The signs of the chain's elements at k 2^e."""
+    num, j = (k << e, 0) if e >= 0 else (k, -e)
+    return [(v > 0) - (v < 0) for v in (roots._value_dyadic(q, num, j) for q in chain)]
+
+
+def signs_at_infinity(chain, sign):
+    """The signs of the chain's elements at sign * infinity: those of their
+    leading terms."""
+    return [(1 if q[-1] > 0 else -1) * sign ** (len(q) - 1) for q in chain]
+
+
+def sturm_isolate(chain, width):
+    """The isolation on the Sturm chain of a square-free polynomial that
+    Descartes bisection replaced, the oracle real_roots must equal.
+
+    It bisects [-r, 0] and [0, r] on the dyadic grid with exact counts:
+    the cell [x, y] holds V(x) - V(y) roots in (x, y], and V(+-r) is
+    V(+-infinity).  A split point where p vanishes is an exact root; a
+    cell holding one root, with ends where p does not vanish, is refined;
+    cells sharing an end are halved clear of it.
+    """
+    p = chain[0]
+    r = roots._root_bound(p)
+    while r < width:
+        r *= 2
+    t = r.numerator.bit_length() - r.denominator.bit_length()  # r = 2^t
+    left, mid, right = (
+        signs_at_infinity(chain, -1), signs_dyadic(chain, 0, 0), signs_at_infinity(chain, 1)
+    )
+    v0 = variations(mid)
+    out = [] if mid[0] else [roots.IsolatedRoot(F(0), F(0))]
+    # (k, e, V(x), V(y), sign p(x), sign p(y)) for the cell [x, y] = [k 2^e, (k+1) 2^e]
+    stack = [
+        (-1, t, variations(left), v0, left[0], mid[0]),
+        (0, t, v0, variations(right), mid[0], right[0]),
+    ]
+    while stack:
+        k, e, vx, vy, sx, sy = stack.pop()
+        count = vx - vy - (not sy)  # in (x, y): (x, y] holds V(x) - V(y), y too if a root
+        if not count:
+            continue
+        if count == 1 and sx and sy:
+            lo, hi = roots._dyadic(k, e), roots._dyadic(k + 1, e)
+            out.append(roots.IsolatedRoot(*roots._refine(p, lo, hi, width)))
+            continue
+        k, e = 2 * k, e - 1
+        signs = signs_dyadic(chain, k + 1, e)
+        vm, sm = variations(signs), signs[0]
+        if not sm:
+            out.append(roots.IsolatedRoot(roots._dyadic(k + 1, e), roots._dyadic(k + 1, e)))
+        stack.append((k + 1, e, vm, vy, sm, sy))
+        stack.append((k, e, vx, vm, sx, sm))
+    out.sort(key=lambda r: (r.lo, r.hi))
+    cells = [r for r in out if not r.exact]
+    shared = {r.hi for r in cells} & {r.lo for r in cells}
+    for i, r in enumerate(out):
+        while r.lo in shared or r.hi in shared:
+            r = out[i] = roots.IsolatedRoot(*roots._refine(p, r.lo, r.hi, (r.hi - r.lo) / 2))
+    return out
+
+
+def sturm_roots(p, width=roots.DEFAULT_WIDTH, isolate=sturm_isolate):
+    """real_roots on Sturm chains: p's chain ends in gcd(p, p'); when that
+    is not constant, the square-free part is isolated on its own chain and
+    each root's multiplicity is read off Musser's factors."""
+    chain = sturm_chain(p)
+    g = chain[-1]
+    if len(g) == 1:
+        return isolate(chain, width)
+    factors = roots._squarefree(chain[0], g)
+    plain = isolate(roots._sturm(roots._exact_quotient(chain[0], g)), width)
+    return [roots.IsolatedRoot(r.lo, r.hi, roots._multiplicity_of(r, factors)) for r in plain]
+
+
 def cauchy_isolate(chain, width):
     """The descent before canonical cells: split the Cauchy interval (-B, B)
     at the first of _probes where p does not vanish, evaluating V at +-B
@@ -551,8 +643,133 @@ def cauchy_isolate(chain, width):
 
 
 def cauchy_roots(p, width=roots.DEFAULT_WIDTH):
-    with mock.patch.object(roots, "_isolate", cauchy_isolate):
-        return real_roots(p, width)
+    return sturm_roots(p, width, cauchy_isolate)
+
+
+def count_calls(names, fn, *args):
+    """fn(*args), and the number of calls it made to each of the functions
+    of roots named."""
+    count = Counter()
+
+    def counted(name, f):
+        def wrapper(*a):
+            count[name] += 1
+            return f(*a)
+
+        return wrapper
+
+    with contextlib.ExitStack() as stack:
+        for name in names:
+            stack.enter_context(mock.patch.object(roots, name, counted(name, getattr(roots, name))))
+        return fn(*args), count
+
+
+# -- Descartes bisection against Sturm bisection -------------------------------------------
+
+
+def assert_equals_sturm(p, width=roots.DEFAULT_WIDTH):
+    assert real_roots(p, width) == sturm_roots(p, width), (p, width)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.one_of(factored(), sparse()), st.sampled_from(WIDTHS))
+def test_descartes_equals_sturm(p, width):
+    assert_equals_sturm(p, width)
+
+
+def test_descartes_equals_sturm_on_the_snapshot():
+    polys = snapshot_polys()
+    assert len(polys) == 207
+    for p in polys.values():
+        assert_equals_sturm(p)
+
+
+SQRT2 = Poly((F(-2), F(0), F(1)))
+NEAR_SQRT2 = F(math.isqrt(2 << 160), 2**80)  # within 2^-80 of sqrt2
+NEAR_CBRT2 = F(sympy.integer_nthroot(2 << 240, 3)[0], 2**80)
+
+DESCARTES_EDGES = {
+    "two cells about one grid point": Poly((F(2) - F(1, 2**120), F(-4), F(2))),
+    "a root at 0 beside tiny ones": _x(1) * Poly((-F(1, 2**100), F(0), F(1))),
+    "a complex pair near the axis": Poly((F(1, 2**100), F(0), F(1))),
+    "multiple roots": (_x(2) - 2) ** 2 * (_x(1) - 1) ** 3,
+    "double irrational roots": (_x(2) - 2) ** 2 * (_x(2) - 3),  # found below the width
+    "a double root at a split point": Poly.from_roots([F(1, 2)] * 2) * Poly((F(-3), F(0), F(1))),
+    # cells of sqrt2 with three sign variations, two of them the pair's,
+    # down to about 2^-70: twenty levels below the width
+    "a complex pair 2^-70 from sqrt2": SQRT2 * Poly((NEAR_SQRT2**2 + F(1, 2**140), -2 * NEAR_SQRT2, F(1))),
+    "a complex pair 1/100 from sqrt2": SQRT2 * Poly((F(7, 5) ** 2 + F(1, 10**4), F(-14, 5), F(1))),
+    # the only cell refined, and an exact root above it at a split point
+    "a complex pair 2^-70 from the cube root of 2, and 2": (_x(3) - 2)
+    * (_x(1) - 2)
+    * Poly((NEAR_CBRT2**2 + F(1, 2**140), -2 * NEAR_CBRT2, F(1))),
+    "lead 2^60 + 1 and a rational root": _linear_times_sqrt2(2**60 + 1),
+    "lead 2^60 + 1": Poly((F(-2), F(0), F(2**60 + 1))),
+    **{f"x^{d} - 1": _x(d) - 1 for d in range(1, 14)},
+}
+
+
+@pytest.mark.parametrize("name", DESCARTES_EDGES)
+@pytest.mark.parametrize("width", WIDTHS)
+def test_descartes_equals_sturm_edge_cases(name, width):
+    assert_equals_sturm(DESCARTES_EDGES[name], width)
+
+
+GCD = ("_check_squarefree", "_squarefree")
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["two cells about one grid point", "a root at 0 beside tiny ones", "a complex pair near the axis"]
+    + [f"x^{d} - 1" for d in range(1, 14)],
+)
+def test_no_gcd_without_an_event(name):
+    assert not count_calls(GCD, real_roots, DESCARTES_EDGES[name])[1]
+
+
+def test_a_cell_below_the_width_with_two_variations_takes_one_gcd():
+    found, count = count_calls(GCD, real_roots, DESCARTES_EDGES["a complex pair 2^-70 from sqrt2"])
+    assert count == {"_check_squarefree": 1}  # constant: the descent goes on
+    assert [r.multiplicity for r in found] == [1, 1]
+
+
+@pytest.mark.parametrize(
+    "name, multiplicities",
+    [
+        ("multiple roots", [2, 3, 2]),
+        ("double irrational roots", [1, 2, 2, 1]),
+        ("a double root at a split point", [1, 2, 1]),
+    ],
+)
+def test_a_multiple_root_falls_back_to_the_squarefree_part(name, multiplicities):
+    found, count = count_calls(GCD, real_roots, DESCARTES_EDGES[name])
+    assert count == {"_check_squarefree": 1, "_squarefree": 1}
+    assert [r.multiplicity for r in found] == multiplicities
+    with pytest.raises(ValueError):
+        isolate_squarefree(DESCARTES_EDGES[name])
+
+
+@pytest.mark.parametrize(
+    "name, width",
+    [("a complex pair 2^-70 from sqrt2", roots.DEFAULT_WIDTH)]
+    + [("a complex pair 2^-70 from the cube root of 2, and 2", w) for w in (roots.DEFAULT_WIDTH, F(1, 8))]
+    + [("a complex pair 1/100 from sqrt2", w) for w in (F(5), F(1, 3), F(1, 8))],
+)
+def test_a_cell_below_the_width_climbs_to_the_sturm_cell(name, width):
+    p = DESCARTES_EDGES[name]
+    seen = []
+    climb = roots._climb
+
+    def spy(r, *args):
+        seen.append((r, climb(r, *args)))
+        return seen[-1][1]
+
+    with mock.patch.object(roots, "_climb", spy):
+        found = real_roots(p, width)
+    [(low, up)] = [(r, c) for r, c in seen if r != c]
+    assert 2 * (low.hi - low.lo) <= width < 2 * (up.hi - up.lo)
+    assert up.lo <= low.lo < low.hi <= up.hi
+    assert found == sturm_roots(p, width)
 
 
 def closed_count(chain, lo, hi):
@@ -648,23 +865,13 @@ def test_canonical_cells_edge_cases(p, width):
     assert_canonical(p, width)
 
 
-def test_chain_evaluations_on_a_completion():
-    # F_1 in c1 at s = 20: 19 evaluations against 66 on the Cauchy descent
+def test_descartes_work_on_a_completion():
+    # F_1 in c1 at s = 20 (degree 19, 11 real roots): 38 cells and 19
+    # Taylor shifts, where Sturm bisection evaluated its 20-element chain
+    # at 19 points
     p = f1_polynomial(20, 1, {2: F(-5), 3: F(0), 4: F(4)})
-    count = Counter()
-
-    def spy(name, fn):
-        def wrapper(*args):
-            count[name] += 1
-            return fn(*args)
-
-        return wrapper
-
-    with mock.patch.object(roots, "_signs_dyadic", spy("dyadic", roots._signs_dyadic)):
-        real_roots(p)
-    with mock.patch(f"{__name__}.variations_at", spy("cauchy", variations_at)):
-        cauchy_roots(p)
-    assert 2 * count["dyadic"] < count["cauchy"], count
+    _, count = count_calls(("_descartes_bound", "_taylor_shift"), real_roots, p)
+    assert count["_descartes_bound"] <= 38 and count["_taylor_shift"] <= 19, count
 
 
 def test_refine_evaluations_on_a_completion():
