@@ -311,11 +311,9 @@ def cmd_multi(args):
     )
     constants = None
     if sys_.solvable():
-        try:
-            cval, m2 = multipartite.integration_constant(args.s, p, q, sys_.u)
-            constants = {"c": str(cval), "m2": str(m2)}
-        except multipartite.NoConsistentConstants as exc:
-            constants = {"error": str(exc)}
+        # a solvable system has W = lc(W) q^2, so this never raises
+        cval, m2 = multipartite.integration_constant(args.s, p, q, sys_.u)
+        constants = {"c": str(cval), "m2": str(m2)}
     code = EXIT_YES if sys_.solvable() else EXIT_NO
     if args.json:
         return code, {

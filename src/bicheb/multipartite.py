@@ -23,10 +23,9 @@ negative-index condition is evaluated in the cleared form
 E_i^(j) = tc_ij - 2 s^2 td_i with the division deferred.
 
 Every coefficient and every condition comes from this one recurrence.
-It runs fraction-free: with D the lcm of the denominators of p and q,
-a_j is an integer numerator over D^(s-j) prod_{k=j}^{s-1} 2(s^2 - k^2),
-every step is an integer sum, and Fractions are made only for the
-returned coefficients and residuals.
+It runs on integers from the integer vectors of p and q to the returned
+Fractions, and each step j >= 0 cancels its gcd with 2(s^2 - j^2), as in
+Bareiss's exact division (``coefficients_general``).
 
 The test suite holds two oracles that the recurrence must equal exactly:
 the same recurrence on Fractions, and sums over the distinct permutations
@@ -38,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .bipartite import Branch, identity_residual
 from .poly import Poly
@@ -81,26 +81,33 @@ class OutsideData:
 
 
 def _check_pq(p: Poly, q: Poly) -> tuple[int, int]:
-    if not p or p.leading() != 1 or not q or q.leading() != 1:
-        raise ValueError("p and q must be monic")
+    # content * ints, with ints primitive, is monic iff content = 1 / ints[-1]
+    for f in (p, q):
+        if not f or f.content.numerator != 1 or f.content.denominator != f.ints[-1]:
+            raise ValueError("p and q must be monic")
     r, ell = p.degree, q.degree
     if r != 2 * ell + 2:
         raise ValueError(f"degree mismatch: deg p = {r}, expected 2*{ell} + 2")
     return r, ell
 
 
-def _desc(poly: Poly) -> list[Fraction]:
-    """Descending coefficient list: index k holds the x^(deg-k) coefficient."""
-    return [poly[poly.degree - k] for k in range(poly.degree + 1)]
+def _convolve(a: list[int], b: list[int]) -> list[int]:
+    """The product of two coefficient vectors.  At the few coefficients of
+    q this loop beats ``poly._kmul``'s packing."""
+    out = [0] * (len(a) + len(b) - 1)
+    for k, x in enumerate(a):
+        for m, y in enumerate(b):
+            out[k + m] += x * y
+    return out
 
 
 def _tc_sums(c: list, d: list) -> tuple[list, list]:
     """A_i = sum_k (4i - 3k) c_k d_{i-k} and B_i = sum_k c_k d_{i-k}.
 
     c and d are descending coefficient lists (zero out of range), and
-    i runs over 0..len(c) + len(d) - 2; _tc_from_sums turns them into
-    tc(i, j).  Both sums are homogeneous: when every c_k and d_k is
-    scaled by D^k, A_i and B_i scale by D^i.
+    i runs over 0..len(c) + len(d) - 2; with them
+    tc(i, j) = (i + j) (A_i + 2 j B_i).  Both sums are homogeneous: when
+    every c_k and d_k is scaled by D^k, A_i and B_i scale by D^i.
     """
     A = [0] * (len(c) + len(d) - 1)
     B = [0] * (len(c) + len(d) - 1)
@@ -111,15 +118,14 @@ def _tc_sums(c: list, d: list) -> tuple[list, list]:
     return A, B
 
 
-def _tc_from_sums(A: list, B: list, i: int, j: int):
-    """tc(i, j) = (i + j) (A_i + 2 j B_i), for i within range of the sums."""
-    return (i + j) * (A[i] + 2 * j * B[i])
-
-
 def _scaled_desc(poly: Poly, D: int) -> list[int]:
-    """Descending coefficients c_k times D^k, for D a multiple of every
-    denominator of poly; for monic poly each one is an integer."""
-    return [v.numerator * (D**k // v.denominator) for k, v in enumerate(_desc(poly))]
+    """Descending coefficients c_k times D^k of a monic poly, for D a
+    multiple of its content's denominator ints[-1]."""
+    lead, pw, out = poly.ints[-1], 1, []
+    for v in reversed(poly.ints):
+        out.append(v * pw // lead)
+        pw *= D
+    return out
 
 
 @dataclass
@@ -140,7 +146,7 @@ class MultipartiteSystem:
     pinned_origin: bool
     origin_residual: Fraction | None
 
-    @property
+    @cached_property
     def u(self) -> Poly:
         return Poly(self.a)
 
@@ -161,56 +167,65 @@ def coefficients_general(
     to get the plain divided-ODE recurrence (a_1 determined, not pinned),
     which is the run solvability_residuals reads.  Each step sums the
     cleared weights E_i^(j) times a_(i+j); a step j >= 0 sets a_j to that
-    sum over 2 (s^2 - j^2), and the steps j < 0 are the conditions.
+    sum over R_j = 2 (s^2 - j^2), and the steps j < 0 are the conditions.
 
-    The run is fraction-free.  With D the lcm of the denominators of p and
-    q, the descending coefficients scaled by D^k are integers, and
-    E_i^(j) D^i is one too, because E_i^(j) is weighted-homogeneous of
-    degree i.  So with R_k = 2 (s^2 - k^2) and P_j = R_j ... R_(s-1),
-    a_j = N_j / (D^(s-j) P_j) for an integer N_j, and the step at index j
-    sums E_i^(j) D^i N_(i+j) R_lo ... R_(i+j-1) over a common denominator
-    D^(s-j) P_lo, with lo = max(j + 1, 0) the lowest index it reads.  For
-    j >= 0 that sum is N_j itself; no step divides.  Fractions are made
-    only for the returned values.
+    The run is on integers from p.ints and q.ints to the returned
+    Fractions.  With D the lcm of the denominators of p and q, the
+    descending coefficients scaled by D^k are integers, and E_i^(j) D^i
+    is one too, because E_i^(j) is weighted-homogeneous of degree i.  So
+    a_j = N_j / (D^(s-j) Q_j) for an integer N_j, with Q_j = e_j ... e_(s-1)
+    over factors e_k that divide R_k, and the step at index j sums
+    E_i^(j) D^i N_(i+j) e_lo ... e_(i+j-1) over a common denominator
+    D^(s-j) Q_lo, with lo = max(j + 1, 0) the lowest index it reads.  A
+    step j >= 0 divides g = gcd(sum, R_j) out of the sum and of R_j, as
+    in Bareiss's exact-division elimination: N_j = sum / g and
+    e_j = R_j / g (a zero sum, such as the pinned a_1, gives e_j = 1).
+    Fractions are made only for the returned values.
     """
     if s < 1:
         raise ValueError("s must be positive")
     r, ell = _check_pq(p, q)
     top = r + ell
     if pin_origin is None:
-        pin_origin = q.eval(Fraction(0)) == 0
+        pin_origin = q.ints[0] == 0
     # the lcm of every coefficient denominator: a Poly's integer vector is
     # primitive, so its content's denominator is the lcm of its own
     D = math.lcm(p.content.denominator, q.content.denominator)
-    A, B = _tc_sums(_scaled_desc(p, D), _scaled_desc(q, D))
-    td = _scaled_desc(q**3, D) + [0] * (top - 3 * ell)
-    R = [2 * (s * s - k * k) for k in range(s + 1)]
-    P = [1] * (s + 1)  # P[j] = R_j ... R_(s-1)
-    for k in range(s - 1, -1, -1):
-        P[k] = P[k + 1] * R[k]
+    dq = _scaled_desc(q, D)
+    A, B = _tc_sums(_scaled_desc(p, D), dq)
+    two_s2 = 2 * s * s
+    T = [two_s2 * v for v in _convolve(_convolve(dq, dq), dq)] + [0] * (top - 3 * ell)
     N = [0] * (s + 1)
     N[s] = 1
+    e = [1] * (s + 1)  # e[s] = 1 only starts the Horner sums
 
     def step(j: int) -> int:
-        """The step's sum over D^(s-j) P[lo]."""
-        acc, between = 0, 1  # R_lo ... R_(m-1)
-        for m in range(max(j + 1, 0), min(top + j, s) + 1):
+        """The step's sum over D^(s-j) Q_lo, in Horner form over the e_m;
+        the term at m = i + j has tc(i, j) = m (A_i + 2 j B_i)."""
+        acc, j2 = 0, 2 * j
+        for m in range(min(top + j, s), max(j + 1, 0) - 1, -1):
             i = m - j
-            acc += (_tc_from_sums(A, B, i, j) - 2 * s * s * td[i]) * N[m] * between
-            between *= R[m]
+            acc = (m * (A[i] + j2 * B[i]) - T[i]) * N[m] + e[m] * acc
         return acc
 
     origin_res: Fraction | None = None
+    den = [1] * (s + 1)  # den[j] = D^(s-j) Q_j
     for j in range(s - 1, -1, -1):
+        acc = step(j)
         if pin_origin and j == 1:
-            origin_res = Fraction(step(1), D ** (s - 1) * P[2])
-        else:
-            N[j] = step(j)
+            origin_res = Fraction(acc, D * den[2])
+            acc = 0
+        R = two_s2 - 2 * j * j
+        g = math.gcd(acc, R)
+        N[j], e[j] = acc // g, R // g
+        den[j] = D * e[j] * den[j + 1]
+    neg, d = [], den[0]
+    for j in range(1, 3 * ell + 1):
+        d *= D
+        neg.append(Fraction(step(-j), d))
     return MultipartiteSystem(
-        a=[Fraction(N[j], D ** (s - j) * P[j]) for j in range(s + 1)],
-        neg_residuals=[
-            Fraction(step(-j), D ** (s + j) * P[0]) for j in range(1, 3 * ell + 1)
-        ],
+        a=list(map(Fraction, N, den)),
+        neg_residuals=neg,
         pinned_origin=pin_origin,
         origin_residual=origin_res,
     )
@@ -235,6 +250,14 @@ def integration_constant(s: int, p: Poly, q: Poly, u: Poly):
     at that m^2 is W - lc(W) q^2; NoConsistentConstants is raised when it
     is nonzero, which is when W is no constant multiple of q^2.  c is
     always 0.
+
+    The u of a solvable coefficients_general(s, p, q) never raises: it
+    satisfies the divided ODE at every index (at j = 1 too, which the
+    origin pin checks), and
+
+        d/dx (W / q^2) = (u' / q^3) (2 s^2 q^3 u - (p' q - 2 p q') u' - 2 p q u'')
+
+    is then 0, so W = lc(W) q^2.
     """
     _check_pq(p, q)
     W = identity_residual(u, "g", p, s, 0, Branch.CIRCULAR, q)

@@ -1,12 +1,15 @@
+import math
 import random
 from fractions import Fraction as F
 from functools import lru_cache
+from types import SimpleNamespace
 
 import pytest
 from chebyshev_oracle import chebyshev_t
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import bicheb.multipartite as multipartite
 from bicheb.bipartite import (
     Branch,
     QuarticCoeffs,
@@ -19,8 +22,6 @@ from bicheb.multipartite import (
     NoConsistentConstants,
     OutsideData,
     coefficients_general,
-    _desc,
-    _tc_from_sums,
     _tc_sums,
     integration_constant,
     solvability_residuals,
@@ -45,6 +46,19 @@ def rand_quartic(rng):
 
 
 # -- the weights of the recurrence ------------------------------------------------
+#
+# On Fractions, read through Poly's own coefficient access: the reference
+# for the integer vectors coefficients_general reads.
+
+
+def _desc(poly: Poly) -> list[F]:
+    """Descending coefficient list: index k holds the x^(deg-k) coefficient."""
+    return [poly[poly.degree - k] for k in range(poly.degree + 1)]
+
+
+def _tc_from_sums(A: list, B: list, i: int, j: int):
+    """tc(i, j) = (i + j) (A_i + 2 j B_i), for i within range of the sums."""
+    return (i + j) * (A[i] + 2 * j * B[i])
 
 
 def qcube(q: Poly) -> list[F]:
@@ -203,6 +217,68 @@ def test_integer_recurrence_reaches_index_minus_s():
                 sys_ = coefficients_general(s, p, q, pin_origin=pin)
                 got = (sys_.a, sys_.neg_residuals, sys_.pinned_origin, sys_.origin_residual)
                 assert got == fraction_recurrence(s, p, q, pin), (s, q, pin)
+
+
+# cancelling steps at large s, and the sizes the benchmark's multi ops run:
+# (s, crossings, exceptional points, pin_origin)
+CANCEL_CASES = [
+    (s, (F(1), F(-1), F(1, 2), F(-3, 2)), (F(0),), pin)
+    for s in (40, 120)
+    for pin in (None, False)
+] + [
+    (s, (F(2), F(-1), F(1, 2), F(-3, 2)), (F(1, 3),), None) for s in (40, 120)
+] + [
+    (10, (F(1), F(-1), F(1, 2), F(-3, 2), F(5, 2), F(-7, 2)), (F(3), F(-1, 2)), None),
+    (12, (F(7, 2), F(-1), F(1, 2), F(-5, 2)), (F(-4),), None),
+]
+
+
+@pytest.mark.parametrize("s, alphas, betas, pin", CANCEL_CASES)
+def test_cancelling_recurrence_equals_the_fraction_oracle(monkeypatch, s, alphas, betas, pin):
+    data = OutsideData(alphas, betas)
+    p, q = data.p(), data.q()
+    want = fraction_recurrence(s, p, q, pin)
+    cancelled = []
+
+    def gcd(*args):
+        g = math.gcd(*args)
+        cancelled.append(g > 1)
+        return g
+
+    monkeypatch.setattr(multipartite, "math", SimpleNamespace(gcd=gcd, lcm=math.lcm))
+    sys_ = coefficients_general(s, p, q, pin_origin=pin)
+    assert (sys_.a, sys_.neg_residuals, sys_.pinned_origin, sys_.origin_residual) == want
+    assert any(cancelled)
+
+
+@pytest.mark.parametrize("s, alphas, betas, pin", [
+    (9, (F(1), F(-1), F(1, 2), F(-3, 2)), (F(0),), None),  # pinned
+    (9, (F(1), F(-1), F(1, 2), F(-3, 2)), (F(0),), False),
+    (7, (F(1), F(-1), F(1, 2), F(-3, 2), F(5, 2), F(-7, 2)), (F(3), F(-1, 2)), None),
+    (3, (F(1, 3), F(-2)), (), None),
+])
+def test_coefficients_general_runs_on_integers(monkeypatch, s, alphas, betas, pin):
+    # no Poly arithmetic and no Fraction coefficient access: the integer
+    # vectors in, one Fraction per returned value out
+    data = OutsideData(alphas, betas)
+    p, q = data.p(), data.q()
+    want = fraction_recurrence(s, p, q, pin)
+    made = []
+
+    def unbuilt(*args):
+        raise AssertionError(f"called with {args}")
+
+    def counted(*args):
+        made.append(args)
+        return F(*args)
+
+    for name in ("__mul__", "__rmul__", "__pow__", "__getitem__", "eval"):
+        monkeypatch.setattr(Poly, name, unbuilt)
+    monkeypatch.setattr(multipartite, "Fraction", counted)
+    sys_ = coefficients_general(s, p, q, pin_origin=pin)
+    monkeypatch.undo()
+    assert (sys_.a, sys_.neg_residuals, sys_.pinned_origin, sys_.origin_residual) == want
+    assert len(made) == s + 1 + 3 * len(betas) + sys_.pinned_origin
 
 
 # -- building blocks ----------------------------------------------------------
